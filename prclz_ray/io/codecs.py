@@ -433,13 +433,9 @@ def _shp_geom(shape_type: int, body: bytes):
     raise ValueError(f"unsupported shapefile shape type {shape_type}")
 
 
-def _read_dbf(path: str) -> dict:
-    """dBASE III attribute table → {column: list} (C/N/F/L types)."""
-    with open(path, "rb") as f:
-        return _read_dbf_bytes(f.read())
-
-
-def _read_dbf_bytes(raw: bytes) -> dict:
+def _read_dbf_bytes(raw: bytes) -> tuple[dict, list[bool]]:
+    """dBASE III attribute table → ({column: list} over the live rows,
+    per-record deleted flags) (C/N/F/L types)."""
     import struct
 
     nrec, hdrlen, reclen = struct.unpack_from("<IHH", raw, 4)
@@ -452,9 +448,11 @@ def _read_dbf_bytes(raw: bytes) -> dict:
         fields.append((name, ftype, flen))
         off += 32
     cols: dict = {name: [] for name, _, _ in fields}
+    deleted = []
     for i in range(nrec):
         base = hdrlen + i * reclen
-        if raw[base:base + 1] == b"*":      # deleted row
+        deleted.append(raw[base:base + 1] == b"*")
+        if deleted[-1]:
             continue
         p = base + 1
         for name, ftype, flen in fields:
@@ -471,7 +469,7 @@ def _read_dbf_bytes(raw: bytes) -> dict:
                 cols[name].append(s in ("T", "t", "Y", "y"))
             else:
                 cols[name].append(s)
-    return cols
+    return cols, deleted
 
 
 def _shp_table(shp_raw: bytes, dbf_raw: bytes | None,
@@ -492,7 +490,12 @@ def _shp_table(shp_raw: bytes, dbf_raw: bytes | None,
         off += 8 + 2 * clen
     cols = {}
     if dbf_raw is not None:
-        cols = _read_dbf_bytes(dbf_raw)
+        cols, deleted = _read_dbf_bytes(dbf_raw)
+        if len(deleted) != len(geoms):
+            raise ValueError(f"shapefile has {len(geoms)} shape records "
+                             f"but its .dbf has {len(deleted)}")
+        # a row deleted in the .dbf takes its shape record with it
+        geoms = [g for g, dead in zip(geoms, deleted) if not dead]
     if names_raw is not None:
         # sidecar written by write_shapefile for names the 10-char
         # DBF limit truncated
@@ -531,16 +534,21 @@ def read_shapefile(paths):
             if base.endswith(".zip"):
                 import zipfile
                 with zipfile.ZipFile(base) as zf:
-                    names = set(zf.namelist())
-                    for m in sorted(names):
-                        if not m.endswith(".shp"):
-                            continue
-                        stem = m[:-4]
-                        dbf = zf.read(stem + ".dbf") \
-                            if stem + ".dbf" in names else None
-                        side = zf.read(stem + ".names.json") \
-                            if stem + ".names.json" in names else None
-                        out.append(_shp_table(zf.read(m), dbf, side))
+                    # sibling lookup ignores case: archives built on
+                    # Windows mix "A.SHP" with "a.dbf"
+                    names = {m.lower(): m for m in zf.namelist()}
+
+                    def sibling(stem, ext):
+                        m = names.get(stem + ext)
+                        return zf.read(m) if m is not None else None
+
+                    for low in sorted(names):
+                        if low.endswith(".shp"):
+                            stem = low[:-4]
+                            out.append(_shp_table(
+                                zf.read(names[low]),
+                                sibling(stem, ".dbf"),
+                                sibling(stem, ".names.json")))
             else:
                 out.append(_shp_table(
                     open(base + ".shp", "rb").read(),

@@ -112,6 +112,11 @@ def _ld(fno: int, body: bytes) -> bytes:
 
 # ------------------------------------------------------------ file frames
 
+# Blob fields 4-7 (fileformat.proto): compressions the stdlib cannot
+# decode
+_UNSUPPORTED_BLOB = {4: "lzma", 5: "bzip2", 6: "lz4", 7: "zstd"}
+
+
 def _iter_blobs(raw: bytes):
     """Yield (blob_type, decompressed PrimitiveBlock/HeaderBlock bytes)."""
     pos = 0
@@ -136,6 +141,10 @@ def _iter_blobs(raw: bytes):
                 data = v
             elif fno == 3:                   # zlib_data
                 data = zlib.decompress(v)
+            elif fno in _UNSUPPORTED_BLOB:
+                raise ValueError(
+                    f"{_UNSUPPORTED_BLOB[fno]}-compressed PBF blob: only "
+                    "raw and zlib blobs are supported")
         yield btype.decode("ascii", "replace"), data
 
 

@@ -7,12 +7,12 @@ This is the north-star headline workload (BASELINE.json metric:
 per-url text"). Every stage is a streaming Ray Data transform:
 
   read_parquet(pages)                              (column-pruned scan)
-  → PageParser actor pool (one pass over html:     text + lat/lng + footprint,
+  → PageParser (one pass over html:                text + lat/lng + footprint,
     html projected away immediately — SURVEY §7.5.6)
   → url dedup, latest warc_ts wins                 (narrow-table shuffle AFTER
     html is dropped; dedup of the wide column is never shuffled)
   → S2 cell assign (vectorized encode)
-  → PIP join vs broadcast regions (STRtree per actor)
+  → PIP join vs broadcast regions (STRtree per worker)
   → per-cell histogram → salt plan (skew evidence)
   → partitioned resumable write + manifest
 """
@@ -172,6 +172,10 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64,
         if grouped.count() * 200 > broadcast_limit_bytes:
             return None, True
     res = grouped.to_pandas()
+    if res.empty:
+        # no url repeats: every bucket emitted an empty frame, and Ray
+        # hands those back with no columns at all
+        return {}, False
     # values as int64 epoch-us so the filter compares numpy ints, not
     # python datetimes
     dup_map = dict(zip(zip(res["_h1"].astype(np.uint64),
@@ -191,46 +195,21 @@ def _dup_state(ref):
     return dmap, h1arr
 
 
-def _filter_latest(batch: pa.Table, dmap: dict, h1arr: np.ndarray,
-                   dups_only: bool = False) -> pa.Table:
-    """Keep rows that are not duplicated, or are at their url's max warc_ts
-    (dups_only=True keeps only the dup rows at max — the contested set)."""
+def _filter_latest(batch: pa.Table, dmap: dict,
+                   h1arr: np.ndarray) -> pa.Table:
+    """Keep rows that are not duplicated, or are at their url's max
+    warc_ts."""
     h1 = batch["_h1"].to_numpy(zero_copy_only=False).astype(np.uint64)
     h2 = batch["_h2"].to_numpy(zero_copy_only=False).astype(np.uint64)
     ts = batch["warc_ts"].cast(pa.timestamp("us")).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
-    mask = np.zeros(len(h1), dtype=bool) if dups_only \
-        else np.ones(len(h1), dtype=bool)
+    mask = np.ones(len(h1), dtype=bool)
     # vectorized prefilter: only probe the dict for plausible dups
     for i in np.flatnonzero(np.isin(h1, h1arr)):
         m = dmap.get((h1[i], h2[i]))
         if m is not None:
             mask[i] = ts[i] == m
     return batch.filter(pa.array(mask))
-
-
-def dedup_latest_by_url_broadcast(parsed_ds, dup_map: dict, ties: bool):
-    """Streaming url dedup: rows of a non-duplicated url (the vast
-    majority) pass straight through; rows of a dup url survive only at the
-    max warc_ts. No shuffle of the wide parsed payload. If exact (url,
-    max_ts) ties exist, fall back to the grouped dedup for a deterministic
-    tie-break (rare; empty on CC-style corpora)."""
-    import ray
-
-    if ties:
-        return dedup_latest_by_url(parsed_ds)
-    if not dup_map:
-        return parsed_ds
-    ref = ray.put(dup_map)
-
-    def keep_latest(batch: pa.Table) -> pa.Table:
-        dmap, h1arr = _cached(("dup", ref.hex()), lambda: _dup_state(ref))
-        batch = _url_hash_cols(batch)
-        out = _filter_latest(batch, dmap, h1arr)
-        return out.drop_columns(["_h1", "_h2"])
-
-    return parsed_ds.map_batches(keep_latest, batch_format="pyarrow",
-                                 zero_copy_batch=True)
 
 
 def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
@@ -278,11 +257,7 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     # shuffle — measured 2.9/8 busy cores. Materializing ~40 B/row splits
     # the work into two full-width executions; at cluster scale this is the
     # shuffle's input spill, not a driver copy.
-    # GRAFT_FLAGSHIP_BARRIER=none streams straight into the groupby
-    # (for reservation-tuning experiments, BASELINE.md scaling protocol).
-    import os
-    if os.environ.get("GRAFT_FLAGSHIP_BARRIER", "materialize") != "none":
-        narrow = narrow.materialize()
+    narrow = narrow.materialize()
 
     def dedup_count(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["_h1", "_h2", "_ts", "gadm_code", "cell"],
@@ -336,8 +311,8 @@ def assign_cells(ds, level: int = s2.DEFAULT_LEVEL):
 # map_batches tasks run in long-lived worker processes; caching the stage
 # object in a module global gives actor-pool semantics (build once per
 # worker, reuse per batch) with zero pool-scheduling overhead. Use real
-# actor pools (use_actors=True) only when state is genuinely expensive
-# (models, big indexes) or must not be shared across concurrent stages.
+# actor pools only when state is genuinely expensive (models, big
+# indexes) or must not be shared across concurrent stages.
 _WORKER_STATE: dict = {}
 
 
@@ -356,84 +331,60 @@ def _cached(key, build):
 
 
 def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
-                 out_dir: str | None = None, concurrency=(2, 8),
-                 salt_threshold: int = 50_000, use_actors: bool = False,
-                 dedup: str = "broadcast", batch_size: int | None = None,
+                 out_dir: str | None = None, salt_threshold: int = 50_000,
                  narrow_pages_ds=None,
                  dedup_broadcast_limit_bytes: int = 256 << 20):
     """Returns (joined_ds, info dict). joined_ds streams; nothing is
     materialized except the small per-cell histogram (and the optional
     resumable write consumes the stream).
 
-    dedup="broadcast" (default) runs the narrow url pre-pass +
-    broadcast-filter (wide stream never shuffles); "grouped" forces the
-    one-shuffle grouped dedup.  The broadcast dup map is size-guarded by
+    Url dedup runs the narrow url pre-pass + broadcast-filter (the wide
+    stream never shuffles).  The broadcast dup map is size-guarded by
     ``dedup_broadcast_limit_bytes`` (counted distributed in the pre-pass,
-    BEFORE anything driver-sized exists): past the budget the pipeline
-    falls back to the grouped dedup automatically — at CC-realistic
+    BEFORE anything driver-sized exists): past the budget, or when a url's
+    latest warc_ts is tied, the pipeline falls back to the one-shuffle
+    grouped dedup automatically — at CC-realistic
     duplication rates on 10¹² pages the dup map would be a
     tens-of-billions-entry driver dict.  ``info["dedup_path"]`` records
     which path ran.
 
-    The default path hand-fuses parse → dedup-filter → cell-assign → PIP
+    The broadcast path hand-fuses parse → dedup-filter → cell-assign → PIP
     into ONE map_batches function: every stage is per-row, so splitting
     them into separate operators would only add object-store round-trips
     of the wide text column between them. Stage state (compiled parser,
     broadcast dup map, broadcast STRtree pack) is built once per worker
-    process via the module-level cache. use_actors=True keeps the
-    composable actor-pool variant (one pool per stage) for stages with
-    genuinely expensive state.
+    process via the module-level cache.
 
-    batch_size=None is deliberate: an explicit batch_size blocks Ray's
+    No map sets batch_size on purpose: an explicit batch_size blocks Ray's
     read→map operator fusion, and unfused the raw ``html`` blocks (10-100×
     the useful payload) transit the object store — at corpus scale that
     spills. Fused, html lives only inside the read+parse task."""
     import ray
 
-    from ..stages.joins import PIPJoiner, _polygon_pack, pip_join
+    from ..stages.joins import PIPJoiner, _polygon_pack
 
-    if dedup == "broadcast":
-        # narrow_pages_ds: a (url, warc_ts)-only read of the same corpus.
-        # Ray does not push select_columns into the parquet scan, so without
-        # it the pre-pass would decode the html column just to drop it.
-        dup_map, ties = duplicate_url_map(
-            pages_ds if narrow_pages_ds is None else narrow_pages_ds,
-            broadcast_limit_bytes=dedup_broadcast_limit_bytes)
+    # narrow_pages_ds: a (url, warc_ts)-only read of the same corpus.
+    # Ray does not push select_columns into the parquet scan, so without
+    # it the pre-pass would decode the html column just to drop it.
+    dup_map, ties = duplicate_url_map(
+        pages_ds if narrow_pages_ds is None else narrow_pages_ds,
+        broadcast_limit_bytes=dedup_broadcast_limit_bytes)
+
+    ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
+
+    def pip(batch: pa.Table) -> pa.Table:
+        joiner = _cached(("pip", ref.hex()), lambda: PIPJoiner(
+            ref, "lng", "lat", "gadm_code", "left"))
+        return joiner(batch)
+
+    if ties:
+        parsed = pages_ds.map_batches(
+            lambda b: _cached("page_parser", PageParser)(b),
+            batch_format="pyarrow", zero_copy_batch=True)
+        tiled = assign_cells(dedup_latest_by_url(parsed), level)
+        joined = tiled.map_batches(pip, batch_format="pyarrow",
+                                   zero_copy_batch=True)
     else:
-        dup_map, ties = None, True  # force grouped path
-
-    if use_actors or ties:
-        if use_actors:
-            parsed = pages_ds.map_batches(
-                PageParser, batch_format="pyarrow", batch_size=batch_size,
-                concurrency=concurrency, zero_copy_batch=True)
-        else:
-            parsed = pages_ds.map_batches(
-                lambda b: _cached("page_parser", PageParser)(b),
-                batch_format="pyarrow", batch_size=batch_size,
-                zero_copy_batch=True)
-        if ties:
-            deduped = dedup_latest_by_url(parsed)
-        else:
-            deduped = dedup_latest_by_url_broadcast(parsed, dup_map, ties)
-        tiled = assign_cells(deduped, level)
-        if use_actors:
-            joined = pip_join(tiled, regions_tbl, id_col="gadm_code",
-                              x_col="lng", y_col="lat", how="left",
-                              concurrency=concurrency)
-        else:
-            ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
-
-            def pip_task(batch: pa.Table) -> pa.Table:
-                joiner = _cached(("pip", ref.hex()), lambda: PIPJoiner(
-                    ref, "lng", "lat", "gadm_code", "left"))
-                return joiner(batch)
-
-            joined = tiled.map_batches(pip_task, batch_format="pyarrow",
-                                       batch_size=batch_size,
-                                       zero_copy_batch=True)
-    else:
-        ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
         dref = ray.put(dup_map) if dup_map else None
 
         def fused(batch: pa.Table) -> pa.Table:
@@ -445,12 +396,9 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                 out = _filter_latest(out, dmap, h1arr)
                 out = out.drop_columns(["_h1", "_h2"])
             out = tiling.assign_cells_batch(out, "lng", "lat", level)
-            joiner = _cached(("pip", ref.hex()), lambda: PIPJoiner(
-                ref, "lng", "lat", "gadm_code", "left"))
-            return joiner(out)
+            return pip(out)
 
         joined = pages_ds.map_batches(fused, batch_format="pyarrow",
-                                      batch_size=batch_size,
                                       zero_copy_batch=True)
 
     info: dict = {"level": level,

@@ -50,16 +50,19 @@ def committed_keys(out_dir: str) -> set[str]:
 
 
 def commit_partition(out_dir: str, key: str, table: pa.Table,
-                     fingerprint: str = "", wall_sec: float = 0.0,
+                     fingerprint: str = "",
                      counters: dict | None = None) -> dict:
-    """Write one partition atomically and append its lineage record.
+    """Write one partition atomically and append its lineage record;
+    ``wall_sec`` is the time of the parquet write and rename.
     Safe to call from a Ray worker (local/shared filesystem)."""
+    t0 = time.perf_counter()
     part_dir = os.path.join(out_dir, f"part={key}")
     os.makedirs(part_dir, exist_ok=True)
     tmp = os.path.join(part_dir, f".tmp-{uuid.uuid4().hex}.parquet")
     pq.write_table(table, tmp)
     os.replace(tmp, os.path.join(part_dir, "data.parquet"))
-    rec = {"key": str(key), "rows": table.num_rows, "wall_sec": round(wall_sec, 4),
+    wall_sec = time.perf_counter() - t0
+    rec = {"key": str(key), "rows": table.num_rows, "wall_sec": round(wall_sec, 6),
            "fingerprint": fingerprint, "ts": time.time()}
     if counters:
         rec["counters"] = counters
@@ -87,8 +90,7 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
         already = ray.get(done_ref)
         if key in already:
             return pa.table({"key": [key], "rows": [0], "skipped": [True]})
-        t0 = time.time()
-        commit_partition(out_dir, key, group, fingerprint, time.time() - t0)
+        commit_partition(out_dir, key, group, fingerprint)
         return pa.table({"key": [key], "rows": [group.num_rows], "skipped": [False]})
 
     res = ds.groupby(key_col).map_groups(write_group, batch_format="pyarrow").to_pandas()
@@ -192,11 +194,9 @@ def write_clustered(ds, out_dir: str, key_col: str,
         if key in ray.get(done_ref):
             return pa.table({"key": [key], "rows": [0],
                              "skipped": [True]})
-        t0 = time.time()
         g = group.drop_columns(["_range"]).sort_by(
             [(key_col, "ascending")])
-        commit_partition(out_dir, key, g, fingerprint,
-                         time.time() - t0)
+        commit_partition(out_dir, key, g, fingerprint)
         return pa.table({"key": [key], "rows": [g.num_rows],
                          "skipped": [False]})
 

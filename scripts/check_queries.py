@@ -8,8 +8,8 @@ Usage: python scripts/check_queries.py [sf_dir] [query ...]
 --shards K fans the registry out over K subprocesses (each with its own
 isolated Ray session and DuckDB connection, round-robin over the query
 list so long/short queries interleave) and merges the per-shard JSON —
-the full 600+-query sweep drops from ~35 min serial to the longest
-shard's wall time.  Per-shard Ray sessions default to 8 CPUs so 4
+the sweep then takes the longest shard's wall time instead of the sum
+of all queries' times.  Per-shard Ray sessions default to 8 CPUs so 4
 shards saturate a 32-CPU host without oversubscribing.
 """
 import hashlib

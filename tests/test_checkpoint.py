@@ -55,6 +55,22 @@ def test_manifest_records_lineage():
         assert "ts" in r and "wall_sec" in r
 
 
+def test_manifest_wall_sec_times_the_write():
+    """A fresh write's records carry the measured parquet-write time
+    (not a ~0 taken before it) and the row count of the file on disk."""
+    import json
+
+    import pyarrow.parquet as pq
+    shutil.rmtree(OUT, ignore_errors=True)
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    recs = [json.loads(l) for l in open(checkpoint.manifest_path(OUT))]
+    assert len(recs) == 4
+    for r in recs:
+        assert r["wall_sec"] > 0
+        path = os.path.join(OUT, f"part={r['key']}", "data.parquet")
+        assert r["rows"] == pq.read_metadata(path).num_rows
+
+
 def test_pending_keys_and_filter_uncommitted():
     shutil.rmtree(OUT, ignore_errors=True)
     checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")

@@ -314,3 +314,72 @@ def test_shapefile_in_zip(tmp_path):
     assert list(df["id"]) == [1, 2, 7]
     xs, ys = wkb.points_xy(list(df["geometry"]))
     assert list(xs) == [1.0, 3.0, 9.0]
+
+
+@pytest.mark.parametrize("fno,codec", [(4, "lzma"), (5, "bzip2"),
+                                       (6, "lz4"), (7, "zstd")])
+def test_osm_pbf_unsupported_blob_compression_raises(tmp_path, fno, codec):
+    """A blob carried in a compression the stdlib cannot decode must
+    fail loudly, not parse as an empty block."""
+    import struct
+
+    from prclz_ray.io import osmpbf
+
+    payload = b"\x00" * 16
+    blob = osmpbf._tag(2, 0) + osmpbf._ev(len(payload)) \
+        + osmpbf._ld(fno, payload)
+    hdr = osmpbf._ld(1, b"OSMData") + osmpbf._tag(3, 0) \
+        + osmpbf._ev(len(blob))
+    p = str(tmp_path / f"{codec}.osm.pbf")
+    with open(p, "wb") as f:
+        f.write(struct.pack(">i", len(hdr)) + hdr + blob)
+    with pytest.raises(ValueError, match=codec):
+        osmpbf.parse_pbf_lines(p)
+
+
+def test_shapefile_deleted_dbf_rows_drop_their_shapes(tmp_path):
+    """A .dbf row flagged deleted takes its .shp record with it, so the
+    remaining attributes stay aligned with their geometries."""
+    import struct
+
+    base = str(tmp_path / "del")
+    codecs.write_shapefile(pa.table({
+        "id": pa.array([1, 2, 3], type=pa.int64()),
+        "geometry": pa.array([wkb.point(1.0, 1.0), wkb.point(2.0, 2.0),
+                              wkb.point(3.0, 3.0)], type=pa.binary())}),
+        base)
+    with open(base + ".dbf", "r+b") as f:
+        raw = f.read()
+        _, hdrlen, reclen = struct.unpack_from("<IHH", raw, 4)
+        f.seek(hdrlen + 1 * reclen)          # record #2
+        f.write(b"*")
+    df = codecs.read_shapefile(base + ".shp").to_pandas() \
+        .sort_values("id").reset_index(drop=True)
+    assert list(df["id"]) == [1, 3]
+    xs, _ = wkb.points_xy(list(df["geometry"]))
+    assert list(xs) == [1.0, 3.0]
+    # a .dbf with a different record count cannot be aligned at all
+    with open(base + ".shp", "rb") as f:
+        shp = f.read()
+    with open(base + ".dbf", "rb") as f:
+        dbf = f.read()
+    with pytest.raises(ValueError, match="shape records"):
+        codecs._shp_table(shp[:-28], dbf, None)   # drop the last point
+
+
+def test_shapefile_in_zip_matches_siblings_ignoring_case(tmp_path):
+    import zipfile
+
+    base = str(tmp_path / "pts")
+    codecs.write_shapefile(pa.table({
+        "id": pa.array([4, 5], type=pa.int64()),
+        "geometry": pa.array([wkb.point(1.0, 2.0), wkb.point(3.0, 4.0)],
+                             type=pa.binary())}), base)
+    zp = str(tmp_path / "mixed.zip")
+    with zipfile.ZipFile(zp, "w") as zf:
+        zf.write(base + ".shp", "PTS.SHP")
+        zf.write(base + ".shx", "PTS.SHX")
+        zf.write(base + ".dbf", "pts.dbf")
+    df = codecs.read_shapefile(zp).to_pandas() \
+        .sort_values("id").reset_index(drop=True)
+    assert list(df["id"]) == [4, 5]

@@ -72,10 +72,10 @@ def test_dedup_broadcast_size_guard(pages_tbl):
     result must be identical to the broadcast path's."""
     ds = rd.from_arrow(pages_tbl).repartition(4)
     regions = synth.regions_table()
-    j_guard, info_guard = run_flagship(ds, regions, concurrency=2,
+    j_guard, info_guard = run_flagship(ds, regions,
                                        dedup_broadcast_limit_bytes=1)
     assert info_guard["dedup_path"] == "grouped"
-    j_bcast, info_bcast = run_flagship(ds, regions, concurrency=2)
+    j_bcast, info_bcast = run_flagship(ds, regions)
     assert info_bcast["dedup_path"] == "broadcast"
     a = j_guard.groupby("gadm_code").count().to_pandas() \
         .sort_values("gadm_code").reset_index(drop=True)
@@ -84,19 +84,13 @@ def test_dedup_broadcast_size_guard(pages_tbl):
     assert a.equals(b)
 
 
-def test_flagship_region_counts_match_bruteforce(pages_tbl):
-    joined, _ = run_flagship(rd.from_arrow(pages_tbl).repartition(4),
-                             synth.regions_table(), concurrency=2)
-    counts = joined.groupby("gadm_code").count().to_pandas()
-    got = dict(zip(counts["gadm_code"], counts["count()"]))
-
-    # brute-force oracle: dedup by url (latest), rectangle containment
-    pdf = pages_tbl.to_pandas().sort_values(
+def _bruteforce_region_counts(pages: pa.Table) -> tuple[dict, int]:
+    """Dedup by url (latest warc_ts wins), then rectangle containment."""
+    pdf = pages.to_pandas().sort_values(
         ["url", "warc_ts"], ascending=[True, False]).drop_duplicates("url")
     boxes = synth.region_boxes()
     expect: dict = {}
-    parser = PageParser(keep_footprint=False)
-    parsed = parser(pa.Table.from_pandas(pdf))
+    parsed = PageParser(keep_footprint=False)(pa.Table.from_pandas(pdf))
     lat = parsed["lat"].to_numpy()
     lng = parsed["lng"].to_numpy()
     for la, ln in zip(lat, lng):
@@ -106,8 +100,32 @@ def test_flagship_region_counts_match_bruteforce(pages_tbl):
                 code = gadm
                 break
         expect[code] = expect.get(code, 0) + 1
-    got_total = sum(got.values())
-    assert got_total == len(pdf)
+    return expect, len(pdf)
+
+
+def _assert_counts_match(pages: pa.Table):
+    joined, info = run_flagship(rd.from_arrow(pages).repartition(4),
+                                synth.regions_table())
+    counts = joined.groupby("gadm_code").count().to_pandas()
+    got = dict(zip(counts["gadm_code"], counts["count()"]))
+    expect, n_urls = _bruteforce_region_counts(pages)
+    assert sum(got.values()) == n_urls
     for code, n in expect.items():
         if code is not None:
             assert got.get(code) == n, code
+    return info
+
+
+def test_flagship_region_counts_match_bruteforce(pages_tbl):
+    _assert_counts_match(pages_tbl)
+
+
+def test_flagship_region_counts_without_duplicate_urls(pages_tbl):
+    """A corpus where every url is distinct leaves every dedup bucket
+    empty; the pre-pass must hand back an empty dup map, not crash."""
+    pdf = pages_tbl.to_pandas().sort_values(
+        ["url", "warc_ts"], ascending=[True, False]).drop_duplicates("url")
+    unique = pa.Table.from_pandas(pdf, preserve_index=False)
+    assert unique.num_rows == pdf["url"].nunique() < pages_tbl.num_rows
+    info = _assert_counts_match(unique)
+    assert info["dedup_path"] == "broadcast"

@@ -276,6 +276,8 @@ NEW = ["benford_leading_digit", "hhi_nation_revenue",
        "mann_kendall_revenue", "yules_k_sources", "effect_size_value",
        # batch 90 (OD matrix, AMS F2 sketch, Hausdorff)
        "od_matrix_daily", "ams_f2_sketch", "hausdorff_nation_pairs"]
+# names whose query has since left the registry drop out here
+NEW = [n for n in NEW if n in registry()]
 
 
 def _norm(v) -> str:
@@ -937,6 +939,16 @@ def test_mst_two_components():
     assert mst.num_rows == 4
 
 
+def _queries_package_sources() -> dict:
+    """Source text of every module of the ``pipelines/queries``
+    package, keyed by file name."""
+    from pathlib import Path
+
+    import prclz_ray.pipelines.queries as q
+    pkg = Path(q.__file__).parent
+    return {p.name: p.read_text() for p in sorted(pkg.glob("*.py"))}
+
+
 def test_registry_keys_unique_in_source():
     """A duplicate registry key silently drops the earlier query
     (Python dict literals keep the last value) — parse the source so
@@ -944,15 +956,17 @@ def test_registry_keys_unique_in_source():
     pmi_collocations in round 4D)."""
     import re
 
-    import prclz_ray.pipelines.queries as q
-    src = open(q.__file__).read()
+    srcs = _queries_package_sources()
+    src = srcs["__init__.py"]
     body = src[src.index("def registry():"):]
     keys = re.findall(r'^\s+"([a-z0-9_]+)":', body, re.M)
     dup = sorted({k for k in keys if keys.count(k) > 1})
     assert not dup, f"duplicate registry keys: {dup}"
-    # and every function name referenced exists exactly once at module
-    # top level (a shadowed def means two 'def q_x' lines)
-    fns = re.findall(r"^def (q_[a-z0-9_]+)\(", src, re.M)
+    # and every query function is defined exactly once at module top
+    # level across the whole package (a shadowed def means two
+    # 'def q_x' lines, possibly in different modules)
+    fns = [f for s in srcs.values()
+           for f in re.findall(r"^def (q_[a-z0-9_]+)\(", s, re.M)]
     dup_fn = sorted({f for f in fns if fns.count(f) > 1})
     assert not dup_fn, f"shadowed query functions: {dup_fn}"
 
@@ -1166,8 +1180,8 @@ def test_interval_overlap_degree_conservation_and_golden(tmp_path):
 
 
 def test_ols2_recovers_exact_plane_and_matches_linalg(tmp_path):
-    from prclz_ray.pipelines.queries import (_OLS2_DETS,
-                                             q_ols2_price_model)
+    from prclz_ray.pipelines.queries import q_ols2_price_model
+    from prclz_ray.pipelines.queries.lineitem_stats import _OLS2_DETS
     # noise-free plane: price_cents = 300 + 2*q + 5*d100 exactly →
     # OLS must recover the coefficients to the rounding digit
     rng = np.random.RandomState(7)
@@ -1319,8 +1333,8 @@ def test_holt_constant_series_is_fixed_point(tmp_path):
 
 
 def test_morton_box_cover_exhaustive_small_grid():
-    from prclz_ray.pipelines.queries import (_morton_box_cover,
-                                             _morton_interleave)
+    from prclz_ray.pipelines.queries.common import _morton_interleave
+    from prclz_ray.pipelines.queries.geo import _morton_box_cover
     # 16x16 grid, every box: the covering ranges must contain EXACTLY
     # the morton codes of the box's cells (completeness + tightness)
     bits = 4
@@ -1378,7 +1392,7 @@ def test_vocab_psi_shares_are_probabilities():
 
 
 def test_skyline_dominance_brute_force():
-    from prclz_ray.pipelines.queries import _skyline_2d
+    from prclz_ray.pipelines.queries.lineitem_stats import _skyline_2d
     # randomized brute-force cross-check incl. duplicates and ties
     rng = np.random.RandomState(3)
     for _ in range(20):
@@ -1604,8 +1618,8 @@ def test_poststratification_weights_center_on_one():
 
 
 def test_convex_hull_contains_all_points_and_matches_bruteforce():
-    from prclz_ray.pipelines.queries import (_monotone_chain_hull,
-                                             q_convex_hull_nations)
+    from prclz_ray.pipelines.queries import q_convex_hull_nations
+    from prclz_ray.pipelines.queries.customer_stats import _monotone_chain_hull
     # brute-force cross-check: a point is a hull vertex iff it is not
     # strictly inside any triangle / not expressible as interior
     rng = np.random.RandomState(11)
@@ -2169,7 +2183,7 @@ def test_countmin_overestimates_and_exact_without_collisions(tmp_path):
     got = q_countmin_word_freq(str(tmp_path)).set_index("word")
     assert got.loc["alpha", "n_exact"] == 3
     assert got.loc["beta", "n_exact"] == 2
-    from prclz_ray.pipelines.queries import _CMS_A, _cms_buckets
+    from prclz_ray.pipelines.queries.webtext import _CMS_A, _cms_buckets
     from prclz_ray.stages.dedup import word_hashes_u64
     h = word_hashes_u64(["alpha", "beta"])
     for a in _CMS_A:
@@ -2325,8 +2339,8 @@ def test_golden_record_survivorship_rules():
     """Every matched cluster's canonical name must be the longest
     (ties lexicographic) among its members; clean+dirty records all
     appear exactly once across clusters."""
-    from prclz_ray.pipelines.queries import (_fuzzy_sides,
-                                             q_golden_record_entities)
+    from prclz_ray.pipelines.queries import q_golden_record_entities
+    from prclz_ray.pipelines.queries.common import _fuzzy_sides
     out = q_golden_record_entities(SF)
     clean, dirty = _fuzzy_sides(SF)
     n_ents = clean.count() + dirty.count()
@@ -4276,8 +4290,8 @@ def test_adamic_adar_hub_discount(tmp_path):
     so this golden recomputes from the kernel's own edge list at
     sf0.001 instead: every returned aa must equal the brute-force
     Σ 1/ln(deg(w)) over that pair's common neighbors."""
-    from prclz_ray.pipelines.queries import (_synthetic_links,
-                                             q_adamic_adar_links)
+    from prclz_ray.pipelines.queries import q_adamic_adar_links
+    from prclz_ray.pipelines.queries.common import _synthetic_links
     from prclz_ray.stages import relational
     from prclz_ray.stages.graph_ops import _normalize_undirected
     sf = "/root/testdata/sf0.001"
@@ -4349,7 +4363,7 @@ def test_isotonic_monotone_on_fixture():
 
 
 def test_hexbin_assign_tie_and_nearest_center():
-    from prclz_ray.pipelines.queries import _hexbin_assign
+    from prclz_ray.pipelines.queries.customer_stats import _hexbin_assign
     # (75, 129) is exactly midway between A-center (50, 86) and
     # B-center (100, 172): d² = 2474 both — tie resolves to grid A
     g, i, j = _hexbin_assign(np.array([75]), np.array([129]))
@@ -4374,7 +4388,7 @@ def test_hexbin_assign_tie_and_nearest_center():
 
 
 def test_soundex_classic_codes():
-    from prclz_ray.pipelines.queries import _soundex_codes
+    from prclz_ray.pipelines.queries.corpus_stats import _soundex_codes
     got = _soundex_codes(pd.Series(
         ["Robert", "Rupert", "Ashcraft", "Tymczak", "Pfister",
          "Honeyman", "a", "42", "o'brien"]))
@@ -4513,8 +4527,8 @@ def test_lsh_bucket_agreement_and_candidate_semantics():
     dots recomputed independently."""
     import pyarrow.parquet as pqt
 
-    from prclz_ray.pipelines.queries import (_LSH_PLANES,
-                                             q_lsh_hyperplane_pairs)
+    from prclz_ray.pipelines.queries import q_lsh_hyperplane_pairs
+    from prclz_ray.pipelines.queries.corpus_stats import _LSH_PLANES
     out = q_lsh_hyperplane_pairs("/root/testdata/sf0.001")
     assert len(out) == 20
     t = pqt.read_table("/root/testdata/sf0.001/embeddings.parquet")
@@ -4565,7 +4579,7 @@ def test_hilbert_bijection_adjacency_and_orientation():
     can't check: the 32×32 transform is a bijection onto 0..1023 and
     EVERY consecutive pair of indices maps to Manhattan-adjacent
     cells (Z-order fails the second).  Order-1 pins the orientation."""
-    from prclz_ray.pipelines.queries import _hilbert_d
+    from prclz_ray.pipelines.queries.customer_stats import _hilbert_d
     n = 32
     xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     xs = xs.ravel().astype(np.int64)
@@ -4592,7 +4606,7 @@ def test_hilbert_index_conservation():
 def test_granger_helper_matches_numpy_ols():
     """Independent recompute: the exact-int closed form must agree
     with numpy lstsq SSEs on an arbitrary fixed series."""
-    from prclz_ray.pipelines.queries import _granger_lag1
+    from prclz_ray.pipelines.queries.order_stats import _granger_lag1
     rng = np.random.RandomState(7)
     x = rng.randint(1, 50, size=60).astype(np.int64)
     noise = rng.randint(-20, 21, size=60).astype(np.int64)
@@ -4756,8 +4770,8 @@ def test_clark_evans_bruteforce_and_bounds():
     """The grid-accelerated NN kernel must agree with an O(n²) numpy
     brute force, and the derived statistics must satisfy the closed
     forms and the theoretical range (0, 2.1491]."""
-    from prclz_ray.pipelines.queries import (_customer_nn_d2,
-                                             q_clark_evans_index)
+    from prclz_ray.pipelines.queries import q_clark_evans_index
+    from prclz_ray.pipelines.queries.customer_stats import _customer_nn_d2
     d2 = _customer_nn_d2(SF)
     t = pq.read_table(os.path.join(SF, "customer.parquet"),
                       columns=["c_custkey"])
@@ -4906,8 +4920,8 @@ def test_pacf_yule_walker_recompute():
     """Independent solver path: PACF(k) must equal the last Yule-
     Walker coefficient from np.linalg.solve on the Toeplitz system —
     a completely different algorithm from Durbin-Levinson."""
-    from prclz_ray.pipelines.queries import (_pacf_phi,
-                                             q_pacf_daily_revenue)
+    from prclz_ray.pipelines.queries import q_pacf_daily_revenue
+    from prclz_ray.pipelines.queries.order_stats import _pacf_phi
     out = q_pacf_daily_revenue(SF)
     t = pq.read_table(os.path.join(SF, "orders.parquet"),
                       columns=["o_orderdate", "o_totalprice"]).to_pandas()
@@ -5048,8 +5062,8 @@ def test_quantile_sketch_fidelity_bound_and_side():
     """The HDR bin lower bound can only UNDERestimate, and the 1.02
     geometric edge spacing caps the relative error at ~2 % (plus the
     one-cent ceil quantization)."""
-    from prclz_ray.pipelines.queries import (_HDR_EDGES,
-                                             q_quantile_sketch_fidelity)
+    from prclz_ray.pipelines.queries import q_quantile_sketch_fidelity
+    from prclz_ray.pipelines.queries.relational import _HDR_EDGES
     out = q_quantile_sketch_fidelity(SF)
     assert len(out) == 3
     assert (out["est"] <= out["exact"] + 1e-9).all()
@@ -5454,8 +5468,8 @@ def test_bloom_fpr_crafted_negative_and_member(tmp_path):
     """Members pass trivially (never counted as probes); a crafted
     click-only user probes the filter and the realized FPR matches an
     independent numpy reconstruction of the same seeded positions."""
-    from prclz_ray.pipelines.queries import (_bloom_seeds,
-                                             q_bloom_fpr_audit)
+    from prclz_ray.pipelines.queries import q_bloom_fpr_audit
+    from prclz_ray.pipelines.queries.event_stats import _bloom_seeds
     d = str(tmp_path)
     users = np.arange(1, 401, dtype=np.int64)
     et = np.where(users % 2 == 0, "purchase", "click")
@@ -5828,8 +5842,8 @@ def test_rendezvous_only_removed_shard_moves(tmp_path):
     documents assigned to shard 0 (moved_share = 1.0 there, 0.0
     everywhere else), and assignments match an independent numpy
     argmax reconstruction."""
-    from prclz_ray.pipelines.queries import (_rendezvous_seeds,
-                                             q_rendezvous_shard_stability)
+    from prclz_ray.pipelines.queries import q_rendezvous_shard_stability
+    from prclz_ray.pipelines.queries.corpus_stats import _rendezvous_seeds
     d = str(tmp_path)
     pq.write_table(pa.table({
         "doc_id": pa.array(np.arange(500, dtype=np.int64))}),
@@ -5854,8 +5868,8 @@ def test_randomized_response_exact_reconstruction(tmp_path):
     """The flips are deterministic, so n_reported equals an
     independent numpy reconstruction and the estimator identity
     p_est = 2·(p_obs − 1/4) holds exactly."""
-    from prclz_ray.pipelines.queries import (_RR_SEED,
-                                             q_randomized_response_rate)
+    from prclz_ray.pipelines.queries import q_randomized_response_rate
+    from prclz_ray.pipelines.queries.event_stats import _RR_SEED
     d = str(tmp_path)
     users = np.arange(1, 201, dtype=np.int64)
     et = np.where(users % 4 == 0, "purchase", "click")
@@ -6312,8 +6326,8 @@ def test_curve_locality_hilbert_beats_rowmajor_full_grid(tmp_path):
     values: Hilbert visits every cell via unit steps (sum = n−1
     exactly), while row-major pays the 31²-jump row return — the
     audit must reproduce both exact numbers."""
-    from prclz_ray.pipelines.queries import (_hilbert_d,
-                                             q_curve_locality_audit)
+    from prclz_ray.pipelines.queries import q_curve_locality_audit
+    from prclz_ray.pipelines.queries.customer_stats import _hilbert_d
     # occupy all 1024 cells: custkeys 1..N chosen so the cell map
     # covers the grid — k*7919%1000 spans all residues over 1..1000
     d = str(tmp_path)
@@ -6569,9 +6583,9 @@ def test_bernoulli_cusum_shift_detection(tmp_path):
     """Clean days decay the statistic to 0; a run of 10%-error days
     accumulates positive increments and crosses the LLR-5 alarm
     exactly when the hand-computed integer walk does."""
-    from prclz_ray.pipelines.queries import (_BCUSUM_H, _BCUSUM_L0,
-                                             _BCUSUM_L1,
-                                             q_bernoulli_cusum_errors)
+    from prclz_ray.pipelines.queries import q_bernoulli_cusum_errors
+    from prclz_ray.pipelines.queries.event_stats import (
+        _BCUSUM_H, _BCUSUM_L0, _BCUSUM_L1)
     d = str(tmp_path)
     base = np.datetime64("1995-06-01", "us")
     ts, et = [], []
@@ -7185,18 +7199,18 @@ def test_burstiness_regimes(tmp_path):
 def test_no_sql_constant_shadowing():
     """A module-level SQL_* constant assigned twice silently hijacks
     every earlier registry entry that referenced it (the
-    SQL_BURSTINESS incident): assert each top-level SQL_*/_*_SQL
-    name is assigned exactly once in queries.py."""
+    SQL_BURSTINESS incident): assert each top-level SQL_* name is
+    assigned exactly once across the queries package's modules."""
     import ast as _ast
-    src = open("/root/repo/prclz_ray/pipelines/queries.py").read()
-    tree = _ast.parse(src)
     seen: dict = {}
-    for node in tree.body:
-        if isinstance(node, _ast.Assign):
-            for t in node.targets:
-                if isinstance(t, _ast.Name) and \
-                        t.id.startswith("SQL_"):
-                    seen.setdefault(t.id, []).append(node.lineno)
+    for name, src in _queries_package_sources().items():
+        for node in _ast.parse(src).body:
+            if isinstance(node, _ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, _ast.Name) and \
+                            t.id.startswith("SQL_"):
+                        seen.setdefault(t.id, []).append(
+                            f"{name}:{node.lineno}")
     dupes = {k: v for k, v in seen.items() if len(v) > 1}
     assert not dupes, f"shadowed SQL constants: {dupes}"
 

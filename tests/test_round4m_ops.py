@@ -537,8 +537,8 @@ def test_closeness_independent_reconstruction(tmp_path):
     """Wasserman–Faust closeness on the 40-node instance equals the
     brute-force (r−1)²/((n−1)·Σd) for every node."""
     from collections import deque
-    from prclz_ray.pipelines.queries import (
-        _APSP_CACHE, q_closeness_centrality_links)
+    from prclz_ray.pipelines.queries import q_closeness_centrality_links
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
     _APSP_CACHE.clear()
     d = str(tmp_path)
     n = 40
@@ -565,8 +565,8 @@ def test_resource_allocation_independent(tmp_path):
     """Top RA pair on the 40-node instance matches a brute-force
     Σ⌊1e9/deg⌋ over common neighbors of non-edges, including the
     integer tie-break ordering."""
-    from prclz_ray.pipelines.queries import (
-        _APSP_CACHE, q_resource_allocation_links)
+    from prclz_ray.pipelines.queries import q_resource_allocation_links
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
     _APSP_CACHE.clear()
     d = str(tmp_path)
     n = 40
@@ -1034,9 +1034,8 @@ def test_multiple_testing_family(tmp_path):
     Fisher's panel statistic sees it, and the A&S erf approximation
     tracks math.erfc to ≤2e-7."""
     import math
-    from prclz_ray.pipelines.queries import (
-        _nation_z_pvalues, q_bh_fdr_nations, q_fisher_combined_nations,
-        q_holm_bonferroni_nations)
+    from prclz_ray.pipelines.queries import (q_bh_fdr_nations, q_fisher_combined_nations, q_holm_bonferroni_nations)
+    from prclz_ray.pipelines.queries.customer_stats import _nation_z_pvalues
     d = str(tmp_path)
     nk, bal = [], []
     ck = 1
@@ -1903,9 +1902,9 @@ def test_graph_moments_family(tmp_path):
     strict flag must respect; and the configuration-model triangle
     expectation matches the closed form on the reconstructed
     moments."""
-    from prclz_ray.pipelines.queries import (
-        _APSP_CACHE, q_config_model_triangles,
-        q_epidemic_threshold_links, q_friendship_paradox_links)
+    from prclz_ray.pipelines.queries import (q_config_model_triangles, q_epidemic_threshold_links,
+                                             q_friendship_paradox_links)
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
     _APSP_CACHE.clear()
     d = str(tmp_path)
     n = 40

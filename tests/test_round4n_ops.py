@@ -193,9 +193,8 @@ def test_cluster_validity_identical_points(tmp_path):
     zero within-cluster scatter pins sigma = 0 and r_db = 0 for both
     clusters, and every point sits ON its empirical mean so the
     simplified silhouette is exactly 1."""
-    from prclz_ray.pipelines.queries import (
-        _SEM_DIM, _SEM_K, _SEM_SEED, q_davies_bouldin_clusters,
-        q_silhouette_simplified)
+    from prclz_ray.pipelines.queries import (q_davies_bouldin_clusters, q_silhouette_simplified)
+    from prclz_ray.pipelines.queries.common import _SEM_DIM, _SEM_K, _SEM_SEED
     from prclz_ray.stages.similarity import fixed_centroids
     C = fixed_centroids(_SEM_K, _SEM_DIM, _SEM_SEED)
     d = str(tmp_path)
@@ -214,9 +213,8 @@ def test_cluster_validity_scaled_blobs(tmp_path):
     cluster c with empirical mean 1.5c and RMS radius exactly 0.5
     (unit centroids); the two blobs are far apart so CH is large,
     r_db < 1 and the silhouette is strongly positive."""
-    from prclz_ray.pipelines.queries import (
-        _SEM_DIM, _SEM_K, _SEM_SEED, q_calinski_harabasz,
-        q_davies_bouldin_clusters, q_silhouette_simplified)
+    from prclz_ray.pipelines.queries import (q_calinski_harabasz, q_davies_bouldin_clusters, q_silhouette_simplified)
+    from prclz_ray.pipelines.queries.common import _SEM_DIM, _SEM_K, _SEM_SEED
     from prclz_ray.stages.similarity import fixed_centroids
     C = fixed_centroids(_SEM_K, _SEM_DIM, _SEM_SEED)
     d = str(tmp_path)
@@ -2069,8 +2067,8 @@ def test_multiple_testing_containment_and_pi0(tmp_path):
 def test_effective_rank_isotropic_vs_collapsed(tmp_path):
     """Vectors along ONE direction give PR = 1 exactly; an isotropic
     pair of orthogonal directions doubles it."""
-    from prclz_ray.pipelines.queries import (
-        _SEM_DIM, q_effective_rank_embeddings)
+    from prclz_ray.pipelines.queries import q_effective_rank_embeddings
+    from prclz_ray.pipelines.queries.common import _SEM_DIM
     d = str(tmp_path / "line")
     os.makedirs(d)
     base = np.zeros(_SEM_DIM)

@@ -157,6 +157,26 @@ def test_association_rules_perfect_confidence(tmp_path):
     assert float(r12["confidence"]) == 0.6
 
 
+def test_association_rules_pair_counts_are_uncapped(tmp_path, monkeypatch):
+    """The rules are exact only if no basket is truncated: the pair
+    kernel must run with its per-key value cap disabled."""
+    from prclz_ray.pipelines.queries import q_association_rules_parts
+    from prclz_ray.stages import relational
+
+    seen = []
+    real = relational.cooccurrence_pairs
+
+    def spy(*a, **k):
+        seen.append(k.get("max_vals_per_key", "default"))
+        return real(*a, **k)
+
+    monkeypatch.setattr(relational, "cooccurrence_pairs", spy)
+    d = str(tmp_path)
+    _lineitem_table(d, [(1, 1), (1, 2), (2, 1), (2, 2)])
+    q_association_rules_parts(d)
+    assert seen == [None]
+
+
 def test_mann_whitney_separated_and_identical(tmp_path):
     """Clicks all strictly below purchases: U_click = 0 (no purchase
     precedes any click... i.e. every comparison favors purchase), z

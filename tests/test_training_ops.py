@@ -1358,7 +1358,7 @@ def test_sentence_stats_edge_docs_and_invariance():
     # exercise the batch kernel directly through a tiny synthetic table
     import pyarrow as pa
 
-    import prclz_ray.pipelines.queries as Q
+    from prclz_ray.pipelines.queries import webtext as Q
 
     docs = pd.DataFrame({
         "lang": ["en", "en", "fr", "fr"],
@@ -1409,7 +1409,7 @@ def test_within_doc_line_dedup_edges():
     import pandas as pd
     import ray.data as rd
 
-    import prclz_ray.pipelines.queries as Q
+    from prclz_ray.pipelines.queries import corpus_stats as Q
 
     docs = pd.DataFrame({
         "doc_id": [1, 2, 3],
@@ -1432,7 +1432,7 @@ def test_trimmed_mean_exact_int_rounding():
     import pandas as pd
     import ray.data as rd
 
-    import prclz_ray.pipelines.queries as Q
+    from prclz_ray.pipelines.queries import customer_stats as Q
 
     # 10 rows, nation 0: cents 0..900 by 100 -> trim 1 low + 1 high,
     # kept 100..800, mean 450 cents -> 45000 micro exactly
