@@ -210,12 +210,10 @@ def pages_path(n: int = N_PAGES, body_paras: int = BODY_PARAS) -> str:
 
 def run_flagship_bench(n: int = N_PAGES) -> dict:
     """The BASELINE.json metric workload: read pages parquet → parse
-    (actor pool, html dropped immediately) → url dedup (latest warc_ts)
+    (html dropped immediately) → url dedup (latest warc_ts)
     → S2 cell assign → PIP join vs regions → per-region counts."""
     import ray.data as rd
     from prclz_ray.io import synth
-    from prclz_ray.pipelines.flagship import region_counts, run_flagship
-
     from prclz_ray.pipelines.flagship import flagship_region_counts_streaming
 
     path = pages_path(n)

@@ -12,7 +12,7 @@ Layout:
   geom/      NumPy geometry kernels (WKB, predicates, STRtree, voronoi, ...)
   index/     S2 cell encode + tiling / skew utilities
   graph/     per-block graph kernels (planar faces / weak dual, reblock Steiner)
-  stages/    Ray Data batch/actor stages (extract, geocode, joins, dedup, ...)
+  stages/    Ray Data task stages, one per-worker state cache (extract, joins, dedup, ...)
   runtime/   checkpoint manifest, skew plan
   io/        schemas + deterministic synthetic-fixture generators
   pipelines/ end-to-end pipelines and the driver-facing query registry

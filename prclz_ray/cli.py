@@ -258,6 +258,7 @@ def cmd_corpus(a):
     enriched corpus writes back to parquet."""
     from .stages import dedup as D
     from .stages import text as T
+    from .stages.util import cached_callable
     _init_ray()
     docs = _read(a.docs)
     stages = (_CORPUS_STAGES if a.stages == "all"
@@ -304,11 +305,11 @@ def cmd_corpus(a):
         docs = docs.map_batches(T.normalize_text_batch,
                                 batch_format="pyarrow")
     if "langid" in stages:
-        docs = docs.map_batches(T.LangId, batch_format="pandas",
-                                concurrency=(1, 4))
+        docs = docs.map_batches(cached_callable(T.LangId),
+                                batch_format="pandas")
     if "quality" in stages:
-        docs = docs.map_batches(T.QualityScorer, batch_format="pandas",
-                                concurrency=(1, 4))
+        docs = docs.map_batches(cached_callable(T.QualityScorer),
+                                batch_format="pandas")
     if "tokens" in stages:
         docs = docs.map_batches(T.token_count_batch, batch_format="pyarrow")
     if "repetition" in stages:

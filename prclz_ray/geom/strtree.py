@@ -2,7 +2,7 @@
 
 Replaces the reference's rtree / pandas ``sindex`` usage
 (``topology.py:358-361``, ``split_buildings.py:136-143``). Built once per
-tile/actor, queried per batch — pure NumPy, no external deps.
+tile/worker, queried per batch — pure NumPy, no external deps.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Bowyer–Watson Delaunay triangulation → Voronoi cells (pure NumPy).
+"""Voronoi cells by half-plane clipping (pure NumPy).
 
 Replaces pytess.voronoi in the reference's s0 approximation
 (``_complexity.py:27``): Voronoi decomposition of building centroids whose
@@ -8,56 +8,6 @@ four distant sentinel points; callers clip cells to the block polygon.
 from __future__ import annotations
 
 import numpy as np
-
-
-def delaunay(points: np.ndarray) -> list[tuple[int, int, int]]:
-    """Bowyer–Watson triangulation. Returns triangles as index triples into
-    ``points``. O(n²) — fine for per-block building counts (10²-10³)."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    if n < 3:
-        return []
-    # super-triangle containing all points
-    cx, cy = pts[:, 0].mean(), pts[:, 1].mean()
-    span = max(pts[:, 0].ptp(), pts[:, 1].ptp(), 1e-9) * 100.0
-    sup = np.array([[cx - 2 * span, cy - span], [cx + 2 * span, cy - span], [cx, cy + 2 * span]])
-    allp = np.vstack([pts, sup])
-    tris = [(n, n + 1, n + 2)]
-
-    def circum(t):
-        a, b, c = allp[t[0]], allp[t[1]], allp[t[2]]
-        d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-        if abs(d) < 1e-30:
-            return (np.inf, np.inf, np.inf)
-        ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-        uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-        r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-        return (ux, uy, r2)
-
-    cc = {tris[0]: circum(tris[0])}
-    for i in range(n):
-        p = allp[i]
-        bad = []
-        for t in tris:
-            ux, uy, r2 = cc[t]
-            if (p[0] - ux) ** 2 + (p[1] - uy) ** 2 <= r2 + 1e-12:
-                bad.append(t)
-        # boundary polygon of the cavity
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                k = (min(e), max(e))
-                edge_count[k] = edge_count.get(k, 0) + 1
-        boundary = [e for e, cnt in edge_count.items() if cnt == 1]
-        for t in bad:
-            tris.remove(t)
-            del cc[t]
-        for (u, v) in boundary:
-            t = (u, v, i)
-            tris.append(t)
-            cc[t] = circum(t)
-    # drop triangles touching the super-triangle
-    return [t for t in tris if all(v < n for v in t)]
 
 
 def _clip_halfplane(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,10 +27,11 @@ import pyarrow.compute as pc
 from ..geom import wkb
 from ..index import s2, tiling
 from ..stages.extract_text import extract_text_bytes
+from ..stages.util import worker_cached
 
 
 class PageParser:
-    """Fused extract+geocode actor: ONE pass over the wide ``html`` column
+    """Fused extract+geocode stage: ONE pass over the wide ``html`` column
     producing text (byte-identical per url — the shared pure
     ``extract_text_bytes``), lat/lng and the optional footprint — then
     drops html so no later stage carries it."""
@@ -234,9 +235,9 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
 
     def fused(batch: pa.Table) -> pa.Table:
-        out = _cached("page_parser", PageParser)(batch)
+        out = worker_cached("page_parser", PageParser)(batch)
         out = tiling.assign_cells_batch(out, "lng", "lat", level)
-        joiner = _cached(("pip", ref.hex()), lambda: PIPJoiner(
+        joiner = worker_cached(("pip", ref.hex()), lambda: PIPJoiner(
             ref, "lng", "lat", "gadm_code", "left"))
         out = joiner(out)
         out = _url_hash_cols(out)
@@ -304,32 +305,6 @@ def assign_cells(ds, level: int = s2.DEFAULT_LEVEL):
         batch_format="pyarrow", zero_copy_batch=True)
 
 
-# Per-worker-process state cache for task-based stages. Ray Data actors are
-# (re)spawned per dataset execution, so an actor pool pays actor startup +
-# state build on the critical path of EVERY run — for cheap state (compiled
-# regexes, a broadcast STRtree pack) that cost dominates the work. Plain
-# map_batches tasks run in long-lived worker processes; caching the stage
-# object in a module global gives actor-pool semantics (build once per
-# worker, reuse per batch) with zero pool-scheduling overhead. Use real
-# actor pools only when state is genuinely expensive (models, big
-# indexes) or must not be shared across concurrent stages.
-_WORKER_STATE: dict = {}
-
-
-def _cached(key, build):
-    obj = _WORKER_STATE.get(key)
-    if obj is None:
-        # keep only the newest state per stage kind (key[0]): broadcast
-        # packs are keyed by per-run ObjectRef, so without eviction a
-        # long-lived worker accumulates one pack per pipeline run
-        kind = key[0] if isinstance(key, tuple) else key
-        for k in [k for k in _WORKER_STATE
-                  if (k[0] if isinstance(k, tuple) else k) == kind]:
-            del _WORKER_STATE[k]
-        obj = _WORKER_STATE[key] = build()
-    return obj
-
-
 def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                  out_dir: str | None = None, salt_threshold: int = 50_000,
                  narrow_pages_ds=None,
@@ -353,7 +328,7 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     them into separate operators would only add object-store round-trips
     of the wide text column between them. Stage state (compiled parser,
     broadcast dup map, broadcast STRtree pack) is built once per worker
-    process via the module-level cache.
+    process via ``stages.util.worker_cached``.
 
     No map sets batch_size on purpose: an explicit batch_size blocks Ray's
     read→map operator fusion, and unfused the raw ``html`` blocks (10-100×
@@ -373,13 +348,13 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
 
     def pip(batch: pa.Table) -> pa.Table:
-        joiner = _cached(("pip", ref.hex()), lambda: PIPJoiner(
+        joiner = worker_cached(("pip", ref.hex()), lambda: PIPJoiner(
             ref, "lng", "lat", "gadm_code", "left"))
         return joiner(batch)
 
     if ties:
         parsed = pages_ds.map_batches(
-            lambda b: _cached("page_parser", PageParser)(b),
+            lambda b: worker_cached("page_parser", PageParser)(b),
             batch_format="pyarrow", zero_copy_batch=True)
         tiled = assign_cells(dedup_latest_by_url(parsed), level)
         joined = tiled.map_batches(pip, batch_format="pyarrow",
@@ -388,10 +363,10 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
         dref = ray.put(dup_map) if dup_map else None
 
         def fused(batch: pa.Table) -> pa.Table:
-            out = _cached("page_parser", PageParser)(batch)
+            out = worker_cached("page_parser", PageParser)(batch)
             if dref is not None:
-                dmap, h1arr = _cached(("dup", dref.hex()),
-                                      lambda: _dup_state(dref))
+                dmap, h1arr = worker_cached(("dup", dref.hex()),
+                                            lambda: _dup_state(dref))
                 out = _url_hash_cols(out)
                 out = _filter_latest(out, dmap, h1arr)
                 out = out.drop_columns(["_h1", "_h2"])

@@ -13,6 +13,7 @@ import ray
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import (
     _RIPLEY_RADII, _fingerprint_cache_dir, _morton_interleave,
     _points_batch, _read, _read_table)
@@ -628,7 +629,6 @@ def q_median_order_by_segment(sf_dir: str):
     ref = ray.put(seg_series)
 
     def partial(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         m = worker_cached(("seg_of", ref), lambda: ray.get(ref))
         c = t["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -4275,8 +4275,8 @@ def q_cross_nn_median_d2(sf_dir: str):
     bref = ray.put(arrs)
 
     def nn(t: pa.Table) -> pa.Table:
-        ar = relational.worker_cached(("cross_nn", bref),
-                                      lambda: ray.get(bref))
+        ar = worker_cached(("cross_nn", bref),
+                           lambda: ray.get(bref))
         seg = t["c_mktsegment"].to_numpy(zero_copy_only=False)
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -4807,7 +4807,7 @@ def q_colocation_quotient_segments(sf_dir: str):
     bref = ray.put((rk, rx, ry, rseg == "BUILDING"))
 
     def nn(t: pa.Table) -> pa.Table:
-        k_, x_, y_, isb = relational.worker_cached(
+        k_, x_, y_, isb = worker_cached(
             ("clq_ref", bref), lambda: ray.get(bref))
         seg = t["c_mktsegment"].to_numpy(zero_copy_only=False)
         keep = (seg == "AUTOMOBILE") | (seg == "BUILDING")
@@ -5223,8 +5223,8 @@ def q_weiszfeld_median_nation(sf_dir: str):
         cref = ray.put(centers)
 
         def part(t: pa.Table, _c=cref) -> pa.Table:
-            cc = relational.worker_cached(("weisz", _c),
-                                          lambda: ray.get(_c))
+            cc = worker_cached(("weisz", _c),
+                               lambda: ray.get(_c))
             nat = t["nat"].to_numpy(zero_copy_only=False)
             x = t["x"].to_numpy(zero_copy_only=False) \
                 .astype(np.float64)
@@ -6409,7 +6409,6 @@ def _nation_revenue_for_seats(sf_dir: str) -> pd.DataFrame:
     nk_ref = ray.put(nk)
 
     def attach(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         m = worker_cached(("seat_nk", nk_ref),
                           lambda: ray.get(nk_ref))
         nat = m.reindex(t["o_custkey"].to_numpy(
@@ -7249,7 +7248,6 @@ def q_nearest_facility_distance(sf_dir: str):
     ref = ray.put((fx, fy))
 
     def mind2(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         xx, yy = worker_cached(("fac_sites", ref),
                                lambda: ray.get(ref))
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
@@ -7314,7 +7312,6 @@ def q_two_step_fca(sf_dir: str):
     ref = ray.put((fx, fy))
 
     def demand(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         xx, yy = worker_cached(("fca_sites", ref),
                                lambda: ray.get(ref))
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
@@ -7339,7 +7336,6 @@ def q_two_step_fca(sf_dir: str):
     r9_ref = ray.put((fx, fy, r9))
 
     def access(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         xx, yy, rr = worker_cached(("fca_r9", r9_ref),
                                    lambda: ray.get(r9_ref))
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
@@ -7419,7 +7415,6 @@ def q_voronoi_service_population(sf_dir: str):
     ref = ray.put((fx, fy, sk))
 
     def assign(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         xx, yy, ss = worker_cached(("vor_sites", ref),
                                    lambda: ray.get(ref))
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
@@ -8015,7 +8010,6 @@ def q_power_voronoi_assignment(sf_dir: str):
     ref = ray.put((fx, fy, sk, cap))
 
     def assign(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         xx, yy, ss, cc = worker_cached(("pvor_sites", ref),
                                        lambda: ray.get(ref))
         k = t["c_custkey"].to_numpy(zero_copy_only=False) \
@@ -9429,8 +9423,8 @@ def q_aitchison_variation_segments(sf_dir: str):
     sref = ray.put(seg_map)
 
     def partial(t: pa.Table) -> pa.Table:
-        m = relational.worker_cached(("aitch_seg", sref),
-                                     lambda: ray.get(sref))
+        m = worker_cached(("aitch_seg", sref),
+                          lambda: ray.get(sref))
         seg = m.reindex(t["o_custkey"].to_numpy(
             zero_copy_only=False)).to_numpy(dtype=object)
         mon = t["o_orderdate"].to_numpy(zero_copy_only=False) \
@@ -9800,10 +9794,10 @@ def _segment_ballots(sf_dir: str) -> pd.DataFrame:
     nref, sref = ray.put(nk), ray.put(sg)
 
     def partial(t: pa.Table) -> pa.Table:
-        nm = relational.worker_cached(("ball_n", nref),
-                                      lambda: ray.get(nref))
-        sm = relational.worker_cached(("ball_s", sref),
-                                      lambda: ray.get(sref))
+        nm = worker_cached(("ball_n", nref),
+                           lambda: ray.get(nref))
+        sm = worker_cached(("ball_s", sref),
+                           lambda: ray.get(sref))
         ck = t["o_custkey"].to_numpy(zero_copy_only=False)
         cents = np.round(t["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100.0).astype(np.int64)
@@ -10221,10 +10215,10 @@ def _nation_segment_revenue(sf_dir: str) -> pd.DataFrame:
     nref, sref = ray.put(nk), ray.put(sg)
 
     def partial(t: pa.Table) -> pa.Table:
-        nm = relational.worker_cached(("lq_n", nref),
-                                      lambda: ray.get(nref))
-        sm = relational.worker_cached(("lq_s", sref),
-                                      lambda: ray.get(sref))
+        nm = worker_cached(("lq_n", nref),
+                           lambda: ray.get(nref))
+        sm = worker_cached(("lq_s", sref),
+                           lambda: ray.get(sref))
         ck = t["o_custkey"].to_numpy(zero_copy_only=False)
         cents = np.round(t["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100.0).astype(np.int64)

@@ -12,6 +12,7 @@ import ray
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import (
     SQL_CP_COUNTS_CTE, SQL_OD_MATRIX, _click_purchase_value_counts, _read,
     _user_event_flags, _value_cells_two_groups, q_od_matrix_daily)
@@ -4702,8 +4703,8 @@ def q_bloom_fpr_audit(sf_dir: str):
     bref = ray.put(bits)
 
     def probe(t: pa.Table) -> pa.Table:
-        bt = relational.worker_cached(("bloom_bits", bref),
-                                      lambda: ray.get(bref))
+        bt = worker_cached(("bloom_bits", bref),
+                           lambda: ray.get(bref))
         u = t["u"].to_numpy(zero_copy_only=False)
         pur = t["pur"].to_numpy(zero_copy_only=False)
         clk = t["clk"].to_numpy(zero_copy_only=False)

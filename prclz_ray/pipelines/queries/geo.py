@@ -12,6 +12,7 @@ import ray.data as rd
 
 from ...geom import wkb
 from ...stages import joins, relational
+from ...stages.util import cached_callable, worker_cached
 from .common import (
     _RIPLEY_RADII, _fingerprint_cache_dir, _morton_interleave,
     _points_batch, _read, _read_table, _round2)
@@ -312,7 +313,7 @@ def _synth_region_rects() -> pa.Table:
 
 
 def q_flagship_region_counts(sf_dir: str):
-    """Headline pipeline: derived pages → parse (actor pool) → url dedup
+    """Headline pipeline: derived pages → parse (task) → url dedup
     (latest wins) → S2 cells → PIP join vs regions → counts per region."""
     from ..flagship import region_counts, run_flagship
     joined, _ = run_flagship(_derived_pages(sf_dir), _synth_region_rects())
@@ -347,9 +348,8 @@ def q_dedup_url_latest(sf_dir: str):
     (with their 1% stale duplicates)."""
     from ..flagship import PageParser, dedup_latest_by_url
     pages = _derived_pages(sf_dir)
-    parsed = pages.map_batches(PageParser, batch_format="pyarrow",
-                               batch_size=2048, concurrency=2,
-                               zero_copy_batch=True)
+    parsed = pages.map_batches(cached_callable(PageParser),
+                               batch_format="pyarrow", zero_copy_batch=True)
     out = dedup_latest_by_url(parsed)
     return out.select_columns(["url", "warc_ts"])
 
@@ -856,7 +856,8 @@ def q_hausdorff_nation_pairs(sf_dir: str):
     ref = ray.put((nat, nx, ny, starts))
 
     def partial(t: pa.Table) -> pa.Table:
-        bnat, bx, by, bst = _worker_cached_hausdorff(ref)
+        bnat, bx, by, bst = worker_cached(("hausdorff", ref),
+                                          lambda: ray.get(ref))
         pn = t["n"].to_numpy(zero_copy_only=False)
         px = t["x"].to_numpy(zero_copy_only=False)
         py = t["y"].to_numpy(zero_copy_only=False)
@@ -894,20 +895,6 @@ def q_hausdorff_nation_pairs(sf_dir: str):
             rows.append({"n_a": a, "n_b": b, "d2_ab": dab,
                          "d2_ba": dba, "d2_hausdorff": max(dab, dba)})
     return pd.DataFrame(rows).astype(np.int64)
-
-
-_HAUS_CACHE: dict = {}
-
-
-def _worker_cached_hausdorff(ref):
-    """Per-worker broadcast cache (the flagship _cached pattern): the
-    nation-sorted point arrays deserialize once per worker process,
-    not once per batch."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _HAUS_CACHE:
-        _HAUS_CACHE.clear()
-        _HAUS_CACHE[key] = ray.get(ref)
-    return _HAUS_CACHE[key]
 
 
 SQL_HAUSDORFF = """
@@ -1260,7 +1247,7 @@ def q_knn_classifier_eval(sf_dir: str):
     bref = ray.put((rk, rx, ry, rnat))
 
     def score(t: pa.Table) -> pa.Table:
-        k_, x_, y_, nat_ = relational.worker_cached(
+        k_, x_, y_, nat_ = worker_cached(
             ("knn_cls_ref", bref), lambda: ray.get(bref))
         pk = t["c_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)

@@ -8,6 +8,7 @@ import ray
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import _SQL_LINKS_CTE, _read, _sym_adjacency, _synthetic_links
 
 
@@ -502,7 +503,6 @@ def q_link_prediction_cn(sf_dir: str):
     ek_ref = ray.put(edge_keys)
 
     def drop_edges(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         ek = worker_cached(("lp_edges", ek_ref), lambda: ray.get(ek_ref))
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)

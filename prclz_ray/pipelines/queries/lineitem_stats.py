@@ -11,6 +11,7 @@ import ray
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import (
     SQL_FUZZY_BASE, SQL_FUZZY_CLUSTERS, _fuzzy_cluster_labels,
     _fuzzy_sides, _read, _read_table, q_fuzzy_match_pairs)
@@ -2981,7 +2982,6 @@ def q_eoq_parts_by_brand(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
 
     def attach(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         bmap = worker_cached(("eoq_brand", ref), lambda: ray.get(ref))
         pk = t["l_partkey"].to_pylist()
         q = np.floor(t["l_quantity"].to_numpy(
@@ -3150,7 +3150,6 @@ def q_jaro_winkler_part_pairs(sf_dir: str):
     ref = ray.put(names)
 
     def score(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         nm = worker_cached(("jw_names", ref), lambda: ray.get(ref))
         a = t["p_partkey"].to_pylist()
         rows = {"a": [], "b": [], "jw_sim": []}

@@ -13,6 +13,7 @@ import ray.data as rd
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import _daily_revenue_cents, _fingerprint_cache_dir, _read
 
 
@@ -751,7 +752,6 @@ def q_cdc_soft_delete_read(sf_dir: str):
     dref = ray.put(dkeys)
 
     def apply_dv(t: pa.Table) -> pa.Table:
-        from ...stages.relational import worker_cached
         dk = worker_cached(("dv_orders", dref), lambda: ray.get(dref))
         k = t["o_orderkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)

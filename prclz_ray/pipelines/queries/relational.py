@@ -13,6 +13,7 @@ import ray.data as rd
 
 from ...stages import dedup as dd
 from ...stages import relational
+from ...stages.util import worker_cached
 from .common import (
     SQL_CP_COUNTS_CTE, _click_purchase_value_counts, _daily_revenue_cents,
     _fingerprint_cache_dir, _read, _read_table, _round2, _user_event_flags,
@@ -1111,8 +1112,8 @@ def q5_local_supplier_volume(sf_dir: str):
                    .astype(np.int64))
 
     def comb(t: pa.Table) -> pa.Table:
-        smap = relational.worker_cached(("q5_supp", sref),
-                                        lambda: ray.get(sref))
+        smap = worker_cached(("q5_supp", sref),
+                             lambda: ray.get(sref))
         snat = smap.reindex(
             t["l_suppkey"].to_numpy(zero_copy_only=False)).to_numpy()
         cnat = t["c_nationkey"].to_numpy(zero_copy_only=False) \
@@ -4118,7 +4119,6 @@ def q_association_rules_parts(sf_dir: str):
         # per-batch min-support prune + directed rules + local top-15
         # by the same strict key as the global finish — pairs are
         # batch-disjoint so the prune is exact
-        from ...stages.relational import worker_cached
         icm = worker_cached(("assoc_ic", _ic), lambda: ray.get(_ic))
         df = t.to_pandas()
         df = df[df["n_keys"] >= 2]

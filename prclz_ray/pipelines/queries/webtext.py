@@ -12,6 +12,7 @@ import ray.data as rd
 from ...stages import dedup as dd
 from ...stages import relational, similarity, text
 from ...stages.text import token_count_batch
+from ...stages.util import cached_callable
 from .common import (
     SQL_FUZZY_BASE, _SEM_DIM, _SEM_K, _SEM_SEED, _doc_features,
     _doc_logreg_scored, _fingerprint_cache_dir, _fuzzy_cluster_labels,
@@ -67,8 +68,8 @@ FROM documents GROUP BY lang
 
 def q_quality_stats_by_lang(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    scored = docs.map_batches(text.QualityScorer, batch_format="pandas",
-                              concurrency=2)
+    scored = docs.map_batches(cached_callable(text.QualityScorer),
+                              batch_format="pandas")
     from ray.data.aggregate import Count, Sum
     out = scored.groupby("lang").aggregate(
         Count(alias_name="n_docs"),
@@ -404,8 +405,7 @@ def q_corpus_filter_decision(sf_dir: str):
     already-oracled kernel, and the SQL twin reassembles the identical
     expressions, so the final DECISION is hash-checked end to end."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    ds = docs.map_batches(text.LangId, batch_format="pandas",
-                          concurrency=(1, 4))
+    ds = docs.map_batches(cached_callable(text.LangId), batch_format="pandas")
     ds = ds.map_batches(token_count_batch, batch_format="pyarrow")
     ds = ds.map_batches(text.repetition_stats_batch,
                         batch_format="pyarrow")
@@ -583,8 +583,7 @@ def q_refinery_funnel(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_total = docs.count()
 
-    ds = docs.map_batches(text.LangId, batch_format="pandas",
-                          concurrency=(1, 4))
+    ds = docs.map_batches(cached_callable(text.LangId), batch_format="pandas")
     ds = ds.map_batches(token_count_batch, batch_format="pyarrow")
     ds = ds.map_batches(text.repetition_stats_batch,
                         batch_format="pyarrow")
@@ -1204,7 +1203,7 @@ LEFT JOIN inter i ON i.a = p.a AND i.b = p.b
 
 def q_langid_documents(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = docs.map_batches(text.LangId, batch_format="pandas", concurrency=2)
+    out = docs.map_batches(cached_callable(text.LangId), batch_format="pandas")
     counts = out.groupby("lang_pred").count().to_pandas()
     counts = counts.rename(columns={"count()": "n"})
     return counts[["lang_pred", "n"]]
@@ -1336,7 +1335,7 @@ def q_ann_ivf(sf_dir: str):
 
 
 def q_multimodal_decode(sf_dir: str):
-    """Actor-pool media decode over real payloads: BMP / PCM-WAV /
+    """Media decode over real payloads: BMP / PCM-WAV /
     baseline JFIF (every other image is a REAL JPEG from the in-repo
     numpy codec); only the opaque video rows take the flagged digest
     fallback."""
@@ -1347,7 +1346,7 @@ def q_multimodal_decode(sf_dir: str):
 
 def q_media_perceptual_pairs(sf_dir: str):
     """Perceptual media near-dup: dHash (images) / spectral fingerprint
-    (audio) in an actor pool, then the generic 4×16-bit banded-hamming
+    (audio) per row, then the generic 4×16-bit banded-hamming
     pair shuffle — catches RESIZED/re-encoded copies the exact-payload
     path misses.  Rows-only (binary source); resize-pairing pinned by
     pytest."""
@@ -2662,15 +2661,15 @@ LIMIT 20
 
 def q_media_thumbnails(sf_dir: str):
     """Thumbnail generation over the deterministic synthetic media
-    table: actor-pool decode → 8×8 nearest-resize → BMP re-encode,
+    table: decode → 8×8 nearest-resize → BMP re-encode,
     exact per-channel pixel sums as the integrity signal.  Rows-only
     (binary source isn't SQL-visible); the resize/re-encode round trip
     is pinned by pytest (re-decoding the emitted thumb reproduces the
     sums)."""
     from ...stages.multimodal import ThumbnailEncoder, synth_media_table
     ds = rd.from_arrow(synth_media_table(64))
-    out = ds.map_batches(ThumbnailEncoder, batch_format="pyarrow",
-                         batch_size=16, concurrency=(1, 2),
+    out = ds.map_batches(cached_callable(ThumbnailEncoder),
+                         batch_format="pyarrow", batch_size=16,
                          zero_copy_batch=True)
     df = relational.ds_to_table(
         out.select_columns(["media_id", "sum_r", "sum_g", "sum_b",
@@ -3295,8 +3294,8 @@ def q_lsh_param_planner(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     sample = docs.filter(expr="doc_id < 500")
     sigs = relational.ds_to_table(
-        sample.map_batches(dd.MinHasher, batch_format="pyarrow",
-                           concurrency=2)
+        sample.map_batches(cached_callable(dd.MinHasher),
+                           batch_format="pyarrow")
         .select_columns(["doc_id", "minhash"])).to_pandas()
     sig = {int(r.doc_id): np.asarray(r.minhash, dtype=np.uint64)
            for r in sigs.itertuples()}

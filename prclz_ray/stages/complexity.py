@@ -7,7 +7,7 @@ Anchors on the block boundary and cells with < 3 vertices are dropped, and
 a multi-part clip keeps the part containing its anchor (``:29-42``).
 
 Pipeline shape (SURVEY §3.2): buildings → centroids → PIP join vs blocks →
-groupby(block_id).map_groups(k kernel) on an actor-friendly group stage →
+groupby(block_id).map_groups(k kernel) →
 complexity table (block_id, geometry, complexity, centroids_multipoint).
 """
 from __future__ import annotations

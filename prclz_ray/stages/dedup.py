@@ -11,8 +11,8 @@ Large-scale training-data components (first-class per the build brief):
 Scale notes (each dedups 10^12-row inputs without a driver loop):
   - exact: one shuffle keyed by the 64-bit content hash (partial per-batch
     hashing is vectorized); group kernel keeps the first by tie-break key.
-  - minhash: signatures per batch (stateful actor holds the permutation
-    coefficients), band rows exploded → groupby(band, bucket) emits
+  - minhash: signatures per batch (per-worker cached state holds the
+    permutation coefficients), band rows exploded → groupby(band, bucket) emits
     candidate pairs, pairs verified by true Jaccard, components resolved by
     iterated min-label propagation (groupby per round, no driver state).
 """
@@ -308,7 +308,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
         tot_ref = ray.put(tot_tbl)
 
         def attach(batch: pa.Table) -> pa.Table:
-            from .relational import worker_cached
+            from .util import worker_cached
             tot = worker_cached(("boiler_totals", tot_ref), lambda: ray.get(
                 tot_ref).to_pandas().set_index(domain_col))
             nd_docs = tot["n_docs"].reindex(
@@ -464,8 +464,8 @@ def duplicate_span_stats(ds, key_col: str = "doc_id",
 # ------------------------------------------------------------------ minhash
 
 class MinHasher:
-    """Actor stage: k-shingle → n-permutation minhash signature per row.
-    Permutation coefficients generated once per actor (seeded)."""
+    """Stateful stage: k-shingle → n-permutation minhash signature per row.
+    Permutation coefficients generated once per instance (seeded)."""
 
     def __init__(self, text_col="text", num_perm=64, shingle_k=5, seed=7):
         rng = np.random.default_rng(seed)
@@ -503,7 +503,7 @@ class MinHasher:
 
 
 def minhash_candidates(ds, key_col="doc_id", num_bands=16, num_perm=64,
-                       text_col="text", concurrency=(1, 4)):
+                       text_col="text"):
     """LSH banding: explode (band_id, band_hash, key) and group — rows
     sharing a band bucket are candidate duplicate pairs."""
     rows_per_band = num_perm // num_bands
@@ -631,14 +631,6 @@ def _sharded_multi_groups(ds, group_cols: list, key_col: str, fn,
 
     return ds.map_batches(add_shard, batch_format="pandas") \
         .groupby("_shard").map_groups(shard, batch_format="pandas")
-
-
-def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
-    sa = {a[i:i + k] for i in range(max(1, len(a) - k + 1))}
-    sb = {b[i:i + k] for i in range(max(1, len(b) - k + 1))}
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / max(1, len(sa | sb))
 
 
 def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
@@ -998,7 +990,7 @@ def word_hashes_u64(words) -> np.ndarray:
 
 
 class SimHasher:
-    """64-bit simhash over word tokens (stateful: token regex per actor).
+    """64-bit simhash over word tokens (stateful: token regex per instance).
     Word hashing is a column-wise numpy fold over a padded byte matrix
     (max-word-len vectorized steps per doc, no per-word python hashing);
     the fold is SQL-expressible (DuckDB list_reduce computes the identical
@@ -1082,8 +1074,7 @@ def banded_hamming_pairs(hashed_ds, key_col: str, hash_col: str,
     return _dedupe_pairs(cand)
 
 
-def simhash_dedup(ds, key_col="doc_id", text_col="text", hamming_radius=3,
-                  concurrency=(1, 4)):
+def simhash_dedup(ds, key_col="doc_id", text_col="text", hamming_radius=3):
     """SimHash near-dup: 4 16-bit bands (any exact band match is a
     candidate at radius ≤ 3 by pigeonhole), hamming-verified in-group."""
     from .util import cached_callable
@@ -1388,37 +1379,35 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
     if df2.size_bytes() <= df_broadcast_limit_bytes:
         ref = ray.put(ds_to_table(df2))
 
-        class PrefixEmitter:
-            def __init__(self):
-                tbl = ray.get(ref)        # zero-copy shared copy per node
-                gs = tbl["g"].to_numpy(zero_copy_only=False)
-                dfs = tbl["df"].to_numpy(zero_copy_only=False)
-                o = np.argsort(gs)        # searchsorted needs sorted keys
-                self.gs, self.dfs = gs[o], dfs[o]
+        def sorted_df():
+            tbl = ray.get(ref)            # zero-copy shared copy per node
+            gs = tbl["g"].to_numpy(zero_copy_only=False)
+            dfs = tbl["df"].to_numpy(zero_copy_only=False)
+            o = np.argsort(gs)            # searchsorted needs sorted keys
+            return gs[o], dfs[o]
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                g = t["g"].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(self.gs, g)
-                pos = np.minimum(pos, max(len(self.gs) - 1, 0))
-                dfv = np.ones(len(g), dtype=np.int64)
-                if len(self.gs):
-                    m_ = self.gs[pos] == g
-                    dfv[m_] = self.dfs[pos[m_]]
-                pdf = pd.DataFrame({
-                    "g": g, key_col: t[key_col].to_numpy(
-                        zero_copy_only=False),
-                    "m": t["m"].to_numpy(zero_copy_only=False),
-                    "df": dfv})
-                return select_prefix(pdf)
+        def emit_prefix(t: pa.Table) -> pa.Table:
+            from .util import worker_cached
+            gs, dfs = worker_cached(("prefix_df", ref), sorted_df)
+            g = t["g"].to_numpy(zero_copy_only=False)
+            pos = np.searchsorted(gs, g)
+            pos = np.minimum(pos, max(len(gs) - 1, 0))
+            dfv = np.ones(len(g), dtype=np.int64)
+            if len(gs):
+                m_ = gs[pos] == g
+                dfv[m_] = dfs[pos[m_]]
+            pdf = pd.DataFrame({
+                "g": g, key_col: t[key_col].to_numpy(zero_copy_only=False),
+                "m": t["m"].to_numpy(zero_copy_only=False),
+                "df": dfv})
+            return select_prefix(pdf)
 
         # explode_all emits each doc's rows contiguously, so the per-doc
         # prefix needs no shuffle on the broadcast path.  If Ray slices a
         # large output block mid-doc, fragment-local ranks are <= global
         # ranks, so the kept rows form a SUPERSET of the true prefix —
         # slightly more candidates, recall never lost.
-        prefix_rows = rows3.map_batches(
-            PrefixEmitter, batch_format="pyarrow",
-            concurrency=(1, 8), batch_size=None)
+        prefix_rows = rows3.map_batches(emit_prefix, batch_format="pyarrow")
     else:
         # join fallback: attach df per row, regroup by doc bucket
         joined = bucketed_hash_join(rows3, df2, on="g",

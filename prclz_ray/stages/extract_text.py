@@ -1,10 +1,10 @@
-"""HTML → text extraction as a stateful actor-pool ``map_batches`` stage.
+"""HTML → text extraction as a stateful task-based ``map_batches`` stage.
 
 North-rule stage T5 (SURVEY §2.3): per-row text extracted byte-identically
-per url inside a stateful actor pool over zero-copy Arrow. The extractor is
-a pure function of the ``html`` bytes — no batch-context dependence — so
-output is byte-identical at any parallelism (BASELINE.json input_hint
-invariant). Regexes are compiled once per actor in ``__init__``.
+per url over zero-copy Arrow. The extractor is a pure function of the
+``html`` bytes — no batch-context dependence — so output is byte-identical
+at any parallelism (BASELINE.json input_hint invariant). Regexes are
+compiled once per process at module import.
 
 Reference analogue: the ogr2ogr predicate-filtered OSM layer extraction
 (``etl/_extract.py:5-18``, ``scripts/extract.sh:21-23``) re-expressed as a
@@ -39,11 +39,9 @@ def extract_text_bytes(html: bytes) -> str:
 
 
 class TextExtractor:
-    """Actor-pool stage: ``ds.map_batches(TextExtractor, batch_format="pyarrow",
-    concurrency=N, zero_copy_batch=True)``. Emits ``text_extracted``.
-
-    State (compiled regexes) is built once per actor; ``__call__`` is a pure
-    per-batch function."""
+    """Text stage: ``ds.map_batches(cached_callable(TextExtractor),
+    batch_format="pyarrow", zero_copy_batch=True)``. Emits
+    ``text_extracted``; ``__call__`` is a pure per-batch function."""
 
     def __init__(self, drop_html: bool = True):
         self.drop_html = drop_html

@@ -207,7 +207,8 @@ def triangle_count(edges_ds, src_col: str = "src",
     from ray.data.aggregate import Count, Sum
 
     from .relational import (bucketed_hash_join, cooccurrence_pairs,
-                             ds_to_table, worker_cached)
+                             ds_to_table)
+    from .util import worker_cached
 
     def norm(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False) \
@@ -1035,7 +1036,8 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
     from ray.data.aggregate import Count, Sum
 
     from .relational import (bucketed_hash_join, ds_to_table,
-                             stable_bucket, worker_cached)
+                             stable_bucket)
+    from .util import worker_cached
 
     def norm(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1278,7 +1280,8 @@ def minimum_spanning_forest(edges_ds, weight_fn=None,
     import ray
     from ray.data.aggregate import Min
 
-    from .relational import ds_to_table, worker_cached
+    from .relational import ds_to_table
+    from .util import worker_cached
 
     if weight_fn is None:
         def weight_fn(a, b):
@@ -1443,7 +1446,8 @@ def k_truss(edges_ds, k: int = 4, src_col: str = "src",
     import ray
     from ray.data.aggregate import Sum
 
-    from .relational import ds_to_table, worker_cached
+    from .relational import ds_to_table
+    from .util import worker_cached
 
     empty = pa.table({"ea": pa.array([], type=pa.int64()),
                       "eb": pa.array([], type=pa.int64()),

@@ -12,9 +12,9 @@ Reference semantics reproduced (SURVEY §2.4):
 
 Scale design:
   - ``pip_join``: SMALL polygon side is broadcast once via ``ray.put``; each
-    actor builds an STRtree over polygon bboxes in ``__init__`` (per-actor,
-    not per-batch) and runs vectorized bbox-prefilter + ray-cast tests per
-    batch. No shuffle of the big side.
+    worker process builds an STRtree over polygon bboxes once
+    (``cached_callable``, not per batch) and runs vectorized bbox-prefilter
+    + ray-cast tests per batch. No shuffle of the big side.
   - ``pip_join_tiled``: BOTH sides large → co-partition by S2 cell
     (polygons replicated to every cell their bbox covers), groupby(cell),
     per-tile STRtree inside map_groups. One all-to-all shuffle, keyed by
@@ -35,6 +35,7 @@ import ray
 from ..geom import wkb
 from ..geom.predicates import points_in_polygon
 from ..geom.strtree import STRtree
+from .util import cached_callable
 
 
 # ------------------------------------------------------------------ helpers
@@ -69,9 +70,9 @@ def _polygon_pack(polygons, id_col: str, geom_col: str = "geometry",
 
 
 class PIPJoiner:
-    """Actor-pool stage: broadcast polygons, STRtree per actor, vectorized
-    PIP per batch. Emits one output row per (point, matching polygon); for
-    how='left' unmatched points carry a null polygon id."""
+    """PIP stage: broadcast polygons, STRtree built once per worker process,
+    vectorized PIP per batch. Emits one output row per (point, matching
+    polygon); for how='left' unmatched points carry a null polygon id."""
 
     def __init__(self, packed_ref, x_col: str, y_col: str, id_col: str,
                  how: str = "inner", out_id_col: Optional[str] = None,
@@ -138,11 +139,11 @@ class PIPJoiner:
 
 def pip_join(points_ds, polygons, id_col: str, x_col: str = "lng",
              y_col: str = "lat", how: str = "inner",
-             out_id_col: Optional[str] = None, concurrency=(1, 4),
-             batch_size: int = 8192, attach_geom_col: Optional[str] = None):
+             out_id_col: Optional[str] = None,
+             attach_geom_col: Optional[str] = None):
     """Broadcast PIP join: big point Dataset × small polygon table.
-    The polygon pack is put in the object store ONCE and read by each actor
-    in ``__init__`` — never re-shipped per batch.  ``attach_geom_col``
+    The polygon pack is put in the object store ONCE and read once per
+    worker process — never re-shipped per batch.  ``attach_geom_col``
     additionally emits the matched polygon's WKB per output row (lets a
     downstream groupby co-shuffle the geometry instead of re-broadcasting
     the polygon table)."""
@@ -150,13 +151,10 @@ def pip_join(points_ds, polygons, id_col: str, x_col: str = "lng",
                            keep_wkb=attach_geom_col is not None)
     ref = ray.put(packed)
     return points_ds.map_batches(
-        PIPJoiner,
-        fn_constructor_kwargs=dict(packed_ref=ref, x_col=x_col, y_col=y_col,
-                                   id_col=id_col, how=how,
-                                   out_id_col=out_id_col,
-                                   attach_geom_col=attach_geom_col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, zero_copy_batch=True)
+        cached_callable(PIPJoiner, packed_ref=ref, x_col=x_col, y_col=y_col,
+                        id_col=id_col, how=how, out_id_col=out_id_col,
+                        attach_geom_col=attach_geom_col),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ------------------------------------------------------------- tiled join
@@ -300,13 +298,13 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
                   out_id_col: Optional[str] = None,
                   attach_geom_col: Optional[str] = None,
                   broadcast_limit_bytes: int = 64 << 20,
-                  level: int = 12, **kw):
+                  level: int = 12):
     """Size-routed PIP join: broadcast ``pip_join`` while the polygon side
-    fits the per-actor budget, co-partitioned ``pip_join_tiled`` past it.
+    fits the per-worker budget, co-partitioned ``pip_join_tiled`` past it.
 
     This is the 100×-scale guard for the per-block geo pipelines: at
     continental coverage the blocks table is 10⁶-10⁷ polygons (GBs) — a
-    broadcast pack per actor would exhaust worker heaps, so the join
+    broadcast pack per worker would exhaust worker heaps, so the join
     switches to the one-shuffle tiled shape instead.  Dataset polygon sides
     are materialized to the OBJECT STORE (spillable) to measure size; only
     the broadcast path ever driver-materializes them."""
@@ -325,7 +323,7 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
             tbl = ds_to_table(ds)
         return pip_join(points_ds, tbl, id_col=id_col, x_col=x_col,
                         y_col=y_col, how=how, out_id_col=out_id_col,
-                        attach_geom_col=attach_geom_col, **kw)
+                        attach_geom_col=attach_geom_col)
     if ds is None:
         ds = rd.from_arrow(tbl)
     return pip_join_tiled(points_ds, ds, id_col=id_col, x_col=x_col,
@@ -482,8 +480,7 @@ class KNNJoiner:
 
 def knn_join(points_ds, targets, k: int, id_col: str, x_col: str = "lng",
              y_col: str = "lat", tx_col: str = "lng", ty_col: str = "lat",
-             cell_size: Optional[float] = None, out_prefix: str = "nn",
-             concurrency=(1, 4), batch_size: int = 8192):
+             cell_size: Optional[float] = None, out_prefix: str = "nn"):
     """kNN join: each point gets its k nearest targets (broadcast target
     side, grid-bucket ring expansion + exact refinement)."""
     if isinstance(targets, pa.Table):
@@ -500,22 +497,20 @@ def knn_join(points_ds, targets, k: int, id_col: str, x_col: str = "lng",
         cell_size = span / max(1.0, np.sqrt(len(tx)))
     ref = ray.put((tx, ty, ids, float(cell_size)))
     return points_ds.map_batches(
-        KNNJoiner,
-        fn_constructor_kwargs=dict(packed_ref=ref, x_col=x_col, y_col=y_col,
-                                   k=k, id_col=id_col, out_prefix=out_prefix),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, zero_copy_batch=True)
+        cached_callable(KNNJoiner, packed_ref=ref, x_col=x_col, y_col=y_col,
+                        k=k, id_col=id_col, out_prefix=out_prefix),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ------------------------------------------------------------------ zonal
 
 def zonal_stats(points_ds, polygons, id_col: str, value_col: str,
-                x_col: str = "lng", y_col: str = "lat", **pip_kwargs):
+                x_col: str = "lng", y_col: str = "lat"):
     """Zonal aggregate: PIP join then per-zone count/sum/mean/min/max.
     Raster↔vector semantics = J1 with aggregate-over-cells (SURVEY §2.4)."""
     from ray.data.aggregate import Count, Max, Mean, Min, Sum
     joined = pip_join(points_ds, polygons, id_col, x_col, y_col,
-                      how="inner", **pip_kwargs)
+                      how="inner")
     return joined.groupby(id_col).aggregate(
         Count(alias_name="n"),
         Sum(value_col, alias_name="sum_value"),

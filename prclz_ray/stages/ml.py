@@ -2,8 +2,8 @@
 
 Two shapes a training-data pipeline needs:
   - ``logreg_score``: broadcast-weights batched inference — the pattern
-    every model-scoring stage follows (weights live in the task closure /
-    actor, the batch matmul is one numpy call, no shuffle at all).
+    every model-scoring stage follows (weights live in the task closure,
+    the batch matmul is one numpy call, no shuffle at all).
   - ``logreg_train``: synchronous gradient descent where each epoch is ONE
     streaming pass: per-batch gradient partials (a k-vector per batch)
     reduce through Ray's Sum aggregate, the driver takes the O(k) step.

@@ -6,9 +6,9 @@ non-interlaced RGB/RGBA PNG (stdlib zlib inflate + unfilter), and
 baseline sequential JFIF JPEG (in-repo numpy huffman + IDCT codec,
 sampling factors ≤ 2).  Still-codec-bound formats (progressive JPEG,
 MP3, H.264 video) keep an explicitly-marked deterministic digest
-fallback; the Ray-side plumbing — schema, actor-pool signature, small
-batch sizing for wide binary rows, payload dropped immediately after
-decode — is identical for both paths.
+fallback; the Ray-side plumbing — task-based stages with per-worker
+state, small batch sizing for wide binary rows, payload dropped
+immediately after decode — is identical for both paths.
 """
 from __future__ import annotations
 
@@ -18,16 +18,6 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
-
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.string()),
-    ("kind", pa.string()),          # image | audio | video
-    ("payload", pa.binary()),
-    ("width", pa.int32()),
-    ("height", pa.int32()),
-    ("duration_ms", pa.int32()),
-])
-
 
 # ----------------------------------------------------------- real encoders
 # (used by the synthetic generator so the decode path exercises REAL files)
@@ -664,8 +654,8 @@ def synth_media_table(n: int = 64, seed: int = 5,
 
 
 class MediaDecoder:
-    """Actor-pool decode stage. Small batch_size is MANDATORY for wide
-    binary rows (SURVEY §7.5.6) — callers should pass batch_size<=64.
+    """Decode stage. Small batch_size is MANDATORY for wide binary rows
+    (SURVEY §7.5.6) — callers should pass batch_size<=64.
 
     Real decode by magic-byte sniff (BMP / WAV / PNG); anything else gets
     the deterministic digest fallback and ``decoded=False``.  Features are
@@ -755,10 +745,11 @@ class FrameSampler:
                                  pa.array(frames.astype(np.int32)))
 
 
-def decode_pipeline(media_ds, concurrency=(1, 2), batch_size=32):
-    return media_ds.map_batches(MediaDecoder, batch_format="pyarrow",
-                                batch_size=batch_size, concurrency=concurrency,
-                                zero_copy_batch=True)
+def decode_pipeline(media_ds, batch_size=32):
+    from .util import cached_callable
+    return media_ds.map_batches(cached_callable(MediaDecoder),
+                                batch_format="pyarrow",
+                                batch_size=batch_size, zero_copy_batch=True)
 
 
 def image_dhash(rgb: np.ndarray) -> int:
@@ -794,7 +785,7 @@ def audio_fingerprint(samples: np.ndarray, rate: int,
 
 
 class PerceptualHasher:
-    """Actor-pool stage: perceptual hash per media row (dHash for
+    """Perceptual hash per media row (dHash for
     decodable images, spectral fingerprint for audio, payload digest
     fallback otherwise).  Emits (media_id, kind, phash, decoded)."""
 
@@ -820,20 +811,18 @@ class PerceptualHasher:
         return out.append_column("decoded", pa.array(decoded))
 
 
-def perceptual_dup_pairs(media_ds, max_hamming: int = 2,
-                         batch_size: int = 32, concurrency=(1, 2)):
-    """Perceptual near-dup pairs: hash with the actor pool, then the
+def perceptual_dup_pairs(media_ds, max_hamming: int = 2):
+    """Perceptual near-dup pairs: hash each media row, then the
     same 4×16-bit pigeonhole banding as simhash (a pair within hamming
     ≤ 3 shares at least one band exactly) and a vectorized popcount
     verify.  Payloads never pass the hashing stage."""
     import pyarrow.compute as pc
 
     from .dedup import banded_hamming_pairs
+    from .util import cached_callable
 
-    hashed = media_ds.map_batches(PerceptualHasher,
+    hashed = media_ds.map_batches(cached_callable(PerceptualHasher),
                                   batch_format="pyarrow",
-                                  batch_size=batch_size,
-                                  concurrency=concurrency,
                                   zero_copy_batch=True)
     return banded_hamming_pairs(hashed, key_col="media_id",
                                 hash_col="phash",
@@ -842,7 +831,7 @@ def perceptual_dup_pairs(media_ds, max_hamming: int = 2,
 
 
 class ThumbnailEncoder:
-    """Actor-pool thumbnail stage: decode BMP/PNG → nearest-resize to
+    """Thumbnail stage: decode BMP/PNG → nearest-resize to
     ``size``×``size`` → re-encode BMP.  Emits (media_id, thumb payload,
     exact per-channel pixel SUMS of the thumbnail) so correctness pins
     on integers; non-image rows pass through with null thumbs.  Small

@@ -22,7 +22,7 @@ from ..geom import wkb
 from ..geom.core import (ensure_closed, point_segments_distance,
                          shoelace_area)
 from ..geom.predicates import point_in_ring
-from ..geom.voronoi import clip_convex, voronoi_cells
+from ..geom.voronoi import clip_convex
 
 
 def tessellate_block(block_ring: np.ndarray, centroids: np.ndarray
@@ -313,7 +313,7 @@ def check_parcels_qc(parcels_ds, buildings_ds):
         out = batch.append_column("cx", pa.array(xs))
         return out.append_column("cy", pa.array(ys))
 
-    # STRtree-probed PIP (broadcast pack built once per actor) instead of
+    # STRtree-probed PIP (broadcast pack built once per worker) instead of
     # scanning every parcel per batch: O(points · log parcels)
     cents = buildings_ds.map_batches(centroid_batch, batch_format="pyarrow")
     joined = pip_join(cents.select_columns(["bldg_id", "cx", "cy"]),

@@ -8,13 +8,13 @@ large-large joins.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from .util import worker_cached
 
 
 def ds_to_table(ds) -> pa.Table:
@@ -194,27 +194,6 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
         r.map_batches(align, batch_format="pyarrow"))
     return unioned.groupby("_bucket").map_groups(probe,
                                                  batch_format="pyarrow")
-
-
-# Per-worker-process cache for broadcast state used inside per-batch /
-# per-group closures.  Rebuilding a pandas index from a ray.get() table on
-# EVERY batch is the "state setup inside __call__" anti-pattern; caching by
-# the broadcast ObjectRef gives actor-pool semantics (build once per worker
-# process, reuse per batch) in plain task-based map_batches.  Keyed
-# (stage_kind, ref): eviction keeps only the newest state per stage kind so
-# long-lived workers don't accumulate one entry per pipeline run.
-_WORKER_STATE: dict = {}
-
-
-def worker_cached(key, build):
-    obj = _WORKER_STATE.get(key)
-    if obj is None:
-        kind = key[0] if isinstance(key, tuple) else key
-        for k in [k for k in _WORKER_STATE
-                  if (k[0] if isinstance(k, tuple) else k) == kind]:
-            del _WORKER_STATE[k]
-        obj = _WORKER_STATE[key] = build()
-    return obj
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",

@@ -34,7 +34,7 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class BruteForceScorer:
-    """Actor stage: queries broadcast once (ray.put), normalized in
+    """Stateful stage: queries broadcast once (ray.put), normalized in
     __init__; per batch computes cosine vs every row and emits per-query
     partial top-k rows (merged by a tiny final groupby)."""
 
@@ -61,15 +61,11 @@ class BruteForceScorer:
 
 
 def ann_bruteforce(ds, queries: np.ndarray, query_ids: list, k: int = 10,
-                   vec_col: str = "embedding", id_col: str = "vec_id",
-                   concurrency=(1, 4)):
+                   vec_col: str = "embedding", id_col: str = "vec_id"):
     """Exact top-k cosine: per-batch partials → global top-k per query via
     a small sort/groupby (only nq×k×nbatches rows shuffle)."""
     from .util import cached_callable
     ref = ray.put((list(query_ids), np.asarray(queries, dtype=np.float32)))
-    # task-based with per-worker state cache: an actor pool would respawn
-    # per execution and cap the stage at the pool size (query state is
-    # cheap; the matmul wants full width)
     partials = ds.map_batches(
         cached_callable(BruteForceScorer, queries_ref=ref, k=k,
                         vec_col=vec_col, id_col=id_col),
@@ -244,7 +240,7 @@ class IVFScorer:
 
 def ann_ivf(ds, queries: np.ndarray, query_ids: list, centroids: np.ndarray,
             k: int = 10, nprobe: int = 4, vec_col="embedding",
-            id_col="vec_id", concurrency=(1, 4)):
+            id_col="vec_id"):
     """IVF path: rows assigned to their nearest centroid list inside
     map_batches; each batch scores only rows whose list is probed by some
     query. Same output shape as ann_bruteforce (approximate)."""

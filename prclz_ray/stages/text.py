@@ -1,5 +1,5 @@
 """Text-analysis operators: language-ID, quality scoring, token counting,
-document fingerprinting — vectorized / stateful actor stages over the
+document fingerprinting — vectorized / stateful task stages over the
 ``documents`` (or extracted pages) corpus.
 """
 from __future__ import annotations
@@ -20,9 +20,6 @@ _LANG_PROFILES = {
     "ar": {"في", "من", "على", "أن", "إلى", "عن", "هذا", "مع", "كان", "لا"},
     "sw": {"ya", "na", "wa", "kwa", "ni", "za", "katika", "hii", "la", "kama"},
 }
-
-_WORD = re.compile(r"[a-zA-Z]+")
-_SENT = re.compile(r"[.!?]+")
 
 
 class LangId:

@@ -1,33 +1,54 @@
-"""Stage-state caching for task-based map_batches.
+"""Per-worker stage state for task-based map_batches — the engine's one
+state mechanism.
 
-Ray Data actor pools re-spawn actors per dataset execution, putting actor
-startup + state construction on the critical path of every run and capping
-the stage at the pool size. For stages whose state is cheap to build but
-worth reusing (compiled regexes, permutation tables, small broadcast
-indexes), a plain task-based ``map_batches`` with the callable cached per
-worker PROCESS gives the same build-once-reuse-per-batch semantics at full
-cluster width. Keep real actor pools for expensive state (models, large
-indexes) or state that must not be shared across stages.
+Every stateful stage in the engine holds cheap state: compiled regexes, a
+broadcast STRtree pack, a kNN grid, a small lookup table fetched from the
+object store. Such a stage is a plain task-based ``map_batches`` whose
+function builds its state once per worker PROCESS through
+``worker_cached`` and reuses it for every later batch in that process.
+
+No stage uses an actor pool. A pool re-spawns its actors per dataset
+execution, puts their start-up on the critical path of every run, and its
+minimum actor holds a CPU for the whole execution: on a 1-CPU session that
+starves the upstream read task and the pipeline never produces a row. Plain
+tasks fuse with the read (leave ``batch_size`` unset so that read→map
+fusion still happens) and run at full cluster width.
+
+Trade-off: broadcast state is held once per worker process, not once per
+pool actor; callers bound its size (``pip_join_auto``'s
+``broadcast_limit_bytes`` routes big polygon sides to the tiled join).
 """
 from __future__ import annotations
 
-_CACHE: dict = {}
+_WORKER_STATE: dict = {}
+
+
+def worker_cached(key, build):
+    """Return the state stored under ``key`` in this worker process,
+    calling ``build()`` on the first use.  ``key`` is ``(kind, ...)`` or a
+    bare kind; building a new key evicts every older entry of the same
+    kind, so a long-lived worker keeps only the newest state per stage
+    kind (per-run ObjectRef keys would otherwise accumulate one entry per
+    pipeline run)."""
+    obj = _WORKER_STATE.get(key)
+    if obj is None:
+        kind = key[0] if isinstance(key, tuple) else key
+        for k in [k for k in _WORKER_STATE
+                  if (k[0] if isinstance(k, tuple) else k) == kind]:
+            del _WORKER_STATE[k]
+        obj = _WORKER_STATE[key] = build()
+    return obj
 
 
 def cached_callable(cls, **kwargs):
     """A pickleable function for map_batches that constructs ``cls(**kwargs)``
-    once per worker process and applies it per batch.  Only the NEWEST
-    state per class is kept (per-run ObjectRef kwargs would otherwise
-    accumulate one entry per pipeline run in long-lived workers)."""
-    kind = (cls.__module__, cls.__qualname__)
-    key = (kind, tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
+    once per worker process (via ``worker_cached``, kind = the class) and
+    applies it per batch.  Every input of the state must be a kwarg: the
+    cache key is the class plus the kwargs' reprs."""
+    key = ((cls.__module__, cls.__qualname__),
+           tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
 
     def fn(batch):
-        obj = _CACHE.get(key)
-        if obj is None:
-            for k in [k for k in _CACHE if k[0] == kind]:
-                del _CACHE[k]
-            obj = _CACHE[key] = cls(**kwargs)
-        return obj(batch)
+        return worker_cached(key, lambda: cls(**kwargs))(batch)
 
     return fn

@@ -1,5 +1,12 @@
 """Spatial joins vs brute-force NumPy oracles: PIP (broadcast + tiled),
 kNN with refinement, zonal stats, raster grid."""
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -292,3 +299,103 @@ def test_pip_tiled_semi_anti_match_broadcast():
         assert tiled["pt_id"].is_unique
     n_match = sum(o is not None for o in _oracle_pip(pts))
     assert len(bc) == len(pts) - n_match  # anti from the loop's last turn
+
+
+# Script for the 1-CPU case below, run in its own process and Ray session:
+# argv = repo root, Ray temp dir, work dir.  It reads back parquet it wrote,
+# so each join's map is fused with a read task, the shape that starves when
+# a stage holds the session's only CPU.
+_ONE_CPU_SCRIPT = """
+import os, sys
+root, ray_tmp, work = sys.argv[1:4]
+sys.path.insert(0, root)
+import numpy as np, pyarrow as pa, pyarrow.parquet as pq, ray, ray.data as rd
+from prclz_ray.stages import joins
+from tests.test_joins import _polys
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", _temp_dir=ray_tmp)
+rng = np.random.default_rng(5)
+pts = pa.table({"pt_id": np.arange(400, dtype=np.int64),
+                "lng": rng.uniform(-0.5, 3.5, 400),
+                "lat": rng.uniform(-0.5, 3.5, 400)})
+pq.write_table(pts, os.path.join(work, "points.parquet"))
+pq.write_table(pa.table({"t_id": [f"t{i}" for i in range(30)],
+                         "lng": rng.uniform(0, 3, 30),
+                         "lat": rng.uniform(0, 3, 30)}),
+               os.path.join(work, "targets.parquet"))
+src = os.path.join(work, "points.parquet")
+pip = joins.pip_join(rd.read_parquet(src), _polys(), id_col="poly_id",
+                     how="left")
+pq.write_table(pa.concat_tables(ray.get(pip.to_arrow_refs())),
+               os.path.join(work, "pip.parquet"))
+knn = joins.knn_join(rd.read_parquet(src),
+                     pq.read_table(os.path.join(work, "targets.parquet")),
+                     k=3, id_col="t_id")
+pq.write_table(pa.concat_tables(ray.get(knn.to_arrow_refs())),
+               os.path.join(work, "knn.parquet"))
+ray.shutdown()
+"""
+
+
+def _kill_session(ray_tmp: str):
+    """SIGKILL every process whose command line names ``ray_tmp``: the
+    raylet, GCS and agents of that one Ray session, nothing else (its
+    workers exit with their raylet)."""
+    me = os.getpid()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmd = f.read()
+        except OSError:
+            continue
+        if int(pid) != me and ray_tmp.encode() in cmd:
+            try:
+                os.kill(int(pid), signal.SIGKILL)
+            except OSError:
+                pass
+
+
+def test_pip_and_knn_from_read_parquet_finish_on_one_cpu(tmp_path):
+    """On a 1-CPU session, pip_join and knn_join fed by read_parquet must
+    finish and match brute force.  A stage that pins the only CPU for its
+    lifetime (an actor pool) starves the read task and never yields a row,
+    so the script runs under a timeout in its own process group."""
+    import pyarrow.parquet as pq
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ray_tmp = tempfile.mkdtemp(prefix="ray1cpu-")   # short: socket paths
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, root, ray_tmp,
+         str(tmp_path)],
+        start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    try:
+        _, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError("pip_join/knn_join made no result in 90 s "
+                             "on a 1-CPU session")
+    finally:
+        _kill_session(ray_tmp)
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    assert proc.returncode == 0, err.decode(errors="replace")[-2000:]
+
+    pts = pq.read_table(tmp_path / "points.parquet")
+    pip = pq.read_table(tmp_path / "pip.parquet").to_pandas()
+    got = dict(zip(pip["pt_id"], pip["poly_id"]))
+    assert len(pip) == len(pts) and len(got) == len(pts)
+    want = _oracle_pip(pts)
+    assert [got[i] for i in range(len(pts))] == want
+
+    targets = pq.read_table(tmp_path / "targets.parquet")
+    knn = pq.read_table(tmp_path / "knn.parquet").to_pandas()
+    assert len(knn) == len(pts) * 3
+    tx, ty = targets["lng"].to_numpy(), targets["lat"].to_numpy()
+    tids = np.asarray(targets["t_id"].to_pylist())
+    px, py = pts["lng"].to_numpy(), pts["lat"].to_numpy()
+    for pid, rows in knn.sort_values("nn_rank").groupby("pt_id"):
+        d = np.sqrt((tx - px[pid]) ** 2 + (ty - py[pid]) ** 2)
+        order = np.lexsort((tids, d))[:3]
+        assert list(rows["nn_id"]) == list(tids[order])
+        assert np.allclose(rows["nn_dist"], d[order])

@@ -1,6 +1,8 @@
 """Shape guards on the query registry: the name prefix the external
-correctness gate checks, and the benchmark's query set."""
+correctness gate checks, and the benchmark's query set.  Plus a source
+guard on how the engine holds per-worker state."""
 import ast
+import re
 from pathlib import Path
 
 from prclz_ray.pipelines.queries import registry
@@ -41,3 +43,37 @@ def test_bench_queries_resolve_in_registry():
                  and getattr(n.targets[0], "id", "") == "BENCH_QUERIES")
     missing = [n for n in names if n not in registry()]
     assert not missing, f"bench queries missing from registry: {missing}"
+
+
+PKG = Path(__file__).resolve().parent.parent / "prclz_ray"
+
+
+def test_one_worker_state_mechanism_and_no_actor_pools():
+    """Per-worker state lives in ONE cache, ``stages/util.py``'s
+    ``_WORKER_STATE`` (via ``worker_cached`` / ``cached_callable``), and no
+    stage runs as an actor pool.  Every other module-level dict must be a
+    result memo kept by the calling process, named ``*_MEMO``."""
+    actor = re.compile(r"\bconcurrency\s*=|fn_constructor_kwargs"
+                       r"|ActorPoolStrategy")
+    hits, dicts = [], []
+    for path in sorted(PKG.rglob("*.py")):
+        src = path.read_text()
+        rel = path.relative_to(PKG.parent).as_posix()
+        hits += [(rel, src[:m.start()].count("\n") + 1)
+                 for m in actor.finditer(src)]
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            elif isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            else:
+                continue
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", "") == "dict"
+                and not value.args and not value.keywords)
+            dicts += [(rel, t.id) for t in targets
+                      if empty and isinstance(t, ast.Name)
+                      and not t.id.endswith("_MEMO")]
+    assert not hits, f"actor-pool knobs in engine source: {hits}"
+    assert dicts == [("prclz_ray/stages/util.py", "_WORKER_STATE")], dicts

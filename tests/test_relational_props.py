@@ -7,7 +7,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from prclz_ray.stages import dedup as dd
-from prclz_ray.stages import relational
+from prclz_ray.stages import relational, util
 
 
 def _ref_sessions(df: pd.DataFrame, gap_sec: int) -> pd.DataFrame:
@@ -1102,22 +1102,45 @@ def test_bucketed_join_combine_hook_full_aggregate_on_join_key():
 
 def test_worker_cached_builds_once_and_evicts_stale_kind():
     calls = []
-    r1 = relational.worker_cached(("kind_a", "ref1"),
-                                  lambda: calls.append(1) or "v1")
-    r2 = relational.worker_cached(("kind_a", "ref1"),
-                                  lambda: calls.append(2) or "v1b")
+    r1 = util.worker_cached(("kind_a", "ref1"),
+                            lambda: calls.append(1) or "v1")
+    r2 = util.worker_cached(("kind_a", "ref1"),
+                            lambda: calls.append(2) or "v1b")
     assert r1 == r2 == "v1" and calls == [1]      # cached, not rebuilt
-    r3 = relational.worker_cached(("kind_a", "ref2"),
-                                  lambda: calls.append(3) or "v2")
+    r3 = util.worker_cached(("kind_a", "ref2"),
+                            lambda: calls.append(3) or "v2")
     assert r3 == "v2"
     # stale same-kind entry evicted: re-asking for ref1 rebuilds
-    r4 = relational.worker_cached(("kind_a", "ref1"),
-                                  lambda: calls.append(4) or "v1c")
+    r4 = util.worker_cached(("kind_a", "ref1"),
+                            lambda: calls.append(4) or "v1c")
     assert r4 == "v1c" and calls == [1, 3, 4]
     # other kinds untouched
-    relational.worker_cached(("kind_b", "x"), lambda: "b1")
-    assert relational.worker_cached(("kind_b", "x"),
-                                    lambda: "b2") == "b1"
+    util.worker_cached(("kind_b", "x"), lambda: "b1")
+    assert util.worker_cached(("kind_b", "x"), lambda: "b2") == "b1"
+
+    # cached_callable rides the same cache, keyed by class + kwargs
+    import ray
+
+    class Stage:
+        built = []
+
+        def __init__(self, ref):
+            Stage.built.append(ref)
+
+        def __call__(self, batch):
+            return self
+
+    ref1, ref2 = ray.put(1), ray.put(2)
+    s1 = util.cached_callable(Stage, ref=ref1)(None)
+    assert util.cached_callable(Stage, ref=ref1)(None) is s1
+    assert Stage.built == [ref1]
+    s2 = util.cached_callable(Stage, ref=ref2)(None)
+    assert s2 is not s1 and Stage.built == [ref1, ref2]
+    kind = (Stage.__module__, Stage.__qualname__)
+    assert sum(k[0] == kind for k in util._WORKER_STATE) == 1
+    # ref1's object was evicted by ref2's: asking again rebuilds it
+    assert util.cached_callable(Stage, ref=ref1)(None) is not s1
+    assert Stage.built == [ref1, ref2, ref1]
 
 
 def test_bucketed_join_randomized_parity_with_duckdb():

@@ -538,8 +538,8 @@ def test_closeness_independent_reconstruction(tmp_path):
     brute-force (r−1)²/((n−1)·Σd) for every node."""
     from collections import deque
     from prclz_ray.pipelines.queries import q_closeness_centrality_links
-    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
-    _APSP_CACHE.clear()
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_MEMO
+    _APSP_MEMO.clear()
     d = str(tmp_path)
     n = 40
     _toy_docs(d, n)
@@ -566,8 +566,8 @@ def test_resource_allocation_independent(tmp_path):
     Σ⌊1e9/deg⌋ over common neighbors of non-edges, including the
     integer tie-break ordering."""
     from prclz_ray.pipelines.queries import q_resource_allocation_links
-    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
-    _APSP_CACHE.clear()
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_MEMO
+    _APSP_MEMO.clear()
     d = str(tmp_path)
     n = 40
     _toy_docs(d, n)
@@ -1904,8 +1904,8 @@ def test_graph_moments_family(tmp_path):
     moments."""
     from prclz_ray.pipelines.queries import (q_config_model_triangles, q_epidemic_threshold_links,
                                              q_friendship_paradox_links)
-    from prclz_ray.pipelines.queries.corpus_stats import _APSP_CACHE
-    _APSP_CACHE.clear()
+    from prclz_ray.pipelines.queries.corpus_stats import _APSP_MEMO
+    _APSP_MEMO.clear()
     d = str(tmp_path)
     n = 40
     _toy_docs(d, n)
