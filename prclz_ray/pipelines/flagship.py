@@ -1,6 +1,6 @@
 """Flagship pipeline: pages corpus → text extraction → geocode → S2 tile
-assignment → PIP join vs admin regions → skew histogram → partitioned,
-resumable output.
+assignment → PIP join vs admin regions → partitioned, resumable output
+with the skew histogram taken from the write.
 
 This is the north-star headline workload (BASELINE.json metric:
 "spatial-join + tile-assignment throughput (rows/sec) ... byte-identical
@@ -13,8 +13,8 @@ per-url text"). Every stage is a streaming Ray Data transform:
     html is dropped; dedup of the wide column is never shuffled)
   → S2 cell assign (vectorized encode)
   → PIP join vs broadcast regions (STRtree per worker)
-  → per-cell histogram → salt plan (skew evidence)
-  → partitioned resumable write + manifest
+  → partitioned resumable write + manifest, whose groups also count
+    their cells → per-cell histogram → salt plan (skew evidence)
 """
 from __future__ import annotations
 
@@ -310,8 +310,11 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                  narrow_pages_ds=None,
                  dedup_broadcast_limit_bytes: int = 256 << 20):
     """Returns (joined_ds, info dict). joined_ds streams; nothing is
-    materialized except the small per-cell histogram (and the optional
-    resumable write consumes the stream).
+    materialized. With ``out_dir`` the resumable write consumes the stream
+    once, and the per-cell histogram behind ``info["hot_cells"]`` and
+    ``info["n_cells"]`` is a by-product of that write (each region group
+    counts its cells, written or skipped), not a pass of its own — so the
+    fresh write and a rerun each parse every page once.
 
     Url dedup runs the narrow url pre-pass + broadcast-filter (the wide
     stream never shuffles).  The broadcast dup map is size-guarded by
@@ -380,11 +383,6 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                   "dedup_path": "grouped" if ties else "broadcast"}
     if out_dir is not None:
         from ..runtime import checkpoint
-        hist = tiling.cell_histogram(joined).to_pandas()
-        plan = tiling.salt_plan(
-            pa.Table.from_pandas(hist), threshold=salt_threshold)
-        info["hot_cells"] = plan
-        info["n_cells"] = len(hist)
         # partition by region for the resumable sink (cells per region are
         # contiguous; region is the operator-friendly partition size here)
         sink = joined.map_batches(
@@ -392,6 +390,11 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                 t.schema.get_field_index("gadm_code"), "gadm_code",
                 pc.fill_null(t["gadm_code"], "UNMATCHED")),
             batch_format="pyarrow")
-        info["write"] = checkpoint.write_partitioned_resumable(
-            sink, out_dir, "gadm_code")
+        write = checkpoint.write_partitioned_resumable(
+            sink, out_dir, "gadm_code", count_col="cell")
+        hist = write.pop("counts")
+        info["hot_cells"] = tiling.salt_plan(
+            pa.Table.from_pandas(hist), threshold=salt_threshold)
+        info["n_cells"] = len(hist)
+        info["write"] = write
     return joined, info

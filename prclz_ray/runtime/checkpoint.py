@@ -26,6 +26,7 @@ import os
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -72,35 +73,62 @@ def commit_partition(out_dir: str, key: str, table: pa.Table,
 
 
 def write_partitioned_resumable(ds, out_dir: str, key_col: str,
-                                fingerprint: str = "") -> dict:
+                                fingerprint: str = "",
+                                count_col: str | None = None) -> dict:
     """Consume a Dataset into per-key partitions, skipping keys already
-    committed in the manifest. Returns {"written": n, "skipped": m}.
+    committed in the manifest. Returns {"written": n, "skipped": m,
+    "rows": r}.
 
     The groupby is the one shuffle; each group writes + commits itself on
     the worker, so a kill between groups loses only in-flight partitions.
+
+    With ``count_col`` the result also holds ``"counts"``: the rows per
+    distinct ``count_col`` value over every group, written or skipped, as
+    a DataFrame shaped like ``ds.groupby(count_col).count().to_pandas()``
+    (columns ``count_col`` and ``"count()"``). Each group counts its own
+    rows, so the histogram comes out of the write's execution instead of a
+    second pass over the input.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    done = committed_keys(out_dir)
-    done_ref = None
+    import pandas as pd
     import ray
-    done_ref = ray.put(done)
+
+    os.makedirs(out_dir, exist_ok=True)
+    done_ref = ray.put(committed_keys(out_dir))
 
     def write_group(group: pa.Table) -> pa.Table:
         key = str(group[key_col][0].as_py())
-        already = ray.get(done_ref)
-        if key in already:
-            return pa.table({"key": [key], "rows": [0], "skipped": [True]})
-        commit_partition(out_dir, key, group, fingerprint)
-        return pa.table({"key": [key], "rows": [group.num_rows], "skipped": [False]})
+        skipped = key in ray.get(done_ref)
+        if not skipped:
+            commit_partition(out_dir, key, group, fingerprint)
+        out = {"key": [key], "rows": [0 if skipped else group.num_rows],
+               "skipped": [skipped]}
+        if count_col is not None:
+            vc = pc.value_counts(group[count_col])
+            offsets = pa.array([0, len(vc)], type=pa.int32())
+            out["values"] = pa.ListArray.from_arrays(offsets,
+                                                     vc.field("values"))
+            out["counts"] = pa.ListArray.from_arrays(offsets,
+                                                     vc.field("counts"))
+        return pa.table(out)
 
     res = ds.groupby(key_col).map_groups(write_group, batch_format="pyarrow").to_pandas()
-    if res.empty:  # nothing left to write (e.g. a fully-resumed rerun)
-        return {"written": 0, "skipped": 0, "rows": 0}
-    return {
+    if res.empty:  # empty input: no group ran
+        summary = {"written": 0, "skipped": 0, "rows": 0}
+        if count_col is not None:
+            summary["counts"] = pd.DataFrame({count_col: [], "count()": []})
+        return summary
+    summary = {
         "written": int((~res.skipped).sum()),
         "skipped": int(res.skipped.sum()),
         "rows": int(res.rows.sum()),
     }
+    if count_col is not None:
+        per_group = pd.DataFrame({count_col: np.concatenate(res["values"]),
+                                  "count()": np.concatenate(res["counts"])})
+        summary["counts"] = per_group.groupby(
+            count_col, as_index=False, sort=False, dropna=False)[
+            "count()"].sum()
+    return summary
 
 
 def read_resumable(out_dir: str):
@@ -158,7 +186,6 @@ def write_clustered(ds, out_dir: str, key_col: str,
     #{b ∈ boundaries : b < k} — i.e. range i is (bᵢ₋₁, bᵢ].  Pass
     exact-quantile cut points for an EQUI-COUNT (rebalanced) layout on
     a skewed key; global file ordering is preserved either way."""
-    import numpy as np
     from ray.data.aggregate import Max, Min
 
     if boundaries is not None:
@@ -171,7 +198,6 @@ def write_clustered(ds, out_dir: str, key_col: str,
         span = max(1, (hi - lo + num_ranges) // num_ranges)
 
     def tag(batch: pa.Table) -> pa.Table:
-        import numpy as np
         k = batch[key_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         if boundaries is not None:

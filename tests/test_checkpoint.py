@@ -42,6 +42,45 @@ def test_write_then_resume_skips_committed():
     assert sorted(back["val"]) == list(range(100))
 
 
+def test_value_counts_cover_written_and_skipped_partitions():
+    """``count_col`` counts every group's rows, written or skipped, so a
+    resumed write reports the same histogram as a fresh one."""
+    def ds():
+        # cell values cut across partitions: per-group counts must add up
+        return rd.from_arrow(pa.table({
+            "part_key": np.repeat(["a", "b", "c", "d"], 25),
+            "cell": (np.arange(100) % 7).astype(np.uint64),
+        })).repartition(4)
+
+    want = {c: len(range(c, 100, 7)) for c in range(7)}
+
+    def hist(res):
+        h = res.pop("counts")
+        assert list(h.columns) == ["cell", "count()"]
+        return dict(zip(h["cell"].astype(int), h["count()"].astype(int)))
+
+    shutil.rmtree(OUT, ignore_errors=True)
+    res1 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+                                                  count_col="cell")
+    assert hist(res1) == want
+    assert res1 == {"written": 4, "skipped": 0, "rows": 100}
+
+    # uncommit 'c': the resume writes one partition and skips three
+    lines = open(checkpoint.manifest_path(OUT)).read().strip().splitlines()
+    with open(checkpoint.manifest_path(OUT), "w") as f:
+        f.write("\n".join(l for l in lines if '"key": "c"' not in l) + "\n")
+    res2 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+                                                  count_col="cell")
+    assert hist(res2) == want
+    assert res2 == {"written": 1, "skipped": 3, "rows": 25}
+
+    # a rerun with everything committed still counts every row
+    res3 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+                                                  count_col="cell")
+    assert hist(res3) == want
+    assert res3 == {"written": 0, "skipped": 4, "rows": 0}
+
+
 def test_manifest_records_lineage():
     shutil.rmtree(OUT, ignore_errors=True)
     checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
