@@ -8,10 +8,19 @@ Implements:
   lnglat → XYZ → (face,u,v) → (s,t) → (i,j) → Hilbert position → cell id
   cell id → face/i/j → center lnglat (for ring expansion / debugging)
   parent/child prefix relations, same-face ij neighbor rings
+  bbox covering for a whole batch of boxes in one pass (``cover_bboxes``)
 
 The Hilbert traversal uses the standard 2-bit state machine with lookup
 tables generated from the canonical order/orientation recurrence — no
-third-party S2 code is imported.
+third-party S2 code is imported. As in the S2 library, the codec walks 4
+levels per step through a 1,024-entry table keyed on (orientation, 4 bits
+of i, 4 bits of j) that gives 8 bits of Hilbert position and the next
+orientation; the inverse table maps (orientation, 8 position bits) back to
+4 bits of i and j. i and j are padded from 30 to 32 levels, so 8 steps
+reach the leaf. A level-``level`` cell id keeps only the top ``level``
+levels of the position (the rest is cleared and the trailing 1 bit marks
+the level), so the encoder walks only the top ⌈level/4⌉ steps: 4 at the
+default level 14 instead of 30 single-level steps.
 """
 from __future__ import annotations
 
@@ -27,7 +36,6 @@ _SWAP, _INVERT = 1, 2
 # canonical traversal order of sub-cells in (i,j) for orientation 0: the
 # Hilbert "U" order (0,0) (0,1) (1,1) (1,0)
 _POS_OF_IJ = np.zeros((4, 4), dtype=np.uint8)   # [orientation][ij] -> pos
-_IJ_OF_POS = np.zeros((4, 4), dtype=np.uint8)   # [orientation][pos] -> ij
 _NEXT_ORIENT = np.zeros((4, 4), dtype=np.uint8)  # [orientation][pos] -> orientation
 _base_ij_of_pos = (0b00, 0b01, 0b11, 0b10)
 _base_orient_of_pos = (_SWAP, 0, 0, _INVERT | _SWAP)
@@ -39,8 +47,25 @@ for _o in range(4):
         if _o & _INVERT:
             ij ^= 3
         _POS_OF_IJ[_o, ij] = _p
-        _IJ_OF_POS[_o, _p] = ij
         _NEXT_ORIENT[_o, _p] = _base_orient_of_pos[_p] ^ _o
+
+# 4-level tables (the S2 library's lookup_pos / lookup_ij); i and j are
+# padded from 30 to 32 levels, so 8 steps of 4 levels reach the leaf:
+#   _LOOKUP_POS[orient << 8 | i4 << 4 | j4] = pos8 << 2 | next_orient
+#   _LOOKUP_IJ[orient << 8 | pos8]         = i4 << 6 | j4 << 2 | next_orient
+_PAD = 32 - MAX_LEVEL
+_LOOKUP_POS = np.zeros(1024, dtype=np.uint64)
+_LOOKUP_IJ = np.zeros(1024, dtype=np.uint64)
+for _o in range(4):
+    for _i4 in range(16):
+        for _j4 in range(16):
+            _orient, _pos8 = _o, 0
+            for _b in range(3, -1, -1):
+                _p = int(_POS_OF_IJ[_orient, ((_i4 >> _b) & 1) << 1 | ((_j4 >> _b) & 1)])
+                _pos8 = _pos8 << 2 | _p
+                _orient = int(_NEXT_ORIENT[_orient, _p])
+            _LOOKUP_POS[_o << 8 | _i4 << 4 | _j4] = _pos8 << 2 | _orient
+            _LOOKUP_IJ[_o << 8 | _pos8] = _i4 << 6 | _j4 << 2 | _orient
 
 
 def lnglat_to_xyz(lng_deg, lat_deg):
@@ -91,22 +116,29 @@ def st_to_ij(s):
 
 
 def face_ij_to_cellid(face, i, j, level=DEFAULT_LEVEL):
-    """Hilbert-encode (face,i,j) at MAX_LEVEL, then truncate to ``level``."""
+    """Hilbert-encode (face,i,j) to level-``level`` cell ids: walk the top
+    ``level`` levels 4 at a time through ``_LOOKUP_POS``, then truncate."""
     face = np.asarray(face, dtype=np.uint64)
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    n = np.zeros(face.shape, dtype=np.uint64)
-    # face orientation seed: odd faces start with the swap bit set
-    orient = np.where(face % np.uint64(2) == 1, np.uint8(_SWAP), np.uint8(0)).astype(np.uint8)
-    # NOTE: canonical S2 seeds orientation with (face & SWAP_MASK) — faces
-    # 1,3,5 start swapped; this matches the published kPosToOrientation chain.
-    for k in range(MAX_LEVEL - 1, -1, -1):
-        ib = ((i >> k) & 1).astype(np.uint8)
-        jb = ((j >> k) & 1).astype(np.uint8)
-        ij = (ib << 1) | jb
-        pos = _POS_OF_IJ[orient, ij]
-        n = (n << np.uint64(2)) | pos.astype(np.uint64)
-        orient = _NEXT_ORIENT[orient, pos]
+    # as uint64 the values keep their low 30 bits, all the encoder reads
+    i = np.asarray(i, dtype=np.int64).astype(np.uint64) << np.uint64(_PAD)
+    j = np.asarray(j, dtype=np.int64).astype(np.uint64) << np.uint64(_PAD)
+    # odd faces start with the swap bit set (canonical S2: face & SWAP_MASK)
+    orient = face & np.uint64(_SWAP)
+    n = np.zeros(np.broadcast(face, i, j).shape, dtype=np.uint64)
+    steps = -(-min(level, MAX_LEVEL) // 4)   # the top ⌈level/4⌉ of 8 steps
+    for k in range(steps):
+        shift = np.uint64(28 - 4 * k)          # k-th nibble from the top
+        v = _LOOKUP_POS[(orient << np.uint64(8))
+                        | (((i >> shift) & np.uint64(15)) << np.uint64(4))
+                        | ((j >> shift) & np.uint64(15))]
+        n = (n << np.uint64(8)) | (v >> np.uint64(2))
+        orient = v & np.uint64(3)
+    # n holds the top 4·steps levels; place them as the 30-level position
+    walked = 4 * steps
+    if walked <= MAX_LEVEL:
+        n = n << np.uint64(2 * (MAX_LEVEL - walked))
+    else:
+        n = n >> np.uint64(2 * (walked - MAX_LEVEL))
     full = (face << np.uint64(2 * MAX_LEVEL + 1)) | (n << np.uint64(1)) | np.uint64(1)
     if level >= MAX_LEVEL:
         return full
@@ -132,20 +164,23 @@ def cellid_level(cid: np.ndarray) -> np.ndarray:
 
 def cellid_to_face_ij(cid, level=DEFAULT_LEVEL):
     """Decode a cell id back to (face, i, j) of its min-corner leaf at
-    MAX_LEVEL resolution (center of cell for ring math)."""
+    MAX_LEVEL resolution (center of cell for ring math): 8 steps of 4
+    levels through ``_LOOKUP_IJ``."""
     cid = np.asarray(cid, dtype=np.uint64)
-    face = (cid >> np.uint64(2 * MAX_LEVEL + 1)).astype(np.int64)
-    n = (cid >> np.uint64(1)) & ((np.uint64(1) << np.uint64(2 * MAX_LEVEL)) - np.uint64(1))
-    orient = np.where(face % 2 == 1, np.uint8(_SWAP), np.uint8(0)).astype(np.uint8)
-    i = np.zeros(cid.shape, dtype=np.int64)
-    j = np.zeros(cid.shape, dtype=np.int64)
-    for k in range(MAX_LEVEL - 1, -1, -1):
-        pos = ((n >> np.uint64(2 * k)) & np.uint64(3)).astype(np.uint8)
-        ij = _IJ_OF_POS[orient, pos]
-        i = (i << 1) | (ij >> 1)
-        j = (j << 1) | (ij & 1)
-        orient = _NEXT_ORIENT[orient, pos]
-    return face, i, j
+    face = cid >> np.uint64(2 * MAX_LEVEL + 1)
+    n = ((cid >> np.uint64(1)) & ((np.uint64(1) << np.uint64(2 * MAX_LEVEL)) - np.uint64(1))) \
+        << np.uint64(2 * _PAD)
+    orient = face & np.uint64(_SWAP)
+    i = np.zeros(cid.shape, dtype=np.uint64)
+    j = np.zeros(cid.shape, dtype=np.uint64)
+    for k in range(8):
+        shift = np.uint64(56 - 8 * k)          # k-th byte from the top
+        v = _LOOKUP_IJ[(orient << np.uint64(8)) | ((n >> shift) & np.uint64(255))]
+        i = (i << np.uint64(4)) | (v >> np.uint64(6))
+        j = (j << np.uint64(4)) | ((v >> np.uint64(2)) & np.uint64(15))
+        orient = v & np.uint64(3)
+    return (face.astype(np.int64), (i >> np.uint64(_PAD)).astype(np.int64),
+            (j >> np.uint64(_PAD)).astype(np.int64))
 
 
 def cell_center_lnglat(cid, level=DEFAULT_LEVEL):
@@ -190,38 +225,104 @@ def _face_uv_to_xyz(face, u, v):
     return x, y, z
 
 
+_MAX_SAMPLES_PER_SIDE = 384
+
+
 def cover_bbox(minx: float, miny: float, maxx: float, maxy: float,
                level=DEFAULT_LEVEL, margin: int = 1) -> np.ndarray:
-    """Cell ids covering a lon/lat bbox. Dense grid sampling at sub-cell
-    spacing (every level-``level`` cell intersecting the box contains or
-    adjoins a sample), then a ``margin``-ring dilation — exact across face
-    boundaries, which cut diagonally through mid-latitudes.
+    """Sorted cell ids covering one lon/lat bbox: the one-box call of
+    ``cover_bboxes``."""
+    return cover_bboxes(np.array([[minx, miny, maxx, maxy]]), level, margin)[1]
 
-    Sampling count scales with (box span / cell size); boxes beyond 256
-    cells per side are rejected — pip_join_tiled's contract is polygons
-    small relative to the tile level (SURVEY custom-operator rule); pick a
+
+def cover_bboxes(boxes, level=DEFAULT_LEVEL, margin: int = 1):
+    """Cell ids covering each lon/lat bbox of an ``(n, 4)`` array of
+    (minx, miny, maxx, maxy), in one vectorized pass over the whole batch.
+    Returns ``(poly_idx, cells)``: one row per (box, covering cell), sorted
+    by box index, then cell id.
+
+    Dense grid sampling at sub-cell spacing (every level-``level`` cell
+    intersecting a box contains or adjoins a sample), then a
+    ``margin``-ring dilation — exact across face boundaries, which cut
+    diagonally through mid-latitudes. Each box's grid takes the values
+    ``np.linspace`` would give it, so the cells do not depend on how boxes
+    are batched.
+
+    Sampling count scales with (box span / cell size): a box that needs
+    more than 384 samples per side (a span of ~255 × 90/2^level degrees)
+    raises ``ValueError`` — pip_join_tiled's contract is polygons small
+    relative to the tile level (SURVEY custom-operator rule); pick a
     coarser level for bigger geometries."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    minx, miny, maxx, maxy = boxes.T
     cell_deg = 90.0 / (1 << level)  # conservative min cell extent in degrees
-    kx = int(np.ceil((maxx - minx) / cell_deg * 1.5)) + 1
-    ky = int(np.ceil((maxy - miny) / cell_deg * 1.5)) + 1
-    if max(kx, ky) > 384:
+    with np.errstate(invalid="ignore"):
+        kx = np.ceil((maxx - minx) / cell_deg * 1.5) + 1
+        ky = np.ceil((maxy - miny) / cell_deg * 1.5) + 1
+    k = np.maximum(kx, ky)
+    if not np.isfinite(k).all():
+        raise ValueError("cover_bbox: a box has a non-finite bound")
+    if (k > _MAX_SAMPLES_PER_SIDE).any():
         raise ValueError(
-            f"cover_bbox: box spans ~{max(kx, ky)} level-{level} cells per "
-            "side; use a coarser level for geometries this large")
-    gx = np.linspace(minx, maxx, max(kx, 2))
-    gy = np.linspace(miny, maxy, max(ky, 2))
-    xs, ys = np.meshgrid(gx, gy)
-    x, y, z = lnglat_to_xyz(xs.ravel(), ys.ravel())
-    face, u, v = xyz_to_face_uv(np.atleast_1d(x), np.atleast_1d(y),
-                                np.atleast_1d(z))
+            f"cover_bbox: box spans ~{int(k[k > _MAX_SAMPLES_PER_SIDE][0])} "
+            f"level-{level} cells per side; use a coarser level for "
+            "geometries this large")
+    nx = np.maximum(kx, 2).astype(np.int64)
+    ny = np.maximum(ky, 2).astype(np.int64)
+    # every box's nx × ny sample grid, row-major, tagged with its box index
+    per_box = nx * ny
+    poly = np.repeat(np.arange(len(boxes)), per_box)
+    local = np.arange(len(poly)) - np.repeat(np.cumsum(per_box) - per_box, per_box)
+    row, col = np.divmod(local, nx[poly])
+    xs = _linspace_at(minx, maxx, nx, poly, col)
+    ys = _linspace_at(miny, maxy, ny, poly, row)
+    face, u, v = xyz_to_face_uv(*lnglat_to_xyz(xs, ys))
     shift = MAX_LEVEL - level
-    i = (st_to_ij(uv_to_st(u)) >> shift) << shift
-    j = (st_to_ij(uv_to_st(v)) >> shift) << shift
-    cids = np.unique(face_ij_to_cellid(face, i, j, level))
-    if margin > 0:
-        cids = np.unique(
-            cell_neighbors_same_face(cids, level, ring=margin).ravel())
-    return cids
+    ci = st_to_ij(uv_to_st(u)) >> shift
+    cj = st_to_ij(uv_to_st(v)) >> shift
+    # drop duplicate (box, face, i, j) samples; the packed key fits 63 bits
+    poly, key = _unique_pairs(poly, (face << (2 * level)) | (ci << level) | cj)
+    mask = (1 << level) - 1
+    face, ci, cj = key >> (2 * level), (key >> level) & mask, key & mask
+    src, cells = _ring_cells(face, ci, cj, level, max(margin, 0))
+    return _unique_pairs(poly[src], cells)
+
+
+def _linspace_at(lo, hi, num, poly, k):
+    """Element ``k`` of ``np.linspace(lo[p], hi[p], num[p])`` for each box
+    ``p = poly``, with linspace's arithmetic (including its step == 0
+    branch and its exact last point)."""
+    div = (num - 1).astype(np.float64)[poly]
+    start = lo[poly]
+    delta = hi[poly] - start
+    step = delta / div
+    kf = k.astype(np.float64)
+    y = np.where(step == 0, kf / div * delta, kf * step) + start
+    return np.where(k == num[poly] - 1, hi[poly], y)
+
+
+def _unique_pairs(a, b):
+    """Distinct (a, b) pairs, sorted by a then b."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return a[keep], b[keep]
+
+
+def _ring_cells(face, ci, cj, level, ring):
+    """Level-``level`` cell ids of the (2r+1)² same-face ij-neighborhood of
+    each input cell (face, ci, cj), in one encode call. Returns
+    ``(src, cells)``: the input row of each neighbor, and its id."""
+    d = np.arange(-ring, ring + 1)
+    ni = (np.atleast_1d(ci)[:, None] + np.repeat(d, len(d))).ravel()
+    nj = (np.atleast_1d(cj)[:, None] + np.tile(d, len(d))).ravel()
+    src = np.repeat(np.arange(np.size(ci)), len(d) ** 2)
+    lim = 1 << level
+    ok = (ni >= 0) & (ni < lim) & (nj >= 0) & (nj < lim)
+    src, shift = src[ok], MAX_LEVEL - level
+    return src, face_ij_to_cellid(np.atleast_1d(face)[src], ni[ok] << shift,
+                                  nj[ok] << shift, level)
 
 
 def cell_neighbors_same_face(cid, level=DEFAULT_LEVEL, ring=1) -> np.ndarray:
@@ -230,17 +331,4 @@ def cell_neighbors_same_face(cid, level=DEFAULT_LEVEL, ring=1) -> np.ndarray:
     synthetic corpora, documented limitation)."""
     face, i, j = cellid_to_face_ij(cid)
     shift = MAX_LEVEL - level
-    ci = np.atleast_1d(i >> shift).astype(np.int64)
-    cj = np.atleast_1d(j >> shift).astype(np.int64)
-    face = np.atleast_1d(face)
-    out = []
-    lim = 1 << level
-    for di in range(-ring, ring + 1):
-        for dj in range(-ring, ring + 1):
-            ni, nj = ci + di, cj + dj
-            ok = (ni >= 0) & (ni < lim) & (nj >= 0) & (nj < lim)
-            if ok.any():
-                out.append(face_ij_to_cellid(
-                    face[ok], (ni[ok] << shift).astype(np.uint64),
-                    (nj[ok] << shift).astype(np.uint64), level))
-    return np.unique(np.concatenate([np.atleast_1d(o) for o in out]))
+    return np.unique(_ring_cells(face, i >> shift, j >> shift, level, ring)[1])

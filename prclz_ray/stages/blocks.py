@@ -158,17 +158,15 @@ def extract_blocks(regions_ds, lines_ds, method: BlockExtractionMethod | None = 
                 line_coords.extend(lv)
         faces = method.extract(region_ring, line_coords)
         faces.sort(key=lambda f: bbox(f))
-        ids, cells, geoms = [], [], []
-        for i, f in enumerate(faces):
-            ids.append(f"{gadm}_{i}")
-            cx, cy = f[:-1, 0].mean(), f[:-1, 1].mean()
-            cells.append(int(s2.lnglat_to_cellid(np.array([cx]), np.array([cy]), level)[0]))
-            geoms.append(wkb.polygon(f))
+        # one S2 encode per region over all block centroids
+        cx = np.array([f[:-1, 0].mean() for f in faces], dtype=np.float64)
+        cy = np.array([f[:-1, 1].mean() for f in faces], dtype=np.float64)
         return pa.table({
-            "block_id": ids,
-            "gadm_code": [gadm] * len(ids),
-            "cell": pa.array(np.array(cells, dtype=np.uint64)),
-            "geometry": pa.array(geoms, type=pa.binary()),
+            "block_id": [f"{gadm}_{i}" for i in range(len(faces))],
+            "gadm_code": [gadm] * len(faces),
+            "cell": pa.array(s2.lnglat_to_cellid(cx, cy, level)),
+            "geometry": pa.array([wkb.polygon(f) for f in faces],
+                                 type=pa.binary()),
         })
 
     return unioned.groupby("gadm_code").map_groups(per_region, batch_format="pyarrow")

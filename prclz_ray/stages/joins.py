@@ -182,38 +182,32 @@ def pip_join_tiled(points_ds, polygons_ds, id_col: str, x_col: str = "lng",
     out_id = out_id_col or id_col
 
     def poly_cells(batch: pa.Table) -> pa.Table:
-        # replicate each polygon row once per covered cell with ONE
-        # arrow-level take over repeated indices (no per-row .as_py())
-        boxes = wkb.bboxes(batch["geometry"].to_pylist())
-        counts = np.empty(batch.num_rows, dtype=np.int64)
-        cells: list[np.ndarray] = []
-        for i in range(batch.num_rows):
-            minx, miny, maxx, maxy = boxes[i]
-            cids = s2.cover_bbox(minx, miny, maxx, maxy, level)
-            counts[i] = len(cids)
-            cells.append(np.asarray(cids, dtype=np.uint64))
-        idx = np.repeat(np.arange(batch.num_rows), counts)
-        out = batch.take(pa.array(idx))
-        flat = np.concatenate(cells) if cells else np.empty(0, dtype=np.uint64)
-        return out.append_column("cell", pa.array(flat))
+        # one cover for the whole batch, then replicate each polygon row
+        # once per covered cell with ONE arrow-level take
+        idx, cells = s2.cover_bboxes(
+            wkb.bboxes(batch["geometry"].to_pylist()), level)
+        return batch.take(pa.array(idx)).append_column(
+            "cell", pa.array(cells)).append_column(
+            "_side", pa.array(np.ones(len(idx), dtype=np.int8)))
 
     def point_cells(batch: pa.Table) -> pa.Table:
         cid = s2.lnglat_to_cellid(batch[x_col].to_numpy(zero_copy_only=False),
                                   batch[y_col].to_numpy(zero_copy_only=False), level)
-        return batch.append_column("cell", pa.array(cid))
+        return batch.append_column("cell", pa.array(cid)).append_column(
+            "_side", pa.array(np.zeros(batch.num_rows, dtype=np.int8)))
 
-    polys = polygons_ds.map_batches(poly_cells, batch_format="pyarrow") \
-        .map_batches(lambda t: t.append_column("_side", pa.array(np.ones(t.num_rows, dtype=np.int8))),
-                     batch_format="pyarrow")
-    pts = points_ds.map_batches(point_cells, batch_format="pyarrow") \
-        .map_batches(lambda t: t.append_column("_side", pa.array(np.zeros(t.num_rows, dtype=np.int8))),
-                     batch_format="pyarrow")
+    # union the two sides with aligned schemas (missing columns → typed
+    # null), built from the input schemas plus the two appended columns so
+    # planning executes nothing when the inputs know their schema
+    def mapped_cols(ds) -> list:
+        schema = ds.schema(fetch_if_missing=False) or ds.schema()
+        return list(zip(schema.names, schema.types)) + [
+            ("cell", pa.uint64()), ("_side", pa.int8())]
 
-    # union the two sides with aligned schemas (missing columns → typed null)
+    point_cols = mapped_cols(points_ds)
     col_types: dict[str, pa.DataType] = {}
-    for schema in (pts.schema(), polys.schema()):
-        for name, typ in zip(schema.names, schema.types):
-            col_types.setdefault(name, typ)
+    for name, typ in point_cols + mapped_cols(polygons_ds):
+        col_types.setdefault(name, typ)
     all_cols = list(col_types)
 
     def align(t: pa.Table) -> pa.Table:
@@ -222,11 +216,13 @@ def pip_join_tiled(points_ds, polygons_ds, id_col: str, x_col: str = "lng",
                 t = t.append_column(name, pa.nulls(t.num_rows, type=col_types[name]))
         return t.select(all_cols)
 
-    unioned = pts.map_batches(align, batch_format="pyarrow").union(
-        polys.map_batches(align, batch_format="pyarrow"))
+    unioned = points_ds.map_batches(
+        lambda t: align(point_cells(t)), batch_format="pyarrow").union(
+        polygons_ds.map_batches(
+            lambda t: align(poly_cells(t)), batch_format="pyarrow"))
 
     # output keeps EVERY point-side column (plus cell + the joined id)
-    point_out = [n for n in pts.schema().names if n != "_side"]
+    point_out = [n for n, _ in point_cols if n != "_side"]
     out_types = {n: col_types[n] for n in point_out}
     id_type = col_types[id_col]
 

@@ -108,3 +108,23 @@ def test_default_strategy_matches_reference():
                                          BufferedLineDifference as B)
     # reference default: blocks/_methods.py:109
     assert DEFAULT_EXTRACTION_METHOD is B
+
+
+def test_block_cells_match_per_face_encoding():
+    """extract_blocks encodes all of a region's block centroids in one S2
+    call; each block's cell must equal encoding its own centroid alone."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from prclz_ray.index import s2
+    from prclz_ray.stages.blocks import extract_blocks
+
+    rows = extract_blocks(rd.from_arrow(synth.regions_table()),
+                          rd.from_arrow(synth.lines_table())).take_all()
+    assert max(Counter(r["gadm_code"] for r in rows).values()) >= 16
+    for r in rows:
+        ring = wkb.decode(r["geometry"])[1][0]
+        cx, cy = ring[:-1, 0].mean(), ring[:-1, 1].mean()
+        assert r["cell"] == int(s2.lnglat_to_cellid(
+            np.array([cx]), np.array([cy]), s2.DEFAULT_LEVEL)[0])

@@ -84,6 +84,39 @@ def test_pip_join_tiled_matches_broadcast():
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_pip_join_tiled_plans_without_executing(tmp_path, monkeypatch):
+    """Planning the tiled join over read_parquet / from_arrow inputs runs
+    nothing: the union schema comes from the input schemas plus the two
+    appended columns, not from a limit(1) probe of the mapped sides."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.plan import ExecutionPlan
+
+    pts = _points(200)
+    pq.write_table(pts, tmp_path / "pts.parquet")
+    pq.write_table(_polys(), tmp_path / "polys.parquet")
+    runs = []
+    for name in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, name)
+
+        def counted(self, *a, _orig=orig, **kw):
+            runs.append(self)
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+
+    plans = [joins.pip_join_tiled(rd.read_parquet(str(tmp_path / "pts.parquet")),
+                                  rd.read_parquet(str(tmp_path / "polys.parquet")),
+                                  id_col="poly_id", how="left"),
+             joins.pip_join_tiled(rd.from_arrow(pts), rd.from_arrow(_polys()),
+                                  id_col="poly_id", how="left")]
+    assert runs == []
+    monkeypatch.undo()
+    want = _oracle_pip(pts)
+    for plan in plans:
+        got = plan.to_pandas().sort_values("pt_id")
+        assert list(got.columns) == ["pt_id", "lng", "lat", "cell", "poly_id"]
+        assert [None if pd.isna(v) else v for v in got["poly_id"]] == want
+
+
 def test_knn_join_matches_bruteforce():
     n_t = 40
     targets = pa.table({
