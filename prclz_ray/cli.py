@@ -208,7 +208,7 @@ def cmd_flagship(a):
     if a.out is None:
         print(joined.count())
     else:
-        print(info.get("write"))
+        print(info.get("write"), f"resume={info.get('resume')}")
 
 
 def cmd_compact(a):

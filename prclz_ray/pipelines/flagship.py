@@ -313,8 +313,21 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     materialized. With ``out_dir`` the resumable write consumes the stream
     once, and the per-cell histogram behind ``info["hot_cells"]`` and
     ``info["n_cells"]`` is a by-product of that write (each region group
-    counts its cells, written or skipped), not a pass of its own — so the
-    fresh write and a rerun each parse every page once.
+    counts its cells, written or skipped), not a pass of its own — so a
+    fresh write parses every page once.
+
+    A finished write is sealed (``runtime.checkpoint.write_seal``) with an
+    input fingerprint: the input files' paths, sizes and mtimes, ``level``
+    and ``regions_tbl``. A rerun whose fingerprint matches a seal whose
+    partitions are all still committed executes nothing: ``info`` comes
+    from the seal and the stored histogram (``hot_cells`` with this call's
+    ``salt_threshold``), and ``joined`` reads the committed partitions
+    back. Any other rerun takes the full path and skips committed
+    partitions; one over a directory committed from different input raises
+    ``ValueError``. ``info["resume"]`` says which path ran: ``"fresh"``
+    (nothing committed), ``"partial"`` (some partitions committed, no valid
+    seal) or ``"sealed"``. Input with no local files (``from_arrow``) has
+    no fingerprint and is never sealed.
 
     Url dedup runs the narrow url pre-pass + broadcast-filter (the wide
     stream never shuffles).  The broadcast dup map is size-guarded by
@@ -339,7 +352,26 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     spills. Fused, html lives only inside the read+parse task."""
     import ray
 
+    from ..runtime import checkpoint
     from ..stages.joins import PIPJoiner, _polygon_pack
+
+    info: dict = {"level": level}
+    if out_dir is not None:
+        fp = checkpoint.input_fingerprint(pages_ds.input_files(), level,
+                                          regions_tbl)
+        checkpoint.check_fingerprint(out_dir, fp)
+        sealed = checkpoint.read_seal(out_dir, fp)
+        if sealed is not None:
+            seal, cells = sealed
+            info.update(dedup_path=seal["dedup_path"], resume="sealed",
+                        write={"written": 0, "skipped": len(seal["keys"]),
+                               "rows": 0},
+                        hot_cells=tiling.salt_plan(cells,
+                                                   threshold=salt_threshold),
+                        n_cells=cells.num_rows)
+            return checkpoint.read_resumable(out_dir), info
+        info["resume"] = ("partial" if checkpoint.committed_keys(out_dir)
+                          else "fresh")
 
     # narrow_pages_ds: a (url, warc_ts)-only read of the same corpus.
     # Ray does not push select_columns into the parquet scan, so without
@@ -379,10 +411,8 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
         joined = pages_ds.map_batches(fused, batch_format="pyarrow",
                                       zero_copy_batch=True)
 
-    info: dict = {"level": level,
-                  "dedup_path": "grouped" if ties else "broadcast"}
+    info["dedup_path"] = "grouped" if ties else "broadcast"
     if out_dir is not None:
-        from ..runtime import checkpoint
         # partition by region for the resumable sink (cells per region are
         # contiguous; region is the operator-friendly partition size here)
         sink = joined.map_batches(
@@ -391,10 +421,11 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                 pc.fill_null(t["gadm_code"], "UNMATCHED")),
             batch_format="pyarrow")
         write = checkpoint.write_partitioned_resumable(
-            sink, out_dir, "gadm_code", count_col="cell")
-        hist = write.pop("counts")
-        info["hot_cells"] = tiling.salt_plan(
-            pa.Table.from_pandas(hist), threshold=salt_threshold)
-        info["n_cells"] = len(hist)
+            sink, out_dir, "gadm_code", fingerprint=fp, count_col="cell")
+        hist = pa.Table.from_pandas(write.pop("counts"), preserve_index=False)
+        info["hot_cells"] = tiling.salt_plan(hist, threshold=salt_threshold)
+        info["n_cells"] = hist.num_rows
         info["write"] = write
+        checkpoint.write_seal(out_dir, fp, hist,
+                              dedup_path=info["dedup_path"])
     return joined, info

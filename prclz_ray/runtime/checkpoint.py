@@ -14,13 +14,24 @@ Layout:
   out_dir/
     part=<key>/data.parquet     (written atomically: tmp file + rename)
     MANIFEST.jsonl              (one commit record per finished partition)
+    _cells.parquet              (a finished write's cell histogram)
+    _SEAL.json                  (a finished write: its input fingerprint,
+                                 committed keys and run facts)
 
 A record: {"key", "rows", "wall_sec", "fingerprint", "ts"}. Resume =
 anti-join pending keys against committed keys; committed partitions are
-skipped without touching their inputs.
+skipped without touching their inputs. A record whose non-empty
+fingerprint differs from the writer's marks a stale directory, and the
+write refuses it.
+
+The seal is written last (histogram first, each tmp file + rename), so a
+killed run leaves none. A rerun whose input fingerprint matches a seal
+whose keys are all still committed is a metadata read in the caller: it
+executes nothing.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -32,22 +43,106 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 MANIFEST = "MANIFEST.jsonl"
+SEAL = "_SEAL.json"
+CELLS = "_cells.parquet"
 
 
 def manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, MANIFEST)
 
 
-def committed_keys(out_dir: str) -> set[str]:
+def manifest_records(out_dir: str) -> list[dict]:
     path = manifest_path(out_dir)
-    keys: set[str] = set()
-    if os.path.exists(path):
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    keys.add(json.loads(line)["key"])
-    return keys
+    if not os.path.exists(path):
+        return []
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
+def committed_keys(out_dir: str) -> set[str]:
+    return {r["key"] for r in manifest_records(out_dir)}
+
+
+def check_fingerprint(out_dir: str, fingerprint: str) -> None:
+    """Raise if ``out_dir`` holds a partition committed from other input:
+    skipping it by key would keep its old rows and drop the new ones.
+    Records (or a writer) with no fingerprint are not checked."""
+    if not fingerprint:
+        return
+    stale = {r["key"] for r in manifest_records(out_dir)
+             if r.get("fingerprint") and r["fingerprint"] != fingerprint}
+    if stale:
+        raise ValueError(
+            f"{out_dir} holds {len(stale)} partition(s) committed from "
+            f"different input (e.g. {sorted(stale)[0]!r}); write to a new "
+            f"directory, or remove this one")
+
+
+def input_fingerprint(files, *params) -> str:
+    """sha1 over ``(path, st_size, st_mtime_ns)`` of each input file and
+    over ``params`` (a ``pa.Table`` is hashed by its content, anything
+    else by its ``repr``). Reads file metadata only. With no files, or a
+    file ``os.stat`` cannot read (a remote path), it is ``""``: such input
+    is never sealed."""
+    if not files:
+        return ""
+    h = hashlib.sha1()
+    try:
+        for f in sorted(files):
+            st = os.stat(f)
+            h.update(repr((f, st.st_size, st.st_mtime_ns)).encode())
+    except OSError:
+        return ""
+    for p in params:
+        if isinstance(p, pa.Table):
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, p.schema) as w:
+                w.write_table(p.combine_chunks())
+            h.update(sink.getvalue())
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()
+
+
+def _replace_atomically(path: str, write) -> None:
+    tmp = f"{path}.tmp-{uuid.uuid4().hex}"
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def write_seal(out_dir: str, fingerprint: str, cells: pa.Table,
+               **facts) -> None:
+    """Seal a finished write: ``cells`` (its histogram) goes to
+    ``_cells.parquet``, then ``_SEAL.json`` records the fingerprint, every
+    committed key and ``facts``. No-op for an empty fingerprint or an
+    empty directory."""
+    keys = sorted(committed_keys(out_dir))
+    if not fingerprint or not keys:
+        return
+    _replace_atomically(os.path.join(out_dir, CELLS),
+                        lambda tmp: pq.write_table(cells, tmp))
+
+    def dump(tmp):
+        with open(tmp, "w") as f:
+            json.dump({"fingerprint": fingerprint, "keys": keys, **facts}, f)
+    _replace_atomically(os.path.join(out_dir, SEAL), dump)
+
+
+def read_seal(out_dir: str, fingerprint: str):
+    """``(seal, cells)`` when ``out_dir`` holds a valid seal for
+    ``fingerprint``: it matches, every sealed key is still committed and
+    the histogram exists. Otherwise ``None``."""
+    path = os.path.join(out_dir, SEAL)
+    cells = os.path.join(out_dir, CELLS)
+    if not fingerprint or not os.path.exists(path) \
+            or not os.path.exists(cells):
+        return None
+    with open(path) as f:
+        seal = json.load(f)
+    if seal.get("fingerprint") != fingerprint \
+            or not set(seal["keys"]) <= committed_keys(out_dir):
+        return None
+    return seal, pq.read_table(cells)
 
 
 def commit_partition(out_dir: str, key: str, table: pa.Table,
@@ -88,11 +183,15 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     (columns ``count_col`` and ``"count()"``). Each group counts its own
     rows, so the histogram comes out of the write's execution instead of a
     second pass over the input.
+
+    Every record carries ``fingerprint``. A committed record with a
+    different non-empty one raises ``ValueError`` before anything runs.
     """
     import pandas as pd
     import ray
 
     os.makedirs(out_dir, exist_ok=True)
+    check_fingerprint(out_dir, fingerprint)
     done_ref = ray.put(committed_keys(out_dir))
 
     def write_group(group: pa.Table) -> pa.Table:

@@ -508,7 +508,9 @@ def minhash_candidates(ds, key_col="doc_id", num_bands=16, num_perm=64,
     sharing a band bucket are candidate duplicate pairs."""
     rows_per_band = num_perm // num_bands
 
+    from .relational import with_schema
     from .util import cached_callable
+    ds, sch = with_schema(ds)
     sigs = ds.map_batches(
         cached_callable(MinHasher, text_col=text_col, num_perm=num_perm),
         batch_format="pyarrow")
@@ -545,7 +547,6 @@ def minhash_candidates(ds, key_col="doc_id", num_bands=16, num_perm=64,
                           "b": pd.Series(ks[jj], dtype=dt)}),
             preserve_index=False)
 
-    sch = ds.schema()
     kt = dict(zip(sch.names, sch.types))[key_col]
 
     def empty():
@@ -700,8 +701,11 @@ def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
 
     # restore the key dtype: the null-padded union inside the bucketed
     # join coerces int keys to float in pandas (join path); the broadcast
-    # path keeps dtypes but the cast is harmless there
-    sch = texts_ds.schema()
+    # path keeps dtypes but the cast is harmless there.  cand_texts is
+    # materialized, so its schema is metadata; an empty one may have none
+    sch = cand_texts.schema()
+    if sch is None or key_col not in sch.names:
+        sch = texts_ds.schema()
     key_type = dict(zip(sch.names, sch.types))[key_col]
 
     def cast_back(t: pa.Table) -> pa.Table:
@@ -1061,7 +1065,8 @@ def banded_hamming_pairs(hashed_ds, key_col: str, hash_col: str,
             preserve_index=False)
 
     if key_type is None:
-        sch = hashed_ds.schema()
+        from .relational import with_schema
+        hashed_ds, sch = with_schema(hashed_ds)
         key_type = dict(zip(sch.names, sch.types))[key_col]
 
     def empty():
@@ -1077,8 +1082,9 @@ def banded_hamming_pairs(hashed_ds, key_col: str, hash_col: str,
 def simhash_dedup(ds, key_col="doc_id", text_col="text", hamming_radius=3):
     """SimHash near-dup: 4 16-bit bands (any exact band match is a
     candidate at radius ≤ 3 by pigeonhole), hamming-verified in-group."""
+    from .relational import with_schema
     from .util import cached_callable
-    sch = ds.schema()
+    ds, sch = with_schema(ds)
     kt = dict(zip(sch.names, sch.types))[key_col]
     hashed = ds.map_batches(cached_callable(SimHasher, text_col=text_col),
                             batch_format="pyarrow")

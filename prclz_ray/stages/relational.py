@@ -20,9 +20,15 @@ from .util import worker_cached
 def ds_to_table(ds) -> pa.Table:
     """Materialize a (small!) Dataset into one Arrow table WITHOUT the
     row-wise take_all()/from_pylist path: fetch the block refs and concat
-    zero-copy."""
+    zero-copy.
+
+    The plan runs once, to completion, through ``materialize()``, which
+    keeps the output schema. ``to_arrow_refs()`` on a lazy Dataset would
+    run the plan and then ask for the schema, which re-runs its first
+    block under a ``limit(1)`` and cancels the tasks still in flight."""
     if isinstance(ds, pa.Table):
         return ds
+    ds = ds.materialize()
     all_tables = ray.get(ds.to_arrow_refs())
     # pandas-format blocks pass through to_arrow_refs unconverted
     all_tables = [pa.Table.from_pandas(t, preserve_index=False)
@@ -38,6 +44,25 @@ def ds_to_table(ds) -> pa.Table:
             pa.Table.from_pylist([], schema=pa.schema(
                 [(n, t) for n, t in zip(ds.schema().names, ds.schema().types)]))
     return pa.concat_tables(tables, promote_options="default")
+
+
+def with_schema(ds):
+    """``(ds, schema)`` without a cancelling probe.
+
+    ``Dataset.schema()`` on a plan whose schema is not known up front
+    (anything after a ``map_batches``) runs the plan's first block under a
+    ``limit(1)`` and then cancels the tasks still in flight. Under load
+    that cancel can crash the Ray 2.49 driver (a ``submitted_task_ref_count``
+    check in its dependency resolver) or interrupt a worker mid-task and
+    hang it. Here such a plan runs once, to completion, and the
+    materialized Dataset is returned in place of ``ds``, so the caller
+    consumes it without running the plan again. ``schema`` is None for an
+    empty result, as ``Dataset.schema()`` is."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is not None:
+        return ds, sch
+    ds = ds.materialize()
+    return ds, ds.schema()
 
 
 def stable_bucket(col, num_buckets: int) -> np.ndarray:
@@ -139,11 +164,13 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
     keys_only = keys_ds.select_columns([on]) if hasattr(keys_ds, "select_columns") \
         else keys_ds
 
-    # empty-input degenerate cases (schema() is None on a 0-row dataset):
+    # empty-input degenerate cases (schema is None on a 0-row dataset):
     # empty big → empty out; empty keys → semi is empty, anti is identity
-    if big_ds.schema() is None:
+    big_ds, big_sch = with_schema(big_ds)
+    if big_sch is None:
         return big_ds
-    if keys_only.schema() is None:
+    keys_only, keys_sch = with_schema(keys_only)
+    if keys_sch is None:
         return big_ds if anti else big_ds.limit(0)
 
     def tag(side):
@@ -158,10 +185,10 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
     r = keys_only.map_batches(tag(1), batch_format="pyarrow")
 
     # derive the unioned schema from the INPUT schemas + tag's known
-    # appends (one schema() probe per side, not per derived pipeline)
-    big_cols = list(big_ds.schema().names)
+    # appends (one schema per side, not per derived pipeline)
+    big_cols = list(big_sch.names)
     types: dict[str, pa.DataType] = {}
-    for sch in (big_ds.schema(), keys_only.schema()):
+    for sch in (big_sch, keys_sch):
         for n, t in zip(sch.names, sch.types):
             types.setdefault(n, t)
     types["_bucket"] = pa.int32()
@@ -220,10 +247,11 @@ def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
     # unify the key type across sides BEFORE bucketing: the bucket hash is
     # dtype-sensitive, so int64 on one side vs float64 (e.g. null-promoted
     # by an upstream outer join) on the other would land the SAME key in
-    # different buckets and silently drop matches.  schema() may execute a
-    # pipeline prefix (limit-1 probe) — call it ONCE per side and derive
-    # the post-bucket schemas statically instead of re-probing.
-    lsch, rsch = left_ds.schema(), right_ds.schema()
+    # different buckets and silently drop matches.  Take each side's
+    # schema ONCE (with_schema: no cancelling probe) and derive the
+    # post-bucket schemas statically.
+    left_ds, lsch = with_schema(left_ds)
+    right_ds, rsch = with_schema(right_ds)
     lt = dict(zip(lsch.names, lsch.types))[on]
     rt = dict(zip(rsch.names, rsch.types))[on]
     key_t = pa.unify_schemas([pa.schema([(on, lt)]), pa.schema([(on, rt)])],
@@ -358,8 +386,10 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     right-side boundary rows one range forward).  Unmatched left rows are
     dropped (inner semantics, mirrors DuckDB ASOF JOIN).
     """
-    lt = dict(zip(left_ds.schema().names, left_ds.schema().types))
-    rt = dict(zip(right_ds.schema().names, right_ds.schema().types))
+    left_ds, lsch = with_schema(left_ds)
+    right_ds, rsch = with_schema(right_ds)
+    lt = dict(zip(lsch.names, lsch.types))
+    rt = dict(zip(rsch.names, rsch.types))
     lcols, rcols = list(lt), list(rt)
     # merge_asof emits the join keys once (from the left): right-side value
     # columns only.  A right column whose `on`/`by` values matter in the
@@ -378,9 +408,11 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     l = left_ds.map_batches(add_bucket(0), batch_format="pyarrow")
     r = right_ds.map_batches(add_bucket(1), batch_format="pyarrow")
 
+    # l's and r's schemas: the inputs' plus add_bucket's known appends
+    tagged = {"_bucket": pa.int32(), "_bside": pa.int8()}
     types: dict[str, pa.DataType] = {}
-    for sch in (l.schema(), r.schema()):
-        for n, t in zip(sch.names, sch.types):
+    for cols in (lt, tagged, rt):
+        for n, t in cols.items():
             types.setdefault(n, t)
 
     def align(t: pa.Table) -> pa.Table:
@@ -434,8 +466,10 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     value range can be sharded further upstream by salting `on` buckets;
     output is a stream, never a driver list.
     """
-    lt = dict(zip(left_ds.schema().names, left_ds.schema().types))
-    rt = dict(zip(right_ds.schema().names, right_ds.schema().types))
+    left_ds, lsch = with_schema(left_ds)
+    right_ds, rsch = with_schema(right_ds)
+    lt = dict(zip(lsch.names, lsch.types))
+    rt = dict(zip(rsch.names, rsch.types))
     lcols, rcols = list(lt), list(rt)
     out_rcols = {c: (c if c not in lt else c + suffix) for c in rcols}
 
@@ -459,9 +493,11 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     l = left_ds.map_batches(add_left, batch_format="pyarrow")
     r = right_ds.map_batches(add_right, batch_format="pyarrow")
 
+    # l's and r's schemas: the inputs' plus the taggers' known appends
+    tagged = {"_bucket": pa.int64(), "_bside": pa.int8()}
     types: dict[str, pa.DataType] = {}
-    for sch in (l.schema(), r.schema()):
-        for n, t in zip(sch.names, sch.types):
+    for cols in (lt, tagged, rt):
+        for n, t in cols.items():
             types.setdefault(n, t)
 
     def align(t: pa.Table) -> pa.Table:
@@ -1446,8 +1482,16 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
     The left row's sub-bucket is its position hash — any assignment
     works, the replicated right side meets it everywhere; output is
     independent of the assignment."""
+    if how not in ("inner", "left"):
+        # replicated hot right rows would duplicate unmatched right
+        # output under right/full outer — route those to the plain join
+        raise ValueError(
+            f"salted_join supports how='inner'|'left', got {how!r}; "
+            "use bucketed_hash_join for right/full outer")
     hot = pa.array(sorted(set(hot_keys)))
     nb = num_buckets * salt
+    left_ds, lsch = with_schema(left_ds)
+    right_ds, rsch = with_schema(right_ds)
 
     def tag_left(batch: pa.Table) -> pa.Table:
         base = stable_bucket(batch[on], num_buckets).astype(np.int64)
@@ -1479,14 +1523,6 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
     l = left_ds.map_batches(tag_left, batch_format="pyarrow")
     r = right_ds.map_batches(tag_right, batch_format="pyarrow")
 
-    if how not in ("inner", "left"):
-        # replicated hot right rows would duplicate unmatched right
-        # output under right/full outer — route those to the plain join
-        raise ValueError(
-            f"salted_join supports how='inner'|'left', got {how!r}; "
-            "use bucketed_hash_join for right/full outer")
-
-    lsch, rsch = left_ds.schema(), right_ds.schema()
     lcols = list(lsch.names)
     rcols = list(rsch.names)
     lschema = pa.schema(list(zip(lsch.names, lsch.types)))
@@ -2213,7 +2249,9 @@ def skyline(ds, max_col: str, min_col: str, keep_cols: list[str] | None = None):
     reduces to its own tiny frontier before the single-task final prune —
     expected frontier size is O(log n) for independent dimensions, and
     nothing corpus-sized ever concentrates."""
-    keep_cols = keep_cols or ds.schema().names
+    if not keep_cols:
+        ds, sch = with_schema(ds)
+        keep_cols = sch.names
     # dominance columns must survive the combine even when the caller's
     # projection drops them; project to keep_cols only after the final prune
     mid_cols = list(dict.fromkeys(keep_cols + [max_col, min_col]))

@@ -4,6 +4,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from prclz_ray.runtime import checkpoint
@@ -92,6 +93,77 @@ def test_manifest_records_lineage():
         assert r["rows"] == 25
         assert r["fingerprint"] == "fixture-v1"
         assert "ts" in r and "wall_sec" in r
+
+
+
+def test_stale_fingerprint_raises_instead_of_skipping():
+    """A committed partition from other input must not be skipped by key:
+    that would keep its old rows and drop the new ones."""
+    shutil.rmtree(OUT, ignore_errors=True)
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
+                                           fingerprint="input-v1")
+    with pytest.raises(ValueError, match="new directory") as err:
+        checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
+                                               fingerprint="input-v2")
+    assert OUT in str(err.value)
+    # the same input, or a writer with no fingerprint, resumes as before
+    res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
+                                                 fingerprint="input-v1")
+    assert res == {"written": 0, "skipped": 4, "rows": 0}
+    res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    assert res == {"written": 0, "skipped": 4, "rows": 0}
+
+    # records with no fingerprint are not checked
+    shutil.rmtree(OUT, ignore_errors=True)
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
+                                                 fingerprint="input-v2")
+    assert res == {"written": 0, "skipped": 4, "rows": 0}
+
+
+def test_input_fingerprint_tracks_files_and_params(tmp_path):
+    import pyarrow.parquet as pq
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    tbl = pa.table({"x": np.arange(10)})
+    pq.write_table(tbl, a)
+    pq.write_table(tbl, b)
+    fp = checkpoint.input_fingerprint([a, b], 14, tbl)
+    assert len(fp) == 40
+    # file order and the params' chunking do not matter
+    two_chunks = pa.concat_tables([tbl.slice(0, 4), tbl.slice(4)])
+    assert checkpoint.input_fingerprint([b, a], 14, two_chunks) == fp
+    assert checkpoint.input_fingerprint([a, b], 13, tbl) != fp
+    assert checkpoint.input_fingerprint([a, b], 14, tbl.slice(1)) != fp
+    assert checkpoint.input_fingerprint([a], 14, tbl) != fp
+    pq.write_table(tbl.slice(1), b)
+    assert checkpoint.input_fingerprint([a, b], 14, tbl) != fp
+    # nothing to fingerprint: never sealed
+    assert checkpoint.input_fingerprint([], 14, tbl) == ""
+    assert checkpoint.input_fingerprint([str(tmp_path / "gone")], 14) == ""
+
+
+def test_seal_valid_only_while_its_partitions_are_committed(tmp_path):
+    out = str(tmp_path / "out")
+    cells = pa.table({"cell": np.arange(3, dtype=np.uint64),
+                      "count()": np.array([5, 1, 2])})
+    checkpoint.write_seal(out, "fp", cells, dedup_path="broadcast")
+    assert not os.path.exists(out)   # nothing committed: no seal
+    checkpoint.write_partitioned_resumable(_ds(), out, "part_key",
+                                           fingerprint="fp")
+    checkpoint.write_seal(out, "", cells)
+    assert checkpoint.read_seal(out, "") is None   # no fingerprint: no seal
+    checkpoint.write_seal(out, "fp", cells, dedup_path="broadcast")
+    seal, got = checkpoint.read_seal(out, "fp")
+    assert seal == {"fingerprint": "fp", "keys": ["a", "b", "c", "d"],
+                    "dedup_path": "broadcast"}
+    assert got.equals(cells)
+    assert checkpoint.read_seal(out, "other") is None
+    assert not [f for f in os.listdir(out) if ".tmp-" in f]
+
+    lines = open(checkpoint.manifest_path(out)).read().splitlines()
+    with open(checkpoint.manifest_path(out), "w") as f:
+        f.write("\n".join(l for l in lines if '"key": "c"' not in l) + "\n")
+    assert checkpoint.read_seal(out, "fp") is None
 
 
 def test_manifest_wall_sec_times_the_write():

@@ -1483,3 +1483,45 @@ def test_adaptive_join_detection_and_parity():
         .to_pandas().sort_values(["v"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         got2[sorted(got2.columns)], want2[sorted(want2.columns)])
+
+
+def test_joins_over_mapped_inputs_run_no_limit_probe(monkeypatch):
+    """The shuffle joins and ds_to_table over inputs whose schema is not
+    known up front (mapped datasets) run no ``limit(1)`` schema probe: the
+    probe's cancel of in-flight tasks is what trips the Ray driver race
+    (``relational.with_schema``)."""
+    from ray.data._internal.logical.operators.one_to_one_operator import \
+        Limit
+    from ray.data._internal.plan import ExecutionPlan
+
+    probes = []
+    for name in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, name)
+
+        def counted(self, *a, _orig=orig, **kw):
+            if isinstance(self._logical_plan.dag, Limit):
+                probes.append(self._logical_plan.dag)
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+
+    def mapped(df):
+        return rd.from_pandas(df).repartition(3).map_batches(
+            lambda t: t, batch_format="pyarrow")
+
+    n = np.arange(40)
+    left = pd.DataFrame({"k": n % 7, "t": n, "a": n * 10})
+    right = pd.DataFrame({"k": np.arange(7), "t": np.arange(7) * 5,
+                          "b": np.arange(7) * 100})
+    inner = relational.ds_to_table(relational.bucketed_hash_join(
+        mapped(left), mapped(right), on="k", num_buckets=4)).to_pandas()
+    semi = relational.ds_to_table(relational.bucketed_semi_join(
+        mapped(left), mapped(right[right.k < 3]), on="k",
+        num_buckets=4)).to_pandas()
+    band = relational.ds_to_table(relational.band_join(
+        mapped(left), mapped(right), on="t", radius=2)).to_pandas()
+    assert probes == []
+
+    assert len(inner) == 40 and (inner["b"] == inner["k"] * 100).all()
+    assert sorted(semi["t"]) == [t for t in n if t % 7 < 3]
+    assert len(band) == sum(abs(lt - rt) <= 2
+                            for lt in left["t"] for rt in right["t"])
