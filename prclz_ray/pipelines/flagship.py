@@ -281,6 +281,18 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     return out
 
 
+def _first_region_per_page(t: pa.Table) -> pa.Table:
+    """One row per page (url; both dedup paths leave one page per url):
+    of the regions a page's point falls in, keep the smallest
+    ``gadm_code``, the tie-break of ``flagship_region_counts_streaming``."""
+    t = t.take(pc.sort_indices(t, [("url", "ascending"),
+                                   ("gadm_code", "ascending")]))
+    first = np.ones(t.num_rows, dtype=bool)
+    first[1:] = pc.not_equal(t["url"][1:], t["url"][:-1]).to_numpy(
+        zero_copy_only=False)
+    return t.filter(pa.array(first))
+
+
 def region_counts(joined, key: str = "gadm_code",
                   out_col: str = "n_pages"):
     """Per-region page counts: partial value_counts inside map_batches, then
@@ -337,7 +349,9 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     grouped dedup automatically — at CC-realistic
     duplication rates on 10¹² pages the dup map would be a
     tens-of-billions-entry driver dict.  ``info["dedup_path"]`` records
-    which path ran.
+    which path ran.  On either path a page whose point lies on an edge
+    two regions share is kept once, in the smallest ``gadm_code`` (the
+    streaming job's tie-break).
 
     The broadcast path hand-fuses parse → dedup-filter → cell-assign → PIP
     into ONE map_batches function: every stage is per-row, so splitting
@@ -385,7 +399,11 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     def pip(batch: pa.Table) -> pa.Table:
         joiner = worker_cached(("pip", ref.hex()), lambda: PIPJoiner(
             ref, "lng", "lat", "gadm_code", "left"))
-        return joiner(batch)
+        out = joiner(batch)
+        # a left join emits more rows than pages only where a page sits
+        # on an edge two regions share
+        return out if out.num_rows == batch.num_rows else \
+            _first_region_per_page(out)
 
     if ties:
         parsed = pages_ds.map_batches(

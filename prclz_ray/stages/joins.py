@@ -16,9 +16,10 @@ Scale design:
     (``cached_callable``, not per batch) and runs vectorized bbox-prefilter
     + ray-cast tests per batch. No shuffle of the big side.
   - ``pip_join_tiled``: BOTH sides large → co-partition by S2 cell
-    (polygons replicated to every cell their bbox covers), groupby(cell),
-    per-tile STRtree inside map_groups. One all-to-all shuffle, keyed by
-    the shared tile key.
+    (polygons replicated to every cell their bbox covers) through
+    ``relational.cogroup``; each tile packs its polygons and joins its
+    points with ``PIPJoiner``, the same row assembler as the broadcast
+    join. One all-to-all shuffle, keyed by the shared tile key.
   - ``knn_join``: targets broadcast as a uniform-grid bucket index; ring
     expansion r=0,1,... with the standard lower-bound cutoff
     (r·cellsize > kth-best distance) then exact refinement.
@@ -29,12 +30,13 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 
 from ..geom import wkb
 from ..geom.predicates import points_in_polygon
 from ..geom.strtree import STRtree
+from .relational import (_arrow_schema, cogroup, ds_to_table, filter_rows,
+                         with_schema)
 from .util import cached_callable
 
 
@@ -43,19 +45,19 @@ from .util import cached_callable
 def _polygon_pack(polygons, id_col: str, geom_col: str = "geometry",
                   keep_wkb: bool = False):
     """Materialize the small polygon side into (ids, rings_list, bboxes,
-    wkbs-or-None).  ``keep_wkb`` retains the raw WKB so the join can
-    attach the matched polygon geometry as an output column (per-block
-    pipelines co-shuffle the geometry with the rows instead of a second
-    driver broadcast)."""
+    wkbs-or-None); ``ids`` (and the WKB) stay Arrow arrays, so a join
+    emits them with their own type.  ``keep_wkb`` retains the raw WKB so
+    the join can attach the matched polygon geometry as an output column
+    (per-block pipelines co-shuffle the geometry with the rows instead of
+    a second driver broadcast)."""
     if hasattr(polygons, "to_arrow_refs") or hasattr(polygons, "take_all"):
-        from .relational import ds_to_table
         tbl = ds_to_table(polygons)
     elif isinstance(polygons, pa.Table):
         tbl = polygons
     else:
         tbl = pa.Table.from_pandas(polygons)
-    ids = tbl[id_col].to_pylist()
-    wkbs = tbl[geom_col].to_pylist()
+    geoms = tbl[geom_col].combine_chunks()
+    wkbs = geoms.to_pylist()
     rings = []
     for buf in wkbs:
         t, v = wkb.decode(buf)
@@ -65,14 +67,21 @@ def _polygon_pack(polygons, id_col: str, geom_col: str = "geometry",
             rings.append(v)
         else:
             raise ValueError("pip_join: geometry must be (Multi)Polygon")
-    boxes = wkb.bboxes(wkbs)
-    return ids, rings, boxes, (wkbs if keep_wkb else None)
+    # bboxes over every ring, from the decoded rings (no second decode)
+    coords = [np.concatenate([r for poly in parts for r in poly])
+              for parts in rings]
+    boxes = np.array([(c[:, 0].min(), c[:, 1].min(), c[:, 0].max(),
+                       c[:, 1].max()) for c in coords]).reshape(-1, 4)
+    return (tbl[id_col].combine_chunks(), rings, boxes,
+            geoms.cast(pa.binary()) if keep_wkb else None)
 
 
 class PIPJoiner:
     """PIP stage: broadcast polygons, STRtree built once per worker process,
-    vectorized PIP per batch. Emits one output row per (point, matching
-    polygon); for how='left' unmatched points carry a null polygon id."""
+    vectorized PIP per batch.  The one PIP row assembler: inner emits one
+    row per (point, matching polygon); left adds each unmatched point once
+    with a null polygon id (and geometry); semi/anti keep each point at
+    most once with its own columns only."""
 
     def __init__(self, packed_ref, x_col: str, y_col: str, id_col: str,
                  how: str = "inner", out_id_col: Optional[str] = None,
@@ -85,6 +94,8 @@ class PIPJoiner:
         self.wkbs = wkbs
         self.tree = STRtree(boxes)
         self.x_col, self.y_col = x_col, y_col
+        if how not in ("inner", "left", "semi", "anti"):
+            raise ValueError(how)
         self.how = how
         self.out_id = out_id_col or id_col
         self.attach_geom_col = attach_geom_col
@@ -112,29 +123,25 @@ class PIPJoiner:
         px = batch[self.x_col].to_numpy(zero_copy_only=False)
         py = batch[self.y_col].to_numpy(zero_copy_only=False)
         pi, gi = self.match(px, py)
-        n = len(px)
-        if self.how == "inner":
-            out = batch.take(pa.array(pi))
-            out = out.append_column(self.out_id, pa.array([self.ids[g] for g in gi]))
-            if self.attach_geom_col:
-                out = out.append_column(
-                    self.attach_geom_col,
-                    pa.array([self.wkbs[g] for g in gi], type=pa.binary()))
-            return out
-        if self.how == "left":
-            matched = np.zeros(n, dtype=bool)
-            matched[pi] = True
-            un = np.flatnonzero(~matched)
-            idx = np.concatenate([pi, un])
-            vals = [self.ids[g] for g in gi] + [None] * len(un)
-            out = batch.take(pa.array(idx))
-            return out.append_column(self.out_id, pa.array(vals))
+        matched = np.zeros(batch.num_rows, dtype=bool)
+        matched[pi] = True
         if self.how in ("semi", "anti"):
-            matched = np.zeros(n, dtype=bool)
-            matched[pi] = True
-            mask = matched if self.how == "semi" else ~matched
-            return batch.filter(pa.array(mask))
-        raise ValueError(self.how)
+            return filter_rows(batch,
+                               matched if self.how == "semi" else ~matched)
+        if self.how == "left":
+            # unmatched points take a null polygon index: their id (and
+            # geometry) come out null with the polygon side's type
+            un = np.flatnonzero(~matched)
+            pi = np.concatenate([pi, un])
+            gi = np.concatenate([gi, np.full(len(un), -1)])
+        poly = pa.array(gi, mask=gi < 0)
+        # a left join with no match keeps the batch's rows, in order
+        out = batch if self.how == "left" and not matched.any() \
+            else batch.take(pa.array(pi))
+        out = out.append_column(self.out_id, self.ids.take(poly))
+        if self.attach_geom_col:
+            out = out.append_column(self.attach_geom_col, self.wkbs.take(poly))
+        return out
 
 
 def pip_join(points_ds, polygons, id_col: str, x_col: str = "lng",
@@ -164,129 +171,63 @@ def pip_join_tiled(points_ds, polygons_ds, id_col: str, x_col: str = "lng",
                    out_id_col: Optional[str] = None,
                    attach_geom_col: Optional[str] = None,
                    how: str = "inner"):
-    """Both-sides-large PIP join, co-partitioned by S2 cell.
+    """Both-sides-large PIP join, co-partitioned by S2 cell
+    (``relational.cogroup``).
 
-    polygons are replicated to every level-``level`` cell their bbox covers
-    (flat_map), points carry their own cell; one groupby(cell) shuffle, then
-    a per-tile STRtree join inside map_groups. Left/semi/anti semantics are
+    polygons are replicated to every level-``level`` cell their bbox covers,
+    points carry their own cell; one groupby(cell) shuffle, then each tile
+    packs its polygons and joins its points with ``PIPJoiner``. The output
+    keeps every point column plus ``cell``. Left/semi/anti semantics are
     exact per-tile: a point lives in exactly one cell group, so "unmatched
-    in my tile" == "unmatched globally" (semi/anti emit each point at most
-    once with point columns only, matching the broadcast ``PIPJoiner``).
-    Partitioning assumption: polygon bboxes are small relative to the tile
-    size (documented per SURVEY custom-operator rule)."""
+    in my tile" == "unmatched globally" (and no polygon replica can match
+    a point twice). Partitioning assumption: polygon bboxes are small
+    relative to the tile size (documented per SURVEY custom-operator
+    rule)."""
     from ..index import s2
 
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(
             f"pip_join_tiled: how must be inner|left|semi|anti, got {how}")
-    out_id = out_id_col or id_col
 
     def poly_cells(batch: pa.Table) -> pa.Table:
         # one cover for the whole batch, then replicate each polygon row
         # once per covered cell with ONE arrow-level take
         idx, cells = s2.cover_bboxes(
             wkb.bboxes(batch["geometry"].to_pylist()), level)
-        return batch.take(pa.array(idx)).append_column(
-            "cell", pa.array(cells)).append_column(
-            "_side", pa.array(np.ones(len(idx), dtype=np.int8)))
+        return batch.take(pa.array(idx)).append_column("cell", pa.array(cells))
 
     def point_cells(batch: pa.Table) -> pa.Table:
         cid = s2.lnglat_to_cellid(batch[x_col].to_numpy(zero_copy_only=False),
                                   batch[y_col].to_numpy(zero_copy_only=False), level)
-        return batch.append_column("cell", pa.array(cid)).append_column(
-            "_side", pa.array(np.zeros(batch.num_rows, dtype=np.int8)))
+        return batch.append_column("cell", pa.array(cid))
 
-    # union the two sides with aligned schemas (missing columns → typed
-    # null), built from the input schemas plus the two appended columns so
-    # planning executes nothing when the inputs know their schema
-    def mapped_cols(ds) -> list:
-        schema = ds.schema(fetch_if_missing=False) or ds.schema()
-        return list(zip(schema.names, schema.types)) + [
-            ("cell", pa.uint64()), ("_side", pa.int8())]
+    # both schemas come from the inputs (no probe when they know it), so
+    # planning over parquet/Arrow inputs executes nothing
+    points_ds, psch = with_schema(points_ds)
+    polygons_ds, gsch = with_schema(polygons_ds)
+    psch = _arrow_schema(psch).append(pa.field("cell", pa.uint64()))
+    gsch = pa.schema([_arrow_schema(gsch).field(c)
+                      for c in (id_col, "geometry")])
 
-    point_cols = mapped_cols(points_ds)
-    col_types: dict[str, pa.DataType] = {}
-    for name, typ in point_cols + mapped_cols(polygons_ds):
-        col_types.setdefault(name, typ)
-    all_cols = list(col_types)
+    def joiner(polys: pa.Table) -> PIPJoiner:
+        return PIPJoiner(_polygon_pack(polys, id_col,
+                                       keep_wkb=attach_geom_col is not None),
+                         x_col, y_col, id_col, how, out_id_col,
+                         attach_geom_col)
 
-    def align(t: pa.Table) -> pa.Table:
-        for name in all_cols:
-            if name not in t.column_names:
-                t = t.append_column(name, pa.nulls(t.num_rows, type=col_types[name]))
-        return t.select(all_cols)
+    none = []   # the joiner over no polygons, built once per task
 
-    unioned = points_ds.map_batches(
-        lambda t: align(point_cells(t)), batch_format="pyarrow").union(
-        polygons_ds.map_batches(
-            lambda t: align(poly_cells(t)), batch_format="pyarrow"))
+    def join_tile(pts: pa.Table, polys: pa.Table) -> pa.Table:
+        if pts.num_rows and polys.num_rows:
+            return joiner(polys)(pts)
+        # most tiles hold one side only (a polygon's cover reaches cells
+        # with no point): no point can match there
+        if not none:
+            none.append(joiner(polys.slice(0, 0)))
+        return none[0](pts)
 
-    # output keeps EVERY point-side column (plus cell + the joined id)
-    point_out = [n for n, _ in point_cols if n != "_side"]
-    out_types = {n: col_types[n] for n in point_out}
-    id_type = col_types[id_col]
-
-    semi_anti = how in ("semi", "anti")
-
-    def join_tile(group: pa.Table) -> pa.Table:
-        pts_t = group.filter(pc.equal(group["_side"], 0))
-        pol_t = group.filter(pc.equal(group["_side"], 1))
-        if pts_t.num_rows == 0 or (pol_t.num_rows == 0
-                                   and how in ("inner", "semi")):
-            empty = {n: pa.array([], type=out_types[n]) for n in point_out}
-            if not semi_anti:
-                empty[out_id] = pa.array([], type=id_type)
-                if attach_geom_col:
-                    empty[attach_geom_col] = pa.array([], type=pa.binary())
-            return pa.table(empty)
-        if pol_t.num_rows == 0:            # left/anti: all points unmatched
-            out = pts_t.select(point_out)
-            if how == "anti":
-                return out
-            out = out.append_column(out_id,
-                                    pa.nulls(out.num_rows, type=id_type))
-            if attach_geom_col:
-                out = out.append_column(
-                    attach_geom_col, pa.nulls(out.num_rows, pa.binary()))
-            return out
-        packed = _polygon_pack(pol_t.select([id_col, "geometry"]), id_col)
-        joiner = PIPJoiner(packed, x_col, y_col, id_col, "inner", out_id)
-        px = pts_t[x_col].to_numpy(zero_copy_only=False)
-        py = pts_t[y_col].to_numpy(zero_copy_only=False)
-        pi, gi = joiner.match(px, py)
-        if semi_anti:
-            matched = np.zeros(pts_t.num_rows, dtype=bool)
-            matched[np.asarray(pi, dtype=np.int64)] = True
-            mask = matched if how == "semi" else ~matched
-            return pts_t.select(point_out).filter(pa.array(mask))
-        gi = np.asarray(gi, dtype=np.int64)
-        if how == "left":
-            matched = np.zeros(pts_t.num_rows, dtype=bool)
-            matched[np.asarray(pi, dtype=np.int64)] = True
-            un = np.flatnonzero(~matched)
-            pi = np.concatenate([np.asarray(pi, dtype=np.int64), un])
-            gi = np.concatenate([gi, np.full(len(un), -1, dtype=np.int64)])
-        out = pts_t.select(point_out).take(pa.array(pi))
-        ids_arr = np.asarray(packed[0], dtype=object)
-        id_vals = [None if g < 0 else ids_arr[g] for g in gi] \
-            if how == "left" else ids_arr[gi]
-        out = out.append_column(out_id, pa.array(id_vals, type=id_type))
-        if attach_geom_col:
-            geom = pol_t["geometry"].combine_chunks()
-            if how == "left":
-                gvals = [None if g < 0 else geom[int(g)].as_py() for g in gi]
-                out = out.append_column(attach_geom_col,
-                                        pa.array(gvals, type=pa.binary()))
-            else:
-                out = out.append_column(attach_geom_col,
-                                        geom.take(pa.array(gi)))
-        return out
-
-    joined = unioned.groupby("cell").map_groups(join_tile, batch_format="pyarrow")
-    # polygons were replicated across cells → a point on a tile edge can
-    # match the same polygon once only (its own cell), so no dedup needed:
-    # each point row lives in exactly one cell group.
-    return joined
+    return cogroup(points_ds, polygons_ds, "cell", pa.uint64(), point_cells,
+                   poly_cells, join_tile, psch, gsch)
 
 
 def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
@@ -315,7 +256,6 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
         tbl, ds = None, polygons
     if size <= broadcast_limit_bytes:
         if tbl is None:
-            from .relational import ds_to_table
             tbl = ds_to_table(ds)
         return pip_join(points_ds, tbl, id_col=id_col, x_col=x_col,
                         y_col=y_col, how=how, out_id_col=out_id_col,
@@ -482,7 +422,6 @@ def knn_join(points_ds, targets, k: int, id_col: str, x_col: str = "lng",
     if isinstance(targets, pa.Table):
         tbl = targets
     else:
-        from .relational import ds_to_table
         tbl = ds_to_table(targets)
     tx = tbl[tx_col].to_numpy(zero_copy_only=False).astype(np.float64)
     ty = tbl[ty_col].to_numpy(zero_copy_only=False).astype(np.float64)

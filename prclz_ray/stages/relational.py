@@ -5,6 +5,11 @@ These carry the reference's tabular semantics (sjoin/merge/groupby/concat,
 SURVEY §2.4-2.6) onto Ray Data with the scale rules of the build brief:
 broadcast small sides, pre-aggregate before shuffles, bucket both sides for
 large-large joins.
+
+Every two-sided shuffle join (``bucketed_semi_join``, ``bucketed_hash_join``,
+``salted_join``, ``asof_join``, ``band_join`` and ``joins.pip_join_tiled``)
+co-partitions through ``cogroup``; each supplies only its tagger and its
+per-group kernel.
 """
 from __future__ import annotations
 
@@ -63,6 +68,79 @@ def with_schema(ds):
         return ds, sch
     ds = ds.materialize()
     return ds, ds.schema()
+
+
+def _arrow_schema(schema) -> pa.Schema:
+    """A Ray ``Schema`` (or an Arrow one) as a ``pa.Schema``."""
+    return pa.schema(list(zip(schema.names, schema.types)))
+
+
+def filter_rows(t: pa.Table, mask: np.ndarray) -> pa.Table:
+    """``t.filter(mask)`` with no compute call when the mask keeps every
+    row or none: in a Ray worker each Table-level compute call costs
+    ~0.1 ms, and most groups of a co-partition hold one side only."""
+    if mask.all():
+        return t
+    return t.filter(pa.array(mask)) if mask.any() else t.slice(0, 0)
+
+
+def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
+            tag_right, per_group, lschema, rschema):
+    """Co-partition two Datasets on a tag key and run
+    ``per_group(lpart, rpart) -> pa.Table`` once per key group: the one
+    shape behind every two-sided shuffle join (hash buckets, salted
+    sub-buckets, band replicas, S2 tiles).
+
+    ``tag_left``/``tag_right`` map a side's Arrow batch to its rows with
+    the ``key`` column appended (they may replicate rows); their output
+    holds at least that side's ``lschema``/``rschema`` columns.  Each
+    side's single map casts the batch's columns to their declared types
+    (a join declares its unified key types there, see ``_unify_keys``),
+    tags, pads the columns it lacks with typed nulls and adds the side
+    flag; the union schema comes from the two given schemas, so planning
+    probes nothing.  After the one ``groupby(key)`` shuffle a
+    group splits back into two Arrow parts holding only their own side's
+    columns, cast back to that side's schema: the null padding can round
+    trip through a pandas block in the shuffle, which promotes int64 with
+    nulls to float64 (the values are integral, so the cast is lossless)."""
+    lschema, rschema = _arrow_schema(lschema), _arrow_schema(rschema)
+    types: dict[str, pa.DataType] = {}
+    for sch in (lschema, rschema):
+        for f in sch:
+            types.setdefault(f.name, f.type)
+    types.setdefault(key, key_type)
+    types["_side"] = pa.int8()
+    names = list(types)
+
+    def tagged(tag, side: int, sch: pa.Schema):
+        want = dict(zip(sch.names, sch.types))
+
+        def f(batch: pa.Table) -> pa.Table:
+            for i, (c, typ) in enumerate(zip(batch.schema.names,
+                                             batch.schema.types)):
+                if want.get(c, typ) != typ:
+                    batch = batch.set_column(i, c, batch[c].cast(want[c]))
+            t = tag(batch)
+            n = t.num_rows
+            return pa.table(
+                [pa.array(np.full(n, side, dtype=np.int8)) if c == "_side"
+                 else t[c] if c in t.column_names
+                 else pa.nulls(n, type=types[c]) for c in names],
+                names=names)
+        return f
+
+    def split(group: pa.Table) -> pa.Table:
+        left = group["_side"].to_numpy() == 0
+        parts = []
+        for mask, sch in ((left, lschema), (~left, rschema)):
+            p = filter_rows(group, mask).select(sch.names)
+            parts.append(p if p.schema == sch else p.cast(sch))
+        return per_group(*parts)
+
+    l = left.map_batches(tagged(tag_left, 0, lschema), batch_format="pyarrow")
+    r = right.map_batches(tagged(tag_right, 1, rschema),
+                          batch_format="pyarrow")
+    return l.union(r).groupby(key).map_groups(split, batch_format="pyarrow")
 
 
 def stable_bucket(col, num_buckets: int) -> np.ndarray:
@@ -159,8 +237,6 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
     """Shuffle semi/anti join for a key side too large to broadcast: both
     sides bucket on a stable key hash, co-group per bucket, vectorized
     isin within the bucket.  One all-to-all exchange on narrow columns."""
-    import pyarrow.compute as pc
-
     keys_only = keys_ds.select_columns([on]) if hasattr(keys_ds, "select_columns") \
         else keys_ds
 
@@ -173,58 +249,63 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
     if keys_sch is None:
         return big_ds if anti else big_ds.limit(0)
 
-    def tag(side):
-        def f(batch: pa.Table) -> pa.Table:
-            b = stable_bucket(batch[on], num_buckets)
-            out = batch.append_column("_bucket", pa.array(b))
-            return out.append_column("_bside", pa.array(
-                np.full(batch.num_rows, side, dtype=np.int8)))
-        return f
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
 
-    l = big_ds.map_batches(tag(0), batch_format="pyarrow")
-    r = keys_only.map_batches(tag(1), batch_format="pyarrow")
-
-    # derive the unioned schema from the INPUT schemas + tag's known
-    # appends (one schema per side, not per derived pipeline)
-    big_cols = list(big_sch.names)
-    types: dict[str, pa.DataType] = {}
-    for sch in (big_sch, keys_sch):
-        for n, t in zip(sch.names, sch.types):
-            types.setdefault(n, t)
-    types["_bucket"] = pa.int32()
-    types["_bside"] = pa.int8()
-
-    def align(t: pa.Table) -> pa.Table:
-        for n in types:
-            if n not in t.column_names:
-                t = t.append_column(n, pa.nulls(t.num_rows, type=types[n]))
-        return t.select(list(types))
-
-    big_schema = pa.schema([(n, types[n]) for n in big_cols])
-
-    def probe(group: pa.Table) -> pa.Table:
-        # arrow throughout (the pandas round-trip cost a per-bucket
-        # convert + slow downstream pandas-block path); null keys drop
-        # on BOTH semi and anti, matching the broadcast semi_join
-        side = group["_bside"]
-        lg = group.filter(pc.equal(side, 0))
-        ks = pc.unique(group.filter(pc.equal(side, 1))[on]
-                       .combine_chunks())
-        mask = pc.is_in(lg[on], value_set=ks)
+    def probe(lg: pa.Table, kg: pa.Table) -> pa.Table:
+        # null keys drop on BOTH semi and anti, matching the broadcast
+        # semi_join
+        mask = pc.is_in(lg[on], value_set=pc.unique(kg[on].combine_chunks()))
         if anti:
             mask = pc.invert(mask)
-        out = lg.filter(pc.fill_null(mask, False)).select(big_cols)
-        # undo any pandas-block int→float promotion from the shuffle
-        return out if out.schema == big_schema else out.cast(big_schema)
+        return lg.filter(pc.fill_null(mask, False))
 
-    unioned = l.map_batches(align, batch_format="pyarrow").union(
-        r.map_batches(align, batch_format="pyarrow"))
-    return unioned.groupby("_bucket").map_groups(probe,
-                                                 batch_format="pyarrow")
+    return cogroup(big_ds, keys_only, "_bucket", pa.int32(), tag, tag, probe,
+                   big_sch, keys_sch)
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
                     "right": "right outer", "outer": "full outer"}
+
+
+def _unify_keys(lsch, rsch, keys: list[str]):
+    """Both sides' schemas, as Arrow, with each key column at the
+    permissive union of its two types; ``cogroup`` casts each side to its
+    schema before the tagger runs.  The bucket hash is dtype-sensitive, so
+    int64 on one side vs float64 (e.g. null-promoted by an upstream outer
+    join) on the other would land the SAME key in different buckets and
+    silently drop matches; Acero and ``merge_asof`` also want identical key
+    types."""
+    lsch, rsch = _arrow_schema(lsch), _arrow_schema(rsch)
+    for k in keys:
+        t = pa.unify_schemas([pa.schema([s.field(k)]) for s in (lsch, rsch)],
+                             promote_options="permissive").field(k).type
+        lsch, rsch = (s.set(s.get_field_index(k), pa.field(k, t))
+                      for s in (lsch, rsch))
+    return lsch, rsch
+
+
+def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
+                 combine=None):
+    """The per-bucket Arrow (Acero) hash join under ``cogroup`` that
+    ``bucketed_hash_join`` and ``salted_join`` share, over key types
+    unified across the sides.  Null keys never match (SQL semantics,
+    unlike a pandas merge, which pairs NaN keys)."""
+    left_ds, lsch = with_schema(left_ds)
+    right_ds, rsch = with_schema(right_ds)
+    lsch, rsch = _unify_keys(lsch, rsch, [on])
+    join_type = _ARROW_JOIN_TYPE[how]
+
+    def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        # the Acero join wants flat input
+        merged = lg.combine_chunks().join(rg.combine_chunks(), keys=on,
+                                          join_type=join_type,
+                                          right_suffix="_r")
+        return merged if combine is None else combine(merged)
+
+    return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag_left,
+                   tag_right, join_bucket, lsch, rsch)
 
 
 def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
@@ -244,84 +325,11 @@ def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
     exchange to ≤ num_buckets × |groups| rows.  At 100 TB this is the
     difference between re-shuffling every joined row and moving a few
     thousand aggregate rows."""
-    # unify the key type across sides BEFORE bucketing: the bucket hash is
-    # dtype-sensitive, so int64 on one side vs float64 (e.g. null-promoted
-    # by an upstream outer join) on the other would land the SAME key in
-    # different buckets and silently drop matches.  Take each side's
-    # schema ONCE (with_schema: no cancelling probe) and derive the
-    # post-bucket schemas statically.
-    left_ds, lsch = with_schema(left_ds)
-    right_ds, rsch = with_schema(right_ds)
-    lt = dict(zip(lsch.names, lsch.types))[on]
-    rt = dict(zip(rsch.names, rsch.types))[on]
-    key_t = pa.unify_schemas([pa.schema([(on, lt)]), pa.schema([(on, rt)])],
-                             promote_options="permissive").field(on).type
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
 
-    def add_bucket(side):
-        def f(batch: pa.Table) -> pa.Table:
-            i = batch.schema.get_field_index(on)
-            batch = batch.set_column(i, on, batch[on].cast(key_t))
-            b = stable_bucket(batch[on], num_buckets)
-            out = batch.append_column("_bucket", pa.array(b))
-            return out.append_column("_bside", pa.array(
-                np.full(batch.num_rows, side, dtype=np.int8)))
-        return f
-
-    l = left_ds.map_batches(add_bucket(0), batch_format="pyarrow")
-    r = right_ds.map_batches(add_bucket(1), batch_format="pyarrow")
-
-    lcols = list(lsch.names)
-    rcols = list(rsch.names)
-    join_type = _ARROW_JOIN_TYPE[how]
-    # declared per-side schemas (key unified): the align() null-padding
-    # below can round-trip through a pandas block inside the groupby
-    # shuffle, silently promoting int64-with-nulls to float64 — casting
-    # each side back at the bucket boundary restores the declared types
-    # (values are genuinely integral, so the cast is lossless)
-    ltypes = dict(zip(lsch.names, lsch.types))
-    rtypes = dict(zip(rsch.names, rsch.types))
-    lschema = pa.schema([(c, key_t if c == on else ltypes[c])
-                         for c in lcols])
-    rschema = pa.schema([(c, key_t if c == on else rtypes[c])
-                         for c in rcols])
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        # select each side's OWN schema columns (a bucket may hold only one
-        # side; inferring columns from non-null values would drop the key)
-        side = group["_bside"]
-        lg = group.filter(pc.equal(side, 0)).select(lcols)
-        rg = group.filter(pc.equal(side, 1)).select(rcols)
-        if lg.schema != lschema:
-            lg = lg.cast(lschema)
-        if rg.schema != rschema:
-            rg = rg.cast(rschema)
-        # arrow combines chunks lazily; the Acero join wants flat input
-        merged = lg.combine_chunks().join(
-            rg.combine_chunks(), keys=on, join_type=join_type,
-            right_suffix="_r")
-        if combine is not None:
-            merged = combine(merged)
-        return merged
-
-    # align the two sides' schemas (missing cols → nulls), derived from the
-    # pre-bucket schemas + add_bucket's known appends (no schema() re-probe)
-    types: dict[str, pa.DataType] = {}
-    for sch in (lsch, rsch):
-        for n, t in zip(sch.names, sch.types):
-            types.setdefault(n, key_t if n == on else t)
-    types["_bucket"] = pa.int32()
-    types["_bside"] = pa.int8()
-
-    def align(t: pa.Table) -> pa.Table:
-        for n in types:
-            if n not in t.column_names:
-                t = t.append_column(n, pa.nulls(t.num_rows, type=types[n]))
-        return t.select(list(types))
-
-    unioned = l.map_batches(align, batch_format="pyarrow").union(
-        r.map_batches(align, batch_format="pyarrow"))
-    return unioned.groupby("_bucket").map_groups(join_bucket,
-                                                 batch_format="pyarrow")
+    return _bucket_join(left_ds, right_ds, on, how, tag, tag, combine)
 
 
 def set_op(left_ds, right_ds, on: str, op: str = "intersect"):
@@ -388,67 +396,37 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     """
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
-    lt = dict(zip(lsch.names, lsch.types))
-    rt = dict(zip(rsch.names, rsch.types))
-    lcols, rcols = list(lt), list(rt)
+    lsch, rsch = _arrow_schema(lsch), _arrow_schema(rsch)
     # merge_asof emits the join keys once (from the left): right-side value
     # columns only.  A right column whose `on`/`by` values matter in the
     # output must be duplicated under another name before the join.
-    out_rcols = {c: (c if c not in lt else c + suffix)
-                 for c in rcols if c not in (by, on)}
+    out_rcols = {c: (c if c not in lsch.names else c + suffix)
+                 for c in rsch.names if c not in (by, on)}
+    out_schema = pa.schema(list(lsch) + [
+        pa.field(out_rcols[f.name], f.type) for f in rsch
+        if f.name in out_rcols])
 
-    def add_bucket(side):
-        def f(batch: pa.Table) -> pa.Table:
-            b = stable_bucket(batch[by], num_buckets)
-            out = batch.append_column("_bucket", pa.array(b))
-            return out.append_column("_bside", pa.array(
-                np.full(batch.num_rows, side, dtype=np.int8)))
-        return f
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "_bucket", pa.array(stable_bucket(batch[by], num_buckets)))
 
-    l = left_ds.map_batches(add_bucket(0), batch_format="pyarrow")
-    r = right_ds.map_batches(add_bucket(1), batch_format="pyarrow")
-
-    # l's and r's schemas: the inputs' plus add_bucket's known appends
-    tagged = {"_bucket": pa.int32(), "_bside": pa.int8()}
-    types: dict[str, pa.DataType] = {}
-    for cols in (lt, tagged, rt):
-        for n, t in cols.items():
-            types.setdefault(n, t)
-
-    def align(t: pa.Table) -> pa.Table:
-        for n in types:
-            if n not in t.column_names:
-                t = t.append_column(n, pa.nulls(t.num_rows, type=types[n]))
-        return t.select(list(types))
-
-    def join_bucket(group: pd.DataFrame) -> pa.Table:
-        lg = group.loc[group._bside == 0, lcols].sort_values(on, kind="stable")
-        rg = group.loc[group._bside == 1, rcols].sort_values(
-            [on] + (right_order_cols or []), kind="stable")
-        if not len(lg) or not len(rg):
-            return _empty_asof()
+    def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        if not lg.num_rows or not rg.num_rows:
+            return out_schema.empty_table()
+        ldf = lg.to_pandas().sort_values(on, kind="stable")
+        rdf = rg.to_pandas().sort_values([on] + (right_order_cols or []),
+                                         kind="stable")
         # sentinel marks matched rows (a right VALUE column may be null
         # legitimately); NaN-promoted int columns cast back via the schema
-        rg = rg.assign(_rmatch=np.int8(1))
-        merged = pd.merge_asof(lg, rg, on=on, by=by, direction=direction,
+        rdf = rdf.assign(_rmatch=np.int8(1))
+        merged = pd.merge_asof(ldf, rdf, on=on, by=by, direction=direction,
                                tolerance=tolerance, suffixes=("", suffix))
-        matched = merged[merged["_rmatch"].notna()].drop(columns=["_rmatch"])
-        out = matched[[c for c in lcols] + list(out_rcols.values())]
-        return pa.Table.from_pandas(out, preserve_index=False) \
-            .cast(_asof_schema())
+        matched = merged[merged["_rmatch"].notna()]
+        return pa.Table.from_pandas(matched[out_schema.names],
+                                    preserve_index=False).cast(out_schema)
 
-    def _asof_schema() -> pa.Schema:
-        fields = [(c, lt[c]) for c in lcols]
-        fields += [(out_rcols[c], rt[c]) for c in rcols if c in out_rcols]
-        return pa.schema(fields)
-
-    def _empty_asof() -> pa.Table:
-        return _asof_schema().empty_table()
-
-    unioned = l.map_batches(align, batch_format="pyarrow").union(
-        r.map_batches(align, batch_format="pyarrow"))
-    return unioned.groupby("_bucket").map_groups(join_bucket,
-                                                 batch_format="pandas")
+    return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag, tag,
+                   join_bucket, *_unify_keys(lsch, rsch, [on, by]))
 
 
 def band_join(left_ds, right_ds, on: str, radius: int | float,
@@ -461,83 +439,45 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     differ by at most 1.  Left rows go to their own bucket; right rows
     REPLICATE to bucket-1/bucket/bucket+1 (3× the narrow right columns,
     no dedup needed: each pair meets exactly once, in the left row's
-    bucket).  Per bucket group both sides sort once and pairs enumerate
-    via searchsorted + repeat/cumsum — no O(n²) scan.  Skew guard: a hot
-    value range can be sharded further upstream by salting `on` buckets;
-    output is a stream, never a driver list.
+    bucket).  Per bucket group the right side sorts once and pairs
+    enumerate via searchsorted + a ragged arange — no O(n²) scan.  Skew
+    guard: a hot value range can be sharded further upstream by salting
+    `on` buckets; output is a stream, never a driver list.
     """
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
-    lt = dict(zip(lsch.names, lsch.types))
-    rt = dict(zip(rsch.names, rsch.types))
-    lcols, rcols = list(lt), list(rt)
-    out_rcols = {c: (c if c not in lt else c + suffix) for c in rcols}
+    lsch, rsch = _arrow_schema(lsch), _arrow_schema(rsch)
+    out_rcols = [c if c not in lsch.names else c + suffix
+                 for c in rsch.names]
 
-    def add_left(batch: pa.Table) -> pa.Table:
+    def bucket(batch: pa.Table) -> np.ndarray:
         v = batch[on].to_numpy(zero_copy_only=False).astype(np.float64)
-        b = np.floor(v / radius).astype(np.int64)
-        out = batch.append_column("_bucket", pa.array(b))
-        return out.append_column("_bside", pa.array(
-            np.full(batch.num_rows, 0, dtype=np.int8)))
+        return np.floor(v / radius).astype(np.int64)
 
-    def add_right(batch: pa.Table) -> pa.Table:
-        v = batch[on].to_numpy(zero_copy_only=False).astype(np.float64)
-        b = np.floor(v / radius).astype(np.int64)
-        idx = np.repeat(np.arange(batch.num_rows), 3)
-        rep = batch.take(pa.array(idx))
-        bb = (b[:, None] + np.array([-1, 0, 1])).reshape(-1)
-        out = rep.append_column("_bucket", pa.array(bb))
-        return out.append_column("_bside", pa.array(
-            np.full(rep.num_rows, 1, dtype=np.int8)))
+    def tag_left(batch: pa.Table) -> pa.Table:
+        return batch.append_column("_bucket", pa.array(bucket(batch)))
 
-    l = left_ds.map_batches(add_left, batch_format="pyarrow")
-    r = right_ds.map_batches(add_right, batch_format="pyarrow")
+    def tag_right(batch: pa.Table) -> pa.Table:
+        b = bucket(batch)
+        rep = batch.take(pa.array(np.repeat(np.arange(batch.num_rows), 3)))
+        return rep.append_column("_bucket", pa.array(
+            (b[:, None] + np.array([-1, 0, 1])).reshape(-1)))
 
-    # l's and r's schemas: the inputs' plus the taggers' known appends
-    tagged = {"_bucket": pa.int64(), "_bside": pa.int8()}
-    types: dict[str, pa.DataType] = {}
-    for cols in (lt, tagged, rt):
-        for n, t in cols.items():
-            types.setdefault(n, t)
-
-    def align(t: pa.Table) -> pa.Table:
-        for n in types:
-            if n not in t.column_names:
-                t = t.append_column(n, pa.nulls(t.num_rows, type=types[n]))
-        return t.select(list(types))
-
-    def _schema() -> pa.Schema:
-        fields = [(c, lt[c]) for c in lcols]
-        fields += [(out_rcols[c], rt[c]) for c in rcols]
-        return pa.schema(fields)
-
-    def join_bucket(group: pd.DataFrame) -> pa.Table:
-        lg = group.loc[group._bside == 0, lcols]
-        rg = group.loc[group._bside == 1, rcols]
-        if not len(lg) or not len(rg):
-            return _schema().empty_table()
-        rg = rg.sort_values(on, kind="stable")
-        rv = rg[on].to_numpy().astype(np.float64)
-        lv = lg[on].to_numpy().astype(np.float64)
+    def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        rg = rg.take(pc.sort_indices(rg[on]))
+        rv = rg[on].to_numpy(zero_copy_only=False).astype(np.float64)
+        lv = lg[on].to_numpy(zero_copy_only=False).astype(np.float64)
         lo = np.searchsorted(rv, lv - radius, side="left")
-        hi = np.searchsorted(rv, lv + radius, side="right")
-        counts = hi - lo
-        li = np.repeat(np.arange(len(lg)), counts)
+        counts = np.searchsorted(rv, lv + radius, side="right") - lo
         # right indices: for each left row, the run lo[i]..hi[i)
-        ri = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)
-                             if b > a]) if counts.sum() else np.empty(0, int)
-        lt_out = pa.Table.from_pandas(lg.iloc[li], preserve_index=False)
-        rt_out = pa.Table.from_pandas(rg.iloc[ri], preserve_index=False) \
-            .rename_columns([out_rcols[c] for c in rcols])
-        out = pa.table({**{c: lt_out[c] for c in lcols},
-                        **{out_rcols[c]: rt_out[out_rcols[c]]
-                           for c in rcols}})
-        return out.cast(_schema())
+        ri = pa.array(np.repeat(lo, counts) + _ragged_arange(counts))
+        out = lg.take(pa.array(np.repeat(np.arange(len(lv)), counts)))
+        for c, name in zip(rsch.names, out_rcols):
+            out = out.append_column(name, rg[c].take(ri))
+        return out
 
-    unioned = l.map_batches(align, batch_format="pyarrow").union(
-        r.map_batches(align, batch_format="pyarrow"))
-    return unioned.groupby("_bucket").map_groups(join_bucket,
-                                                 batch_format="pandas")
+    return cogroup(left_ds, right_ds, "_bucket", pa.int64(), tag_left,
+                   tag_right, join_bucket, lsch, rsch)
 
 
 _TS_UNIT_FACTOR = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
@@ -1477,7 +1417,8 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
     rows REPLICATE into every sub-bucket, so one scorching key fans out
     over ``salt`` tasks instead of melting a single reducer.  Non-hot
     keys take the plain one-sub-bucket path; results are identical to
-    ``bucketed_hash_join`` (asserted in tests).
+    ``bucketed_hash_join`` (asserted in tests), which shares its
+    per-bucket join and key-type unification.
 
     The left row's sub-bucket is its position hash — any assignment
     works, the replicated right side meets it everywhere; output is
@@ -1489,79 +1430,30 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
             f"salted_join supports how='inner'|'left', got {how!r}; "
             "use bucketed_hash_join for right/full outer")
     hot = pa.array(sorted(set(hot_keys)))
-    nb = num_buckets * salt
-    left_ds, lsch = with_schema(left_ds)
-    right_ds, rsch = with_schema(right_ds)
 
-    def tag_left(batch: pa.Table) -> pa.Table:
+    def hot_base(batch: pa.Table):
         base = stable_bucket(batch[on], num_buckets).astype(np.int64)
         ishot = pc.is_in(batch[on], value_set=hot).to_numpy(
             zero_copy_only=False)
+        return base, ishot
+
+    def tag_left(batch: pa.Table) -> pa.Table:
+        base, ishot = hot_base(batch)
         # per-row deterministic spread for hot keys (row content hash)
         spread = pd.util.hash_array(
             np.arange(batch.num_rows, dtype=np.int64)) % salt
-        sub = np.where(ishot, spread.astype(np.int64), 0)
-        b = base * salt + sub
-        out = batch.append_column("_bucket", pa.array(b.astype(np.int32)))
-        return out.append_column("_bside", pa.array(
-            np.zeros(batch.num_rows, dtype=np.int8)))
+        b = base * salt + np.where(ishot, spread.astype(np.int64), 0)
+        return batch.append_column("_bucket", pa.array(b.astype(np.int32)))
 
     def tag_right(batch: pa.Table) -> pa.Table:
-        base = stable_bucket(batch[on], num_buckets).astype(np.int64)
-        ishot = pc.is_in(batch[on], value_set=hot).to_numpy(
-            zero_copy_only=False)
+        base, ishot = hot_base(batch)
         reps = np.where(ishot, salt, 1).astype(np.int64)
         idx = np.repeat(np.arange(batch.num_rows), reps)
-        sub = (np.arange(len(idx), dtype=np.int64)
-               - np.repeat(np.cumsum(reps) - reps, reps))
-        rep = batch.take(pa.array(idx))
-        b = base[idx] * salt + sub
-        out = rep.append_column("_bucket", pa.array(b.astype(np.int32)))
-        return out.append_column("_bside", pa.array(
-            np.ones(rep.num_rows, dtype=np.int8)))
+        b = base[idx] * salt + _ragged_arange(reps)
+        return batch.take(pa.array(idx)).append_column(
+            "_bucket", pa.array(b.astype(np.int32)))
 
-    l = left_ds.map_batches(tag_left, batch_format="pyarrow")
-    r = right_ds.map_batches(tag_right, batch_format="pyarrow")
-
-    lcols = list(lsch.names)
-    rcols = list(rsch.names)
-    lschema = pa.schema(list(zip(lsch.names, lsch.types)))
-    rschema = pa.schema(list(zip(rsch.names, rsch.types)))
-
-    types: dict = {}
-    for sch in (lsch, rsch):
-        for n_, t_ in zip(sch.names, sch.types):
-            types.setdefault(n_, t_)
-    types["_bucket"] = pa.int32()
-    types["_bside"] = pa.int8()
-
-    def align(t: pa.Table) -> pa.Table:
-        for n_ in types:
-            if n_ not in t.column_names:
-                t = t.append_column(n_, pa.nulls(t.num_rows,
-                                                 type=types[n_]))
-        return t.select(list(types))
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        # Acero per-bucket merge (SQL null-key semantics — a pandas
-        # merge pairs NaN keys with each other) + cast each side back
-        # to its declared schema (the align() null-padding can pandas-
-        # promote int64 to float64 inside the groupby shuffle)
-        side = group["_bside"]
-        lg = group.filter(pc.equal(side, 0)).select(lcols)
-        rg = group.filter(pc.equal(side, 1)).select(rcols)
-        if lg.schema != lschema:
-            lg = lg.cast(lschema)
-        if rg.schema != rschema:
-            rg = rg.cast(rschema)
-        return lg.combine_chunks().join(
-            rg.combine_chunks(), keys=on,
-            join_type=_ARROW_JOIN_TYPE[how], right_suffix="_r")
-
-    unioned = l.map_batches(align, batch_format="pyarrow").union(
-        r.map_batches(align, batch_format="pyarrow"))
-    return unioned.groupby("_bucket").map_groups(join_bucket,
-                                                 batch_format="pyarrow")
+    return _bucket_join(left_ds, right_ds, on, how, tag_left, tag_right)
 
 
 def funnel_conversion(events_ds, user_col: str, ts_col: str,

@@ -305,3 +305,42 @@ def test_killed_write_reruns_to_uninterrupted_counts(page_files, tmp_path):
     assert after[:len(before)] == before
     assert _gadm_counts(out) == want
     assert os.path.exists(os.path.join(out, checkpoint.SEAL))
+
+
+# ------------------------------------------------- one row per page
+
+def test_all_unmatched_write_commits_unmatched_partition(tmp_path):
+    """No page falls in the one region: every joined id is null, and the
+    write commits them all to one ``UNMATCHED`` partition (a null-typed
+    id column used to make the sink's ``fill_null`` raise)."""
+    pages = synth.pages_batch(np.arange(200), 200)
+    far = pa.table({"gadm_code": ["FAR"], "geometry": pa.array([wkb.polygon(
+        np.array([(100.0, 60.0), (101.0, 60.0), (101.0, 61.0),
+                  (100.0, 61.0), (100.0, 60.0)]))], type=pa.binary())})
+    out = str(tmp_path / "out")
+    _, info = run_flagship(rd.from_arrow(pages), far, out_dir=out)
+    assert checkpoint.committed_keys(out) == {"UNMATCHED"}
+    assert info["write"]["rows"] == len(set(pages["url"].to_pylist()))
+    assert _gadm_counts(out) == {"UNMATCHED": info["write"]["rows"]}
+
+
+def test_page_on_shared_edge_is_written_once(pages, tmp_path):
+    """The 8×8 cut puts box edges through fixture points, so some pages
+    fall in two boxes.  The write keeps each page once, in the smallest
+    ``gadm_code``, and so counts what the streaming job counts."""
+    import pandas as pd
+
+    from prclz_ray.pipelines.flagship import flagship_region_counts_streaming
+
+    regions = _fine_regions(8)
+    out = str(tmp_path / "out")
+    _, info = run_flagship(rd.from_arrow(pages).repartition(4), regions,
+                           out_dir=out)
+    n_urls = len(set(pages["url"].to_pylist()))
+    assert info["write"]["rows"] == n_urls
+    assert checkpoint.read_resumable(out).count() == n_urls
+    stream = flagship_region_counts_streaming(
+        rd.from_arrow(pages).repartition(4), regions)
+    want = {("UNMATCHED" if pd.isna(k) else k): int(n)
+            for k, n in zip(stream["gadm_code"], stream["n_pages"])}
+    assert _gadm_counts(out) == want

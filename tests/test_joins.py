@@ -211,6 +211,23 @@ def test_asof_join_semantics():
     assert out["eid"].dtype == np.int64 and out["t"].dtype == np.int64
 
 
+def test_asof_join_mixed_key_widths():
+    """int32 `on`/`by` columns on the left against int64 on the right
+    match as equal widths do, and the output keeps the left's types."""
+    from prclz_ray.stages import relational
+    left = pa.table({"eid": pa.array([1, 2, 3], type=pa.int64()),
+                     "k": pa.array([10, 10, 20], type=pa.int32()),
+                     "t": pa.array([100, 205, 150], type=pa.int32())})
+    right = pa.table({"k": pa.array([10, 20], type=pa.int64()),
+                      "t": pa.array([90, 100], type=pa.int64()),
+                      "val": pa.array([1.0, 3.0])})
+    out = relational.asof_join(rd.from_arrow(left), rd.from_arrow(right),
+                               on="t", by="k", num_buckets=4).to_pandas()
+    assert sorted(zip(out["eid"], out["val"])) == [(1, 1.0), (2, 1.0),
+                                                   (3, 3.0)]
+    assert out["k"].dtype == np.int32 and out["t"].dtype == np.int32
+
+
 def test_band_join_semantics():
     """Pairs straddling a bucket boundary are found once (replication, no
     dupes), |diff| == radius is inclusive, out-of-band excluded."""
@@ -432,3 +449,75 @@ def test_pip_and_knn_from_read_parquet_finish_on_one_cpu(tmp_path):
         order = np.lexsort((tids, d))[:3]
         assert list(rows["nn_id"]) == list(tids[order])
         assert np.allclose(rows["nn_dist"], d[order])
+
+
+def test_left_join_ids_keep_polygon_type_when_nothing_matches():
+    """An all-unmatched batch's id column has the polygon id type, not
+    Arrow's null type, for string and integer ids alike."""
+    far = pa.table({"pt_id": np.arange(5, dtype=np.int64),
+                    "lng": np.full(5, 50.0), "lat": np.full(5, 50.0)})
+    polys = _polys()
+    for ids in (polys["poly_id"],
+                pa.array(np.arange(9, dtype=np.int32))):
+        tbl = polys.set_column(0, "poly_id", ids)
+        out = joins.PIPJoiner(joins._polygon_pack(tbl, "poly_id", keep_wkb=True),
+                              "lng", "lat", "poly_id", "left",
+                              attach_geom_col="g")(far)
+        assert out.schema.field("poly_id").type == ids.type
+        assert out.schema.field("g").type == pa.binary()
+        assert out["poly_id"].null_count == out["g"].null_count == 5
+
+
+def test_pip_left_routes_give_same_columns_and_rows():
+    """Broadcast, tiled and both ``pip_join_auto`` routes of a left join
+    with ``attach_geom_col`` give the same columns (the tiled route adds
+    its ``cell``) and the same rows, unmatched points included."""
+    pts = _points(200)
+    kw = dict(id_col="poly_id", how="left", attach_geom_col="poly_geom")
+    outs = {
+        "broadcast": joins.pip_join(rd.from_arrow(pts), _polys(), **kw),
+        "tiled": joins.pip_join_tiled(rd.from_arrow(pts),
+                                      rd.from_arrow(_polys()), **kw),
+        "auto_tiled": joins.pip_join_auto(rd.from_arrow(pts), _polys(),
+                                          broadcast_limit_bytes=0, **kw),
+        "auto": joins.pip_join_auto(rd.from_arrow(pts), _polys(), **kw),
+    }
+    frames = {}
+    for name, ds in outs.items():
+        df = ds.to_pandas()
+        frames[name] = df[[c for c in df.columns if c != "cell"]] \
+            .sort_values("pt_id").reset_index(drop=True)
+    want = frames.pop("broadcast")
+    assert list(want.columns) == ["pt_id", "lng", "lat", "poly_id",
+                                  "poly_geom"]
+    assert want["poly_geom"].isna().sum() == 20
+    for name, df in frames.items():
+        pd.testing.assert_frame_equal(df, want, obj=name)
+
+
+def test_pip_join_tiled_over_mapped_points_runs_no_limit_probe(monkeypatch):
+    """A points input that does not know its schema (a mapped Dataset)
+    runs to completion once; no ``limit(1)`` probe cancels its tasks."""
+    from ray.data._internal.logical.operators.one_to_one_operator import \
+        Limit
+    from ray.data._internal.plan import ExecutionPlan
+
+    probes = []
+    for name in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, name)
+
+        def counted(self, *a, _orig=orig, **kw):
+            if isinstance(self._logical_plan.dag, Limit):
+                probes.append(self._logical_plan.dag)
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+
+    pts = _points(200)
+    mapped = rd.from_arrow(pts).repartition(3).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    got = joins.pip_join_tiled(mapped, rd.from_arrow(_polys()),
+                               id_col="poly_id", how="left").to_pandas()
+    assert probes == []
+    got = got.sort_values("pt_id")
+    assert [None if pd.isna(v) else v for v in got["poly_id"]] \
+        == _oracle_pip(pts)

@@ -1,6 +1,7 @@
 """Shape guards on the query registry: the name prefix the external
-correctness gate checks, and the benchmark's query set.  Plus a source
-guard on how the engine holds per-worker state."""
+correctness gate checks, and the benchmark's query set.  Plus source
+guards on how the engine holds per-worker state and how its two-sided
+shuffle joins co-partition."""
 import ast
 import re
 from pathlib import Path
@@ -77,3 +78,34 @@ def test_one_worker_state_mechanism_and_no_actor_pools():
                       and not t.id.endswith("_MEMO")]
     assert not hits, f"actor-pool knobs in engine source: {hits}"
     assert dicts == [("prclz_ray/stages/util.py", "_WORKER_STATE")], dicts
+
+
+def test_two_sided_shuffle_joins_go_through_cogroup():
+    """The relational and spatial join modules co-partition two sides only
+    in ``relational.cogroup``: no other top-level definition there has an
+    ``align`` padder, a Dataset ``union`` or a side-flag column.  The one
+    other union is ``set_op``'s, which flags distinct keys and reduces them
+    with two ``Max`` aggregates, with no per-group split.
+    ``blocks.extract_blocks`` and ``reblock`` keep their own unions: on a
+    mapped input (reblock's left side is a PIP join) ``cogroup`` would
+    need ``with_schema`` to materialize it, an execution they do not run
+    today."""
+    hits, found = [], set()
+    for name in ("relational.py", "joins.py"):
+        for top in ast.parse((PKG / "stages" / name).read_text()).body:
+            owner = getattr(top, "name", None)
+            found.add(owner)
+            if owner == "cogroup":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and node.name == "align":
+                    hits.append((name, owner, "def align"))
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", "") == "union"
+                      and owner != "set_op"):
+                    hits.append((name, owner, "union"))
+                elif (isinstance(node, ast.Constant)
+                      and node.value in ("_side", "_bside")):
+                    hits.append((name, owner, node.value))
+    assert "cogroup" in found
+    assert not hits, hits

@@ -652,6 +652,20 @@ def test_salted_join_equals_plain_join_and_spreads_hot_key():
     key = ["id"]
     assert ao.sort_values(key)["label"].fillna(-1).tolist() \
         == bo.sort_values(key)["label"].fillna(-1).tolist()
+    # an int32 left key against an int64 right key joins as the plain
+    # join does (both sides unify the key type before bucketing)
+    left32 = left.astype({"k": np.int32})
+    am = relational.salted_join(
+        rd.from_pandas(left32).repartition(5),
+        rd.from_pandas(right).repartition(2), on="k", hot_keys=[0],
+        salt=8).to_pandas().sort_values("id").reset_index(drop=True)
+    bm = relational.bucketed_hash_join(
+        rd.from_pandas(left32).repartition(5),
+        rd.from_pandas(right).repartition(2), on="k") \
+        .to_pandas().sort_values("id").reset_index(drop=True)
+    assert am[["id", "k", "label"]].to_numpy().tolist() \
+        == bm[["id", "k", "label"]].to_numpy().tolist() \
+        == b[["id", "k", "label"]].to_numpy().tolist()
 
 
 def test_hash_split_exhaustive_disjoint_and_stable():
