@@ -475,19 +475,35 @@ def _read_dbf_bytes(raw: bytes) -> tuple[dict, list[bool]]:
 def _shp_table(shp_raw: bytes, dbf_raw: bytes | None,
                names_raw: bytes | None) -> pa.Table:
     """Parse one shapefile unit (raw .shp + optional .dbf +
-    optional names-sidecar bytes) into an Arrow block."""
+    optional names-sidecar bytes) into an Arrow block.  A bad file code
+    or a record that runs past the end of the file raises ``ValueError``
+    naming the byte offset, never a short table."""
     import struct
 
-    (code,) = struct.unpack_from(">i", shp_raw, 0)
-    assert code == 9994, "not a shapefile"
+    n = len(shp_raw)
+    code = struct.unpack_from(">i", shp_raw, 0)[0] if n >= 100 else None
+    if code != 9994:
+        raise ValueError(f"not a shapefile: file code {code} at byte "
+                         f"offset 0 (want 9994 and a 100-byte header)")
     geoms = []
     off = 100
-    while off < len(shp_raw):
+    while off < n:
+        if off + 12 > n:
+            raise ValueError(f"shapefile record header at byte offset "
+                             f"{off} is truncated ({n - off} of 12 bytes)")
         _, clen = struct.unpack_from(">ii", shp_raw, off)
+        end = off + 8 + 2 * clen
+        if clen < 2 or end > n:
+            raise ValueError(f"shapefile record at byte offset {off} "
+                             f"declares {2 * clen} content bytes, "
+                             f"{n - off - 8} remain")
         (stype,) = struct.unpack_from("<i", shp_raw, off + 8)
-        geoms.append(_shp_geom(stype,
-                               shp_raw[off + 12:off + 8 + 2 * clen]))
-        off += 8 + 2 * clen
+        try:
+            geoms.append(_shp_geom(stype, shp_raw[off + 12:end]))
+        except struct.error as e:
+            raise ValueError(f"shapefile record at byte offset {off} "
+                             f"is malformed: {e}") from None
+        off = end
     cols = {}
     if dbf_raw is not None:
         cols, deleted = _read_dbf_bytes(dbf_raw)

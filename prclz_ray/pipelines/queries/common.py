@@ -381,10 +381,9 @@ def q_od_matrix_daily(sf_dir: str):
     boundary-flag first/last extraction and ≤625-row per-bucket
     partials into a tiny final reduce."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def day_cells(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         u = batch["user_id"].to_numpy(zero_copy_only=False) \
@@ -393,8 +392,7 @@ def q_od_matrix_daily(sf_dir: str):
             "user_id": batch["user_id"], "ts": batch["ts"],
             "event_id": batch["event_id"],
             "day": pa.array(us // 86_400_000_000),
-            "cell": pa.array((31 * u + us // 3_600_000_000) % 25),
-            "_bucket": pa.array(stable_bucket(batch["user_id"], 64))})
+            "cell": pa.array((31 * u + us // 3_600_000_000) % 25)})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "day", "ts", "event_id"])
@@ -411,9 +409,8 @@ def q_od_matrix_daily(sf_dir: str):
         return out
 
     flows = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket,
+                                  prepare=day_cells)
         .groupby(["o_cell", "d_cell"]).aggregate(
             Sum("pn", alias_name="n"))
     ).to_pandas().sort_values(["o_cell", "d_cell"]) \

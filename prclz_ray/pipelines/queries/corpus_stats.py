@@ -62,9 +62,7 @@ def q_dup_cluster_size_histogram(sf_dir: str):
         hs = dd._stable_u64(t["text"].to_pylist())
         g, c = np.unique(hs, return_counts=True)
         return pa.table({"h": pa.array(g, type=pa.uint64()),
-                         "c": pa.array(c.astype(np.int64)),
-                         "_b": pa.array((g % np.uint64(64))
-                                        .astype(np.int32))})
+                         "c": pa.array(c.astype(np.int64))})
 
     def h2(df: pd.DataFrame) -> pa.Table:
         s = df.groupby("h", sort=False)["c"].sum()
@@ -72,8 +70,7 @@ def q_dup_cluster_size_histogram(sf_dir: str):
         return pa.table({"cluster_size": pa.array(g),
                          "pn": pa.array(c.astype(np.int64))})
 
-    return docs.map_batches(h1, batch_format="pyarrow") \
-        .groupby("_b").map_groups(h2, batch_format="pandas") \
+    return relational.bucket_shuffle(docs, "h", h2, prepare=h1) \
         .groupby("cluster_size").aggregate(Sum("pn",
                                                alias_name="n_clusters"))
 
@@ -101,24 +98,22 @@ def q_degree_histogram_links(sf_dir: str):
         # partial combine: per-batch dst counts before the shuffle
         g, c = np.unique(dst, return_counts=True)
         return pa.table({"dst": pa.array(g),
-                         "c": pa.array(c.astype(np.int64)),
-                         "_b": pa.array((g % 64).astype(np.int32))})
+                         "c": pa.array(c.astype(np.int64))})
 
     def deg_per_dst(df: pd.DataFrame) -> pa.Table:
         s = df.groupby("dst", sort=False)["c"].sum()
         g, c = np.unique(s.to_numpy(dtype=np.int64), return_counts=True)
         return pa.table({"deg": pa.array(g),
-                         "nc": pa.array(c.astype(np.int64)),
-                         "_b2": pa.array((g % 16).astype(np.int32))})
+                         "nc": pa.array(c.astype(np.int64))})
 
     def hist(df: pd.DataFrame) -> pa.Table:
         s = df.groupby("deg", sort=False)["nc"].sum()
         return pa.table({"deg": pa.array(s.index.to_numpy(dtype=np.int64)),
                          "n_nodes": pa.array(s.to_numpy(dtype=np.int64))})
 
-    return docs.map_batches(edges, batch_format="pyarrow") \
-        .groupby("_b").map_groups(deg_per_dst, batch_format="pandas") \
-        .groupby("_b2").map_groups(hist, batch_format="pandas")
+    degs = relational.bucket_shuffle(docs, "dst", deg_per_dst,
+                                     prepare=edges)
+    return relational.bucket_shuffle(degs, "deg", hist, 16)
 
 
 def q_within_doc_line_dedup(sf_dir: str):
@@ -3960,10 +3955,8 @@ def q_adamic_adar_links(sf_dir: str):
         + und_t["eb"].to_numpy(zero_copy_only=False).astype(np.int64))
     ek_ref = ray.put(edge_keys)
 
-    def tag(t: pa.Table) -> pa.Table:
-        g = _sym_adjacency(t).group_by(["pivot", "leaf"]).aggregate([])
-        return g.append_column(
-            "_bucket", pa.array(stable_bucket(g["pivot"], 64)))
+    def pivot_leaves(t: pa.Table) -> pa.Table:
+        return _sym_adjacency(t).group_by(["pivot", "leaf"]).aggregate([])
 
     def explode(df: pd.DataFrame) -> pa.Table:
         _ids, _dv = worker_cached(("aa_deg", deg_ref),
@@ -4014,8 +4007,8 @@ def q_adamic_adar_links(sf_dir: str):
                             ("b", "ascending")]).slice(0, 25)
 
     pruned = relational.ds_to_table(
-        und.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(explode, batch_format="pandas")
+        relational.bucket_shuffle(und, "pivot", explode,
+                                  prepare=pivot_leaves)
         .groupby("_pb").map_groups(merge, batch_format="pandas")
         .map_batches(drop_edges, batch_format="pyarrow"))
     top = pruned.sort_by([("aa", "descending"), ("a", "ascending"),
@@ -4794,6 +4787,16 @@ FROM agg ORDER BY k_removed
 """
 
 
+def _component_partials(emb, partial):
+    """``emb``'s per-batch partials and the embedding dimension, read off
+    their ``s{d}`` component-sum columns: the partials run once, to
+    completion, and no ``limit(1)`` execution fetches a first row."""
+    parts, sch = relational.with_schema(
+        emb.map_batches(partial, batch_format="pyarrow"))
+    names = [] if sch is None else sch.names
+    return parts, sum(1 for c in names if c[:1] == "s" and c[1:].isdigit())
+
+
 def q_embedding_centroid_drift(sf_dir: str):
     """Per-label embedding centroid drift between the two vec_id-
     parity halves — the embedding-pipeline monitoring number (did a
@@ -4823,18 +4826,11 @@ def q_embedding_centroid_drift(sf_dir: str):
             .reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    first = relational.ds_to_table(
-        emb.limit(1).map_batches(
-            lambda t: pa.table({"d": pa.array(
-                [len(t["embedding"].to_pylist()[0])])}),
-            batch_format="pyarrow"))
-    dim = int(first["d"].to_numpy(zero_copy_only=False)[0])
+    parts, dim = _component_partials(emb, partial)
     aggs = [Sum("c", alias_name="c")] + [
         Sum(f"s{d}", alias_name=f"s{d}") for d in range(dim)]
     agg = relational.ds_to_table(
-        emb.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lab", "half"]).aggregate(*aggs)
-    ).to_pandas()
+        parts.groupby(["lab", "half"]).aggregate(*aggs)).to_pandas()
     rows = []
     for lab, g in agg.groupby("lab"):
         g = g.set_index("half")
@@ -5361,18 +5357,11 @@ def q_embedding_isotropy_audit(sf_dir: str):
             cols[f"s{d}"] = pa.array([int(qm[:, d].sum())])
         return pa.table(cols)
 
-    first = relational.ds_to_table(
-        emb.limit(1).map_batches(
-            lambda t: pa.table({"d": pa.array(
-                [len(t["embedding"].to_pylist()[0])])}),
-            batch_format="pyarrow"))
-    dim = int(first["d"].to_numpy(zero_copy_only=False)[0])
+    parts, dim = _component_partials(emb, partial)
     aggs = [Sum("n", alias_name="n"), Sum("nrm", alias_name="nrm")] \
         + [Sum(f"s{d}", alias_name=f"s{d}") for d in range(dim)]
     agg = relational.ds_to_table(
-        emb.map_batches(partial, batch_format="pyarrow")
-        .groupby("_g").aggregate(*aggs)
-    ).to_pandas()
+        parts.groupby("_g").aggregate(*aggs)).to_pandas()
     n = int(agg["n"].iloc[0])
     nrm = int(agg["nrm"].iloc[0])
     ssq = sum(int(agg[f"s{d}"].iloc[0]) ** 2 for d in range(dim))
@@ -5645,7 +5634,6 @@ def q_jsd_source_divergence(sf_dir: str):
     when p==q since ln(1)=0); a ≤pairs-sized combine finishes."""
     from ray.data.aggregate import Sum
 
-    from ...stages.relational import stable_bucket
 
     docs = _read(sf_dir, "documents", ["source", "text"])
 
@@ -5668,10 +5656,6 @@ def q_jsd_source_divergence(sf_dir: str):
     totals = dict(zip(tot["source"], tot["nt"].astype(np.int64)))
     srcs = sorted(totals)
     tref = ray.put(totals)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_bucket", pa.array(stable_bucket(t["w"], 64)))
 
     def pair_part(df: pd.DataFrame) -> pd.DataFrame:
         tt = worker_cached(("jsd_tot", tref),
@@ -5697,8 +5681,7 @@ def q_jsd_source_divergence(sf_dir: str):
                              "part": float(np.sum(0.5 * (ta + tb)))})
         return pd.DataFrame(rows)
 
-    parts = counts.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(pair_part, batch_format="pandas")
+    parts = relational.bucket_shuffle(counts, "w", pair_part)
     g = relational.ds_to_table(parts).to_pandas() \
         .groupby(["sa", "sb"], sort=True)["part"].sum().reset_index()
     g["jsd"] = g["part"].round(6)
@@ -6746,12 +6729,8 @@ def q_quantile_normalize_lengths(sf_dir: str):
         g["rnk"] = g.groupby("source", sort=False).cumcount() + 1
         return g
 
-    ranked = docs.map_batches(lambda t: t.append_column(
-        "_b", pa.array(relational.stable_bucket(t["source"], 16))),
-        batch_format="pyarrow") \
-        .groupby("_b").map_groups(rank_in_source,
-                                  batch_format="pandas") \
-        .materialize()
+    ranked = relational.bucket_shuffle(docs, "source", rank_in_source,
+                                       16).materialize()
     per_rank = relational.ds_to_table(
         ranked.map_batches(lambda t: pa.table({
             "rnk": t["rnk"],
@@ -7397,11 +7376,9 @@ def q_resource_allocation_links(sf_dir: str):
         .astype(np.int64))
     ek_ref = ray.put(edge_keys)
 
-    def tag(t: pa.Table) -> pa.Table:
-        g = _sym_adjacency(t).group_by(["pivot", "leaf"]) \
+    def pivot_leaves(t: pa.Table) -> pa.Table:
+        return _sym_adjacency(t).group_by(["pivot", "leaf"]) \
             .aggregate([])
-        return g.append_column(
-            "_bucket", pa.array(stable_bucket(g["pivot"], 64)))
 
     def explode(df: pd.DataFrame) -> pa.Table:
         _ids, _dv = worker_cached(("ra_deg", deg_ref),
@@ -7446,9 +7423,8 @@ def q_resource_allocation_links(sf_dir: str):
                             ("b", "ascending")]).slice(0, 25)
 
     pruned = relational.ds_to_table(
-        und.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(explode,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(und, "pivot", explode,
+                                  prepare=pivot_leaves)
         .groupby("_pb").map_groups(merge, batch_format="pandas")
         .map_batches(drop_edges, batch_format="pyarrow"))
     top = pruned.sort_by([("ra9", "descending"), ("a", "ascending"),

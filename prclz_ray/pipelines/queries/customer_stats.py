@@ -4614,10 +4614,7 @@ def q_qn_scale_by_nation(sf_dir: str):
         return pd.DataFrame(out, columns=["nk", "n", "qn_raw"])
 
     agg = relational.ds_to_table(
-        cu.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(
-                t["c_nationkey"], 32))), batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(cu, "c_nationkey", per_bucket, 32)
         .groupby("nk").aggregate(Max("n", alias_name="n"),
                                  Max("qn_raw", alias_name="qn_raw"))
     ).to_pandas().sort_values("nk").reset_index(drop=True)
@@ -4677,10 +4674,7 @@ def q_hodges_lehmann_acctbal(sf_dir: str):
         return pd.DataFrame(out, columns=["nk", "n", "hl2"])
 
     agg = relational.ds_to_table(
-        cu.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(
-                t["c_nationkey"], 32))), batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(cu, "c_nationkey", per_bucket, 32)
         .groupby("nk").aggregate(Max("n", alias_name="n"),
                                  Max("hl2", alias_name="hl2"))
     ).to_pandas().sort_values("nk").reset_index(drop=True)

@@ -33,10 +33,6 @@ def q_stationary_event_dist(sf_dir: str):
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"], 64)))
-
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"])
         same = df["user_id"].to_numpy()[1:] == df["user_id"].to_numpy()[:-1]
@@ -46,8 +42,7 @@ def q_stationary_event_dist(sf_dir: str):
             .groupby(["cur", "nxt"], sort=False).sum().reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    counts = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas") \
+    counts = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")) \
         .to_pandas()
     NANO = 10 ** 9
@@ -119,10 +114,6 @@ def q_event_trigrams(sf_dir: str):
     ev = _read(sf_dir, "events",
                ["user_id", "ts", "event_id", "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = relational.stable_bucket(t["user_id"], 64)
-        return t.append_column("_b", pa.array(b))
-
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"])
         g = df.groupby("user_id", sort=False)["event_type"]
@@ -136,8 +127,7 @@ def q_event_trigrams(sf_dir: str):
         return pa.table({"trigram": pa.array(u),
                          "pn": pa.array(c.astype(np.int64))})
 
-    cnt = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas") \
+    cnt = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .groupby("trigram").aggregate(Sum("pn", alias_name="n"))
 
     def prune(t: pa.Table) -> pa.Table:
@@ -425,10 +415,6 @@ def q_user_path_length(sf_dir: str):
     from ...geom.crs import haversine_m
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("_b", pa.array(
-            relational.stable_bucket(t["user_id"], 64)))
-
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"])
         e = df["event_id"].to_numpy(np.int64)
@@ -446,8 +432,7 @@ def q_user_path_length(sf_dir: str):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     out = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
     ).to_pandas().sort_values("user_id").reset_index(drop=True)
     return pd.DataFrame({
         "user_id": out["user_id"].to_numpy(np.int64),
@@ -700,13 +685,8 @@ def q_longest_event_run(sf_dir: str):
     (ts, event_id) order — the gaps-and-islands pattern.  One coarse
     user-bucket shuffle, per-bucket vectorized change-flag cumsum →
     bincount run lengths → per-user max; no per-user Python loop."""
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -721,9 +701,7 @@ def q_longest_event_run(sf_dir: str):
             .groupby("user_id", sort=False)["len"].max().reset_index()
         return out.rename(columns={"len": "max_run"})
 
-    out = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+    out = relational.bucket_shuffle(ev, "user_id", per_bucket)
     return relational.ds_to_table(out).to_pandas() \
         .sort_values("user_id").reset_index(drop=True) \
         .astype({"user_id": np.int64, "max_run": np.int64})
@@ -749,13 +727,8 @@ def q_user_event_journey(sf_dir: str):
     a per-bucket vectorized sort + pandas grouped join — the string
     assembly is necessarily per-user, but the output (and the python
     work) is USER-bounded, never event-bounded."""
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -764,9 +737,7 @@ def q_user_event_journey(sf_dir: str):
         out.columns = ["user_id", "journey", "n_events"]
         return out
 
-    out = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+    out = relational.bucket_shuffle(ev, "user_id", per_bucket)
     return relational.ds_to_table(out).to_pandas() \
         .sort_values("user_id").reset_index(drop=True) \
         .astype({"user_id": np.int64, "n_events": np.int64})
@@ -857,13 +828,8 @@ def q_skipgram_event_pairs(sf_dir: str):
     One user-bucket shuffle; per bucket the three gap distances are
     pure vectorized shifts; output is bounded by event-type² × 3."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -880,9 +846,7 @@ def q_skipgram_event_pairs(sf_dir: str):
             .reset_index()
 
     o = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby(["a", "b", "gap"]).aggregate(Sum("pn",
                                                   alias_name="n"))
     ).to_pandas().sort_values(["a", "b", "gap"]).reset_index(drop=True)
@@ -911,15 +875,12 @@ def q_funnel_conversion_1h(sf_dir: str):
     first-qualifying-purchase come from vectorized groupby mins; the
     output is a single exact-int row."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "purchase")
-        t = batch.filter(pa.array(keep))
-        b = stable_bucket(t["user_id"], 64)
-        return t.append_column("_bucket", pa.array(b))
+        return batch.filter(pa.array(keep))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         us = g["ts"].to_numpy().astype("datetime64[us]") \
@@ -939,9 +900,7 @@ def q_funnel_conversion_1h(sf_dir: str):
             "pclk": [int(len(clicks))],
             "pconv": [int(hit["u"].nunique())]})
 
-    agg = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas") \
+    agg = relational.bucket_shuffle(ev, "user_id", per_bucket, prepare=prep) \
         .aggregate(Sum("pclk", alias_name="n_clickers"),
                    Sum("pconv", alias_name="n_converted"))
     n_clk = int(agg["n_clickers"])
@@ -980,12 +939,7 @@ def q_two_proportion_ztest(sf_dir: str):
     means, KS / Mann-Whitney on distributions, χ² on categories,
     this on proportions)."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         et = g["event_type"].to_numpy()
@@ -1003,9 +957,7 @@ def q_two_proportion_ztest(sf_dir: str):
             "pn2": [int((arm == 1).sum())],
             "px2": [int(conv[arm == 1].sum())]})
 
-    agg = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas") \
+    agg = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .aggregate(Sum("pn1", alias_name="n1"),
                    Sum("px1", alias_name="x1"),
                    Sum("pn2", alias_name="n2"),
@@ -1064,12 +1016,7 @@ def q_bearing_sector_histogram(sf_dir: str):
     floor(/45) sectors 0–7.  Identical doubles both sides ⇒ identical
     sector assignment; counts exact."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("_b", pa.array(
-            stable_bucket(t["user_id"], 64)))
 
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -1092,8 +1039,7 @@ def q_bearing_sector_histogram(sf_dir: str):
                          "pn": pa.array(c.astype(np.int64))})
 
     o = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("sector").aggregate(Sum("pn", alias_name="n_legs"))
     ).to_pandas().sort_values("sector").reset_index(drop=True)
     return o.astype({"sector": np.int64, "n_legs": np.int64})
@@ -1180,22 +1126,19 @@ def q_staypoints_daily_cells(sf_dir: str):
     coarse user-bucket shuffle, vectorized change-flag cumsum, zero
     per-user Python — applied to the geo-cell column instead of the
     event type."""
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) \
             // 86_400_000_000
         u = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cell = (31 * u + day) % 25
-        b = stable_bucket(batch["user_id"], 64)
         return pa.table({"user_id": batch["user_id"],
                          "ts": batch["ts"],
                          "event_id": batch["event_id"],
-                         "cell": pa.array(cell),
-                         "_bucket": pa.array(b)})
+                         "cell": pa.array(cell)})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -1219,9 +1162,7 @@ def q_staypoints_daily_cells(sf_dir: str):
             .reset_index()
         return out
 
-    out = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+    out = relational.bucket_shuffle(ev, "user_id", per_bucket, prepare=prep)
     return relational.ds_to_table(out).to_pandas() \
         .sort_values("user_id").reset_index(drop=True) \
         .astype({"user_id": np.int64, "n_staypoints": np.int64,
@@ -1256,12 +1197,7 @@ def q_funnel_3step_strict(sf_dir: str):
     click must not count).  One user-bucket shuffle; inside each bucket
     the three anchor times come from vectorized per-user min/merge
     passes, and only three partial counters leave the bucket."""
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         t1 = g[g["event_type"] == "click"] \
@@ -1276,9 +1212,7 @@ def q_funnel_3step_strict(sf_dir: str):
                               "pp": len(t3)}])
 
     from ray.data.aggregate import Sum
-    agg = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas") \
+    agg = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .aggregate(Sum("pc", alias_name="n_click"),
                    Sum("pv", alias_name="n_click_view"),
                    Sum("pp", alias_name="n_full"))
@@ -1313,7 +1247,6 @@ def q_cuped_adjusted_ab(sf_dir: str):
     order.  Arms are the deterministic user-id parity, the time split
     is the epoch-day midpoint — both mirrored verbatim."""
     from ray.data.aggregate import Max, Min, Sum
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "user_id", "value"])
     lohi = ev.aggregate(Min("ts", alias_name="lo"),
@@ -1323,10 +1256,6 @@ def q_cuped_adjusted_ab(sf_dir: str):
     hi_d = int(pd.Timestamp(lohi["hi"]).value // 1000
                // 86_400_000_000)
     mid = (lo_d + hi_d) // 2
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         day = g["ts"].to_numpy("datetime64[us]").astype(np.int64) \
@@ -1352,9 +1281,7 @@ def q_cuped_adjusted_ab(sf_dir: str):
 
     cols = ["n", "sx", "sy", "sxx", "sxy",
             "n0", "sx0", "sy0", "n1", "sx1", "sy1"]
-    agg = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas") \
+    agg = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .aggregate(*[Sum(c, alias_name=c) for c in cols])
     s = {c: int(agg[c]) for c in cols}
     theta = float(s["n"] * s["sxy"] - s["sx"] * s["sy"]) \
@@ -1415,7 +1342,6 @@ def q_next_event_prediction_acc(sf_dir: str):
     types²-bounded matrix per split; scoring is one vectorized map
     over test transitions.  Output: per current-type test accuracy."""
     from ray.data.aggregate import Max, Min, Sum
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "event_id", "user_id",
                                   "event_type"])
@@ -1423,10 +1349,6 @@ def q_next_event_prediction_acc(sf_dir: str):
                         Max("ts", alias_name="hi"))
     mid_us = (int(pd.Timestamp(lohi["lo"]).value // 1000)
               + int(pd.Timestamp(lohi["hi"]).value // 1000)) // 2
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def transitions(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -1444,9 +1366,7 @@ def q_next_event_prediction_acc(sf_dir: str):
         return out
 
     tm = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(transitions,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", transitions)
         .groupby(["half", "src", "dst"])
         .aggregate(Sum("pn", alias_name="n"))
     ).to_pandas()
@@ -1585,18 +1505,15 @@ def q_dau_overlap_jaccard(sf_dir: str):
     come from the same distinct pass; the Jaccard finish is
     days-bounded."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) \
             // 86_400_000_000
-        b = stable_bucket(batch["user_id"], 64)
         return pa.table({"user_id": batch["user_id"],
-                         "day": pa.array(day),
-                         "_bucket": pa.array(b)})
+                         "day": pa.array(day)})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         du = g[["user_id", "day"]].drop_duplicates()
@@ -1610,9 +1527,7 @@ def q_dau_overlap_jaccard(sf_dir: str):
         return out.groupby("day", sort=False).sum().reset_index()
 
     agg = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket, prepare=prep)
         .groupby("day").aggregate(Sum("pn", alias_name="dau"),
                                   Sum("pi", alias_name="inter"))
     ).to_pandas().sort_values("day").reset_index(drop=True)
@@ -1667,14 +1582,9 @@ def q_attribution_rules_compare(sf_dir: str):
     under any partitioning; one user-bucket shuffle, types-bounded
     output."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "event_id", "user_id",
                                   "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -1718,9 +1628,7 @@ def q_attribution_rules_compare(sf_dir: str):
             .reset_index()
 
     agg = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("event_type").aggregate(
             Sum("pf", alias_name="first_touch"),
             Sum("pl", alias_name="last_touch"),
@@ -1828,14 +1736,9 @@ def q_locf_impute_value(sf_dir: str):
     exactly one bucket the per-user aggregate is final — no second
     shuffle.  Exact-cents sums of the filled values; the twin is the
     window idiom LAST_VALUE(v IGNORE NULLS)."""
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "event_id", "user_id",
                                   "event_type", "value"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ts = g["ts"].to_numpy().astype("datetime64[us]") \
@@ -1861,9 +1764,7 @@ def q_locf_impute_value(sf_dir: str):
         return out
 
     out = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
     ).to_pandas().sort_values("user_id").reset_index(drop=True)
     return out.astype({"user_id": np.int64, "n_null": np.int64,
                        "n_filled": np.int64,
@@ -2120,7 +2021,6 @@ def q_activity_decay_curve(sf_dir: str):
     exponential-decay fit itself is pytest-pinned (float OLS has no
     place in a hash surface)."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "user_id"])
     GAPS = list(range(1, 15))
@@ -2138,10 +2038,6 @@ def q_activity_decay_curve(sf_dir: str):
         .groupby(["user_id", "day"]) \
         .aggregate(Count(alias_name="_c"))
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = stable_bucket(t["user_id"], 64)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         base = g[["user_id", "day"]]
         rows = []
@@ -2152,9 +2048,7 @@ def q_activity_decay_curve(sf_dir: str):
         return pd.DataFrame(rows)
 
     out = relational.ds_to_table(
-        presence.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(presence, "user_id", per_bucket)
         .groupby("k").aggregate(Sum("n_k", alias_name="n_k"))
     ).to_pandas().sort_values("k").reset_index(drop=True)
     return out.astype({"k": np.int64, "n_k": np.int64})
@@ -2284,14 +2178,9 @@ def q_interarrival_stats_by_type(sf_dir: str):
     is the single division."""
     from ray.data.aggregate import Sum
 
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "event_id", "user_id",
                                   "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = pd.DataFrame({
@@ -2316,9 +2205,7 @@ def q_interarrival_stats_by_type(sf_dir: str):
         return out
 
     out = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("event_type").aggregate(
             Sum("n_gaps", alias_name="n_gaps"),
             Sum("sum_gap_sec", alias_name="sum_gap_sec"))
@@ -2353,14 +2240,9 @@ def q_interp_impute_value(sf_dir: str):
     interpolated values quantize to integer micro-units so the
     per-user sums fold exactly (the only floats are the mirrored
     per-row interpolation expression and its ROUND)."""
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["ts", "event_id", "user_id",
                                   "event_type", "value"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ts = g["ts"].to_numpy().astype("datetime64[us]") \
@@ -2395,9 +2277,7 @@ def q_interp_impute_value(sf_dir: str):
         return out
 
     out = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
     ).to_pandas().sort_values("user_id").reset_index(drop=True)
     return out.astype({"user_id": np.int64, "n_null": np.int64,
                        "n_interp": np.int64, "interp_sum6": np.int64})
@@ -2717,16 +2597,11 @@ def q_fifo_click_attribution(sf_dir: str):
     actor."""
     import pyarrow.dataset as pads
 
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events",
                ["user_id", "ts", "event_id", "event_type"],
                filter=pads.field("event_type").isin(
                    ["click", "purchase"]))
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_bucket", pa.array(stable_bucket(t["user_id"], 64)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -2756,9 +2631,7 @@ def q_fifo_click_attribution(sf_dir: str):
             "n_matched": out["n_matched"].astype(np.int64)})
 
     res = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
     ).to_pandas()
     return res.sort_values("user_id").reset_index(drop=True)
 
@@ -2869,14 +2742,9 @@ def q_transition_entropy_rate(sf_dir: str):
     entropy rate."""
     from ray.data.aggregate import Sum
 
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id",
                                   "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_bucket", pa.array(stable_bucket(t["user_id"], 64)))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -2888,8 +2756,7 @@ def q_transition_entropy_rate(sf_dir: str):
         return out.groupby(["a", "b"], sort=False).sum().reset_index()
 
     nij = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(pairs, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", pairs)
         .groupby(["a", "b"]).aggregate(Sum("c", alias_name="c"))
     ).to_pandas()
     N = int(nij["c"].sum())
@@ -2937,11 +2804,10 @@ def q_daily_travel_distance(sf_dir: str):
     vectorize inside the group."""
     from ray.data.aggregate import Sum
 
-    from ...stages.relational import stable_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
-    def tag(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         us = t["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         e = t["event_id"].to_numpy(zero_copy_only=False) \
@@ -2951,8 +2817,7 @@ def q_daily_travel_distance(sf_dir: str):
             "event_id": t["event_id"],
             "day": pa.array(us // 86_400_000_000),
             "x": pa.array((e * 7919) % 1000),
-            "y": pa.array((e * 104729) % 1000),
-            "_bucket": pa.array(stable_bucket(t["user_id"], 64))})
+            "y": pa.array((e * 104729) % 1000)})
 
     def legs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "day", "us", "event_id"])
@@ -2972,8 +2837,7 @@ def q_daily_travel_distance(sf_dir: str):
             .reset_index()
 
     res = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(legs, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", legs, prepare=prep)
         .groupby(["user_id", "day"]).aggregate(
             Sum("n_legs", alias_name="n_legs"),
             Sum("dist", alias_name="dist"))
@@ -3288,11 +3152,7 @@ def q_gorilla_encoding_estimate(sf_dir: str):
         return out.groupby("_g", sort=False).sum().reset_index()
 
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("_g").aggregate(Sum("n", alias_name="n"),
                                  Sum("b", alias_name="bits"))
     ).to_pandas()
@@ -3568,11 +3428,7 @@ def q_trajectory_self_intersections(sf_dir: str):
         return pd.DataFrame(out, columns=["u", "legs", "crossings"])
 
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("u").aggregate(Sum("legs", alias_name="n_legs"),
                                 Sum("crossings",
                                     alias_name="n_crossings"))
@@ -3724,11 +3580,7 @@ def q_transition_dwell_percentiles(sf_dir: str):
         return out
 
     gt = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby(["a", "b", "gap"]).aggregate(
             Sum("c", alias_name="c"))
     ).to_pandas()
@@ -3797,11 +3649,7 @@ def q_burstiness_user_gaps(sf_dir: str):
         return out
 
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("u").aggregate(Sum("n", alias_name="n"),
                                 Sum("s", alias_name="s"),
                                 Sum("q", alias_name="q"))
@@ -3887,11 +3735,7 @@ def q_lindley_waiting_times(sf_dir: str):
 
     from ray.data.aggregate import Max
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("u").aggregate(
             Sum("n_waits", alias_name="n_waits"),
             Sum("total_wait_s", alias_name="total_wait_s"),
@@ -4219,11 +4063,7 @@ def q_peak_concurrency_sessions(sf_dir: str):
                             .rename("c").reset_index())
 
     bd = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby(["t", "d"]).aggregate(Sum("c", alias_name="c"))
     ).to_pandas().sort_values(["t", "d"]).reset_index(drop=True)
     cur = 0
@@ -5195,11 +5035,7 @@ def q_visvalingam_filter_events(sf_dir: str):
         return out
 
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("u").aggregate(Sum("pn", alias_name="n_points"),
                                 Sum("kept", alias_name="n_kept"))
     ).to_pandas().sort_values("u").reset_index(drop=True)
@@ -5287,11 +5123,7 @@ def q_sequential_pattern_support(sf_dir: str):
             columns=["a", "b", "c", "pn"])
 
     agg = relational.ds_to_table(
-        ev.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby(["a", "b", "c"]).aggregate(
             Sum("pn", alias_name="n_users"))
     ).to_pandas().sort_values(["a", "b", "c"]).reset_index(drop=True)
@@ -5598,13 +5430,8 @@ def q_lru_stack_distance(sf_dir: str):
     exact integers; each capacity row spends one mirrored
     division."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -5651,9 +5478,7 @@ def q_lru_stack_distance(sf_dir: str):
         return pd.DataFrame(rows)
 
     agg = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("capacity").aggregate(
             Sum("n_hits", alias_name="n_hits"),
             Sum("n_accesses", alias_name="n_accesses"))
@@ -5984,12 +5809,7 @@ def q_inspection_paradox_gaps(sf_dir: str):
     integers, the two means and the ratio spend one mirrored
     division each."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -6006,9 +5826,7 @@ def q_inspection_paradox_gaps(sf_dir: str):
             if len(gaps) else 0}])
 
     m = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("_g").aggregate(
             Sum("n", alias_name="n"), Sum("sg", alias_name="sg"),
             Sum("sg2", alias_name="sg2"))).to_pandas().iloc[0]
@@ -6136,13 +5954,8 @@ def q_mtbf_mttr_errors(sf_dir: str):
     shrinks while MTTR holds is degrading, and both numerators are
     integer facts."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -6185,9 +5998,7 @@ def q_mtbf_mttr_errors(sf_dir: str):
                               "gap_sum": gap_sum}])
 
     m = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("_g").aggregate(
             *[Sum(c, alias_name=c) for c in
               ["n_ep", "ep_events", "ep_span", "n_gaps",
@@ -6324,12 +6135,7 @@ def q_jump_length_bands(sf_dir: str):
     band says exploration; mass at 0 says dwelling (consistent with
     the staypoint op by construction)."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -6350,9 +6156,7 @@ def q_jump_length_bands(sf_dir: str):
         return pd.DataFrame(rows)
 
     out = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("band").aggregate(Sum("c", alias_name="n_jumps"))
     ).to_pandas().sort_values("band").reset_index(drop=True)
     return out.astype({"n_jumps": np.int64})
@@ -6763,12 +6567,7 @@ def q_gorilla_timestamp_bits(sf_dir: str):
     for bits/sample.  Regular heartbeats cost ~1 bit; bursty human
     traffic pays the wide buckets."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["user_id"], 64)
-        return batch.append_column("_bucket", pa.array(b))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["user_id", "ts", "event_id"])
@@ -6790,9 +6589,7 @@ def q_gorilla_timestamp_bits(sf_dir: str):
             "zeros": int((dod == 0).sum())}])
 
     m = relational.ds_to_table(
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(per_bucket,
-                                       batch_format="pandas")
+        relational.bucket_shuffle(ev, "user_id", per_bucket)
         .groupby("_g").aggregate(
             Sum("n_dod", alias_name="n"),
             Sum("bits", alias_name="bits"),
@@ -7904,13 +7701,12 @@ def q_littles_law_sessions(sf_dir: str):
     from ray.data.aggregate import Sum
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def user_seconds(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         sec = t["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 1_000_000
-        return pa.table({"u": pa.array(u), "s": pa.array(sec),
-                         "_b": pa.array(u % 32)})
+        return pa.table({"u": pa.array(u), "s": pa.array(sec)})
 
     def sess_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # whole-bucket vectorized: lexsort by (user, sec); session
@@ -7927,8 +7723,8 @@ def q_littles_law_sessions(sf_dir: str):
         return g.reset_index(drop=True)
 
     sess = relational.ds_to_table(
-        ev.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_b").map_groups(sess_bucket, batch_format="pandas")
+        relational.bucket_shuffle(ev, "u", sess_bucket, 32,
+                                  prepare=user_seconds)
     ).to_pandas()
     n_s = len(sess)
     sum_dur = int((sess["end"] - sess["start"]).sum())
@@ -8716,11 +8512,6 @@ def q_markov_stationary_events(sf_dir: str):
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["user_id"],
-                                                    64)))
-
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "ts", "event_id"])
         same = df["user_id"].to_numpy()[1:] \
@@ -8731,8 +8522,7 @@ def q_markov_stationary_events(sf_dir: str):
             .groupby(["cur", "nxt"], sort=False).sum().reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    counts = ev.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas") \
+    counts = relational.bucket_shuffle(ev, "user_id", per_bucket) \
         .groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")) \
         .to_pandas()
     states = sorted(set(counts["cur"]) | set(counts["nxt"]))

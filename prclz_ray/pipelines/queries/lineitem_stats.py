@@ -2654,10 +2654,7 @@ def q_demand_classification_parts(sf_dir: str):
         return a
 
     agg = relational.ds_to_table(
-        dd_.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["pk"], 64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_part, batch_format="pandas")
+        relational.bucket_shuffle(dd_, "pk", per_part)
         .groupby("pk").aggregate(
             Sum("n", alias_name="n"), Sum("sd", alias_name="sd"),
             Sum("sd2", alias_name="sd2"), Sum("sg", alias_name="sg"),

@@ -180,10 +180,6 @@ def q_trailing_30d_revenue(sf_dir: str):
         .groupby(["o_custkey", "day"]) \
         .aggregate(Sum("pc_", alias_name="cents"))
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("_cb", pa.array(
-            relational.stable_bucket(t["o_custkey"], 64)))
-
     def trailing(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["o_custkey", "day"])
         cust = df["o_custkey"].to_numpy(np.int64)
@@ -203,8 +199,7 @@ def q_trailing_30d_revenue(sf_dir: str):
             "rev30_cents": pa.array(rev30.astype(np.int64))})
 
     return relational.ds_to_table(
-        daily.map_batches(tag, batch_format="pyarrow")
-        .groupby("_cb").map_groups(trailing, batch_format="pandas")
+        relational.bucket_shuffle(daily, "o_custkey", trailing)
     ).to_pandas().sort_values(["o_custkey", "day"]).reset_index(drop=True)
 
 
@@ -1217,7 +1212,6 @@ def q_join_cardinality_exact(sf_dir: str):
     against the oracle's actual COUNT(*).  The primitive a cost-based
     planner needs before choosing broadcast vs shuffle."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     orders = _read(sf_dir, "orders", ["o_orderkey"])
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
 
@@ -1261,13 +1255,8 @@ def q_reorder_interval_histogram(sf_dir: str):
     customer-bucket shuffle, vectorized shift per bucket; output is
     week-domain-bounded."""
     from ray.data.aggregate import Sum
-    from ...stages.relational import stable_bucket
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                       "o_orderdate"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("_b", pa.array(
-            stable_bucket(t["o_custkey"], 64)))
 
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         day = df["o_orderdate"].to_numpy() \
@@ -1285,8 +1274,7 @@ def q_reorder_interval_histogram(sf_dir: str):
                          "pn": pa.array(n.astype(np.int64))})
 
     o = relational.ds_to_table(
-        orders.map_batches(tag, batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(orders, "o_custkey", per_bucket)
         .groupby("gap_weeks").aggregate(Sum("pn", alias_name="n"))
     ).to_pandas().sort_values("gap_weeks").reset_index(drop=True)
     return o.astype({"gap_weeks": np.int64, "n": np.int64})
@@ -3205,14 +3193,10 @@ def q_growth_accounting_monthly(sf_dir: str):
             "ret_rev": np.where(is_new, 0, g["pc_"])})
         return out.groupby("m", sort=False).sum().reset_index()
 
-    from ...stages.relational import stable_bucket
-    res = relational.ds_to_table(
-        orders.map_batches(partial, batch_format="pyarrow")
+    cm = orders.map_batches(partial, batch_format="pyarrow") \
         .groupby(["c", "m"]).aggregate(Sum("pc_", alias_name="pc_"))
-        .map_batches(lambda t: t.append_column(
-            "_bucket", pa.array(stable_bucket(t["c"], 64))),
-            batch_format="pyarrow")
-        .groupby("_bucket").map_groups(split, batch_format="pandas")
+    res = relational.ds_to_table(
+        relational.bucket_shuffle(cm, "c", split)
         .groupby("m").aggregate(
             Sum("new_c", alias_name="n_new_customers"),
             Sum("ret_c", alias_name="n_returning_customers"),
@@ -3259,7 +3243,6 @@ def q_net_revenue_retention(sf_dir: str):
     month only (m+1 must exist)."""
     from ray.data.aggregate import Max, Sum
 
-    from ...stages.relational import stable_bucket
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate",
                                       "o_totalprice"])
@@ -3294,10 +3277,7 @@ def q_net_revenue_retention(sf_dir: str):
         return out.groupby("m", sort=False).sum().reset_index()
 
     res = relational.ds_to_table(
-        cm.map_batches(lambda t: t.append_column(
-            "_bucket", pa.array(stable_bucket(t["c"], 64))),
-            batch_format="pyarrow")
-        .groupby("_bucket").map_groups(pairs, batch_format="pandas")
+        relational.bucket_shuffle(cm, "c", pairs)
         .groupby("m").aggregate(Sum("base", alias_name="base"),
                                 Sum("ret", alias_name="ret"))
     ).to_pandas().sort_values("m").reset_index(drop=True)
@@ -4016,11 +3996,7 @@ def q_secretary_rule_replay(sf_dir: str):
         return pd.DataFrame([{"_g": 0, "nc": n_c, "ns": n_s}])
 
     agg = relational.ds_to_table(
-        orders.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["o_custkey"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_bucket, batch_format="pandas")
+        relational.bucket_shuffle(orders, "o_custkey", per_bucket)
         .groupby("_g").aggregate(Sum("nc", alias_name="nc"),
                                  Sum("ns", alias_name="ns"))
     ).to_pandas()

@@ -1524,10 +1524,8 @@ def q13_customer_distribution(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        out = pa.table({"o_custkey": g["o_custkey"],
-                        "pn": g["o_custkey_count"].cast(pa.int64())})
-        return out.append_column("_b", pa.array(
-            relational.stable_bucket(out["o_custkey"], 64)))
+        return pa.table({"o_custkey": g["o_custkey"],
+                         "pn": g["o_custkey_count"].cast(pa.int64())})
 
     def hist(df: pd.DataFrame) -> pa.Table:
         # per-bucket: full per-customer counts (a custkey lives in one
@@ -1539,9 +1537,8 @@ def q13_customer_distribution(sf_dir: str):
             "pn": pa.array(s.to_numpy(dtype=np.int64))})
 
     parts = relational.ds_to_table(
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b").map_groups(hist, batch_format="pandas")) \
-        .to_pandas()
+        relational.bucket_shuffle(orders, "o_custkey", hist,
+                                  prepare=partial)).to_pandas()
     agg = parts.groupby("c_count", as_index=False)["pn"].sum() \
         .rename(columns={"pn": "custdist"})
     zero = int(cust.count()) - int(agg["custdist"].sum())
@@ -1641,10 +1638,8 @@ def q18_large_orders(sf_dir: str):
         g = pa.table({"o_orderkey": t["l_orderkey"],
                       "q": t["l_quantity"].cast(pa.int64())}) \
             .group_by("o_orderkey").aggregate([("q", "sum")])
-        out = pa.table({"o_orderkey": g["o_orderkey"],
-                        "pq": g["q_sum"].cast(pa.int64())})
-        return out.append_column("_b", pa.array(
-            relational.stable_bucket(out["o_orderkey"], 64)))
+        return pa.table({"o_orderkey": g["o_orderkey"],
+                         "pq": g["q_sum"].cast(pa.int64())})
 
     def finish(df: pd.DataFrame) -> pa.Table:
         s = df.groupby("o_orderkey", sort=False)["pq"].sum()
@@ -1654,9 +1649,8 @@ def q18_large_orders(sf_dir: str):
             "sum_qty": pa.array(s.to_numpy(dtype=np.int64))})
 
     big = relational.ds_to_table(
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b").map_groups(finish, batch_format="pandas")) \
-        .to_pandas()
+        relational.bucket_shuffle(li, "o_orderkey", finish,
+                                  prepare=partial)).to_pandas()
     keys = pa.array(sorted(big["o_orderkey"].tolist()), type=pa.int64())
     ords = relational.ds_to_table(orders.map_batches(
         lambda t: t.filter(pc.is_in(
@@ -1793,10 +1787,6 @@ def q_event_entropy_user(sf_dir: str):
         .groupby(["user_id", "event_type"]) \
         .aggregate(Sum("pn", alias_name="c"))
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = relational.stable_bucket(t["user_id"], 64)
-        return t.append_column("_b", pa.array(b))
-
     def finish(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["user_id", "event_type"])
         c = df["c"].to_numpy(dtype=np.float64)
@@ -1813,8 +1803,7 @@ def q_event_entropy_user(sf_dir: str):
                               ascending=[False, True]).head(100)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    per_user = cnt.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_b").map_groups(finish, batch_format="pandas")
+    per_user = relational.bucket_shuffle(cnt, "user_id", finish)
     res = relational.ds_to_table(per_user).to_pandas()
     return res.sort_values(["n_events", "user_id"],
                            ascending=[False, True]).head(100) \
@@ -1848,17 +1837,14 @@ def q_open_orders_per_day(sf_dir: str):
     from ray.data.aggregate import Sum
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    def per_order_partial(t: pa.Table) -> pa.Table:
+    def per_order_partial(t: pa.Table) -> pd.DataFrame:
         day = t["l_shipdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
-        g = pd.DataFrame({"o_orderkey":
-                          t["l_orderkey"].to_numpy(zero_copy_only=False),
-                          "ps": day, "pm": day}) \
+        return pd.DataFrame({"o_orderkey":
+                             t["l_orderkey"].to_numpy(zero_copy_only=False),
+                             "ps": day, "pm": day}) \
             .groupby("o_orderkey", sort=False) \
             .agg(ps=("ps", "min"), pm=("pm", "max")).reset_index()
-        out = pa.Table.from_pandas(g, preserve_index=False)
-        return out.append_column("_ob", pa.array(
-            relational.stable_bucket(out["o_orderkey"], 64)))
 
     def bucket_deltas(df: pd.DataFrame) -> pa.Table:
         # all partials of an order land in this one bucket: finish the
@@ -1874,8 +1860,8 @@ def q_open_orders_per_day(sf_dir: str):
             "pd_": pa.array(np.concatenate(
                 [sc.astype(np.int64), -ec.astype(np.int64)]))})
 
-    deltas = li.map_batches(per_order_partial, batch_format="pyarrow") \
-        .groupby("_ob").map_groups(bucket_deltas, batch_format="pandas") \
+    deltas = relational.bucket_shuffle(li, "o_orderkey", bucket_deltas,
+                                       prepare=per_order_partial) \
         .groupby("day").aggregate(Sum("pd_", alias_name="delta")) \
         .materialize()      # days-bounded; prefix sum consumes it twice
     cum = relational.global_prefix_sum(deltas, order_col="day",
@@ -2756,11 +2742,7 @@ def q_second_price_auction_parts(sf_dir: str):
         return df[df["rn"] < 2].drop(columns="rn")
 
     t2 = relational.ds_to_table(
-        li.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["l_partkey"],
-                                                    64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(top2, batch_format="pandas")
+        relational.bucket_shuffle(li, "l_partkey", top2)
     ).to_pandas()
     t2 = t2.sort_values(["pk", "c", "ok", "ln"],
                         ascending=[True, False, True, True])
@@ -2849,12 +2831,11 @@ def q_join_discovery_scan(sf_dir: str):
             return pa.table({
                 "v": v,
                 "m": pa.array(np.full(len(v), 1 << bit,
-                                      dtype=np.int64)),
-                "_b": pa.array(relational.stable_bucket(v, 64))})
+                                      dtype=np.int64))})
 
         parts.append(ds.map_batches(partial,
                                     batch_format="pyarrow"))
-    # narrow (v, m, bucket) pairs — ≤ Σ per-block ndv rows of 24 B each
+    # narrow (v, m) pairs — ≤ Σ per-block ndv rows of 16 B each
     un = parts[0].union(*parts[1:]).materialize()
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -2877,8 +2858,7 @@ def q_join_discovery_scan(sf_dir: str):
                                            preserve_index=False),
             batch_format="pyarrow", batch_size=None)
     else:
-        masked = un.groupby("_b").map_groups(combine,
-                                             batch_format="pandas")
+        masked = relational.bucket_shuffle(un, "v", combine)
     hist = relational.ds_to_table(masked) \
         .to_pandas().groupby("mask")["cnt"].sum()
     masks = hist.index.to_numpy(np.int64)
@@ -3570,10 +3550,7 @@ def q_croston_forecast_parts(sf_dir: str):
             "croston_forecast": np.round(z / ph, 6)})
 
     out = relational.ds_to_table(
-        dd.map_batches(lambda t: t.append_column(
-            "_b", pa.array(relational.stable_bucket(t["pk"], 64))),
-            batch_format="pyarrow")
-        .groupby("_b").map_groups(per_part, batch_format="pandas")
+        relational.bucket_shuffle(dd, "pk", per_part)
     ).to_pandas().sort_values("p_partkey").reset_index(drop=True)
     return out
 

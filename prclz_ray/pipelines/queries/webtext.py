@@ -2885,16 +2885,12 @@ def q_golden_record_entities(sf_dir: str):
     j = relational.bucketed_hash_join(ents, labels, on="id",
                                       how="left")
 
-    from ...stages.relational import stable_bucket
-
     def finish(t: pa.Table) -> pa.Table:
         ids = t["id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lab = t["label"].to_numpy(zero_copy_only=False)
         lab = np.where(pd.isna(lab), ids, lab).astype(np.int64)
-        out = pa.table({"label": pa.array(lab), "id": t["id"],
-                        "nm": t["nm"]})
-        return out.append_column(
-            "_bucket", pa.array(stable_bucket(out["label"], 64)))
+        return pa.table({"label": pa.array(lab), "id": t["id"],
+                         "nm": t["nm"]})
 
     def survive(g: pd.DataFrame) -> pd.DataFrame:
         # label-bucket group: every cluster lives whole in one bucket,
@@ -2915,8 +2911,7 @@ def q_golden_record_entities(sf_dir: str):
     labeled = j.map_batches(finish,
                             batch_format="pyarrow").materialize()
     out = relational.ds_to_table(
-        labeled.groupby("_bucket").map_groups(survive,
-                                              batch_format="pandas")
+        relational.bucket_shuffle(labeled, "label", survive)
     ).to_pandas().sort_values("label").reset_index(drop=True)
     return out.astype({"label": np.int64, "n_records": np.int64})
 
@@ -2959,7 +2954,6 @@ def q_source_cosine_similarity(sf_dir: str):
     pair."""
     from ray.data.aggregate import Sum
 
-    from ...stages.relational import stable_bucket
 
     docs = _read(sf_dir, "documents", ["source", "text"])
 
@@ -2978,10 +2972,6 @@ def q_source_cosine_similarity(sf_dir: str):
     counts = docs.map_batches(wc, batch_format="pyarrow") \
         .groupby(["source", "w"]).aggregate(Sum("n", alias_name="n"))
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = stable_bucket(t["w"], 64)
-        return t.append_column("_bucket", pa.array(b))
-
     def gram(g: pd.DataFrame) -> pd.DataFrame:
         piv = g.pivot_table(index="w", columns="source", values="n",
                             aggfunc="sum", fill_value=0)
@@ -2997,8 +2987,7 @@ def q_source_cosine_similarity(sf_dir: str):
         return pd.DataFrame(rows)
 
     parts = relational.ds_to_table(
-        counts.map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket").map_groups(gram, batch_format="pandas")
+        relational.bucket_shuffle(counts, "w", gram)
         .groupby(["s1", "s2"]).aggregate(Sum("dot",
                                              alias_name="dot"))
     ).to_pandas()

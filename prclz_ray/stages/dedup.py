@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .relational import bucket_shuffle
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -56,24 +58,20 @@ def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id",
     coarse-bucket groupby finishes globally — per-bucket vectorized
     pick, never a per-distinct-text Python call (a map_groups on the
     raw hash would invoke python once per distinct document)."""
-    def add_hash(batch: pa.Table) -> pa.Table:
+    def add_hash(batch: pa.Table) -> pd.DataFrame:
         h = _stable_u64(batch[text_col].to_pylist())
         df = batch.append_column("_h", pa.array(h)).to_pandas()
-        df = df.sort_values([
+        return df.sort_values([
             "_h", key_col]).drop_duplicates("_h", keep="first")
-        df["_b"] = (df["_h"].to_numpy(dtype=np.uint64)
-                    % np.uint64(num_buckets)).astype(np.int32)
-        return pa.Table.from_pandas(df, preserve_index=False)
 
     def first(group: pd.DataFrame) -> pa.Table:
         g = group.sort_values(["_h", key_col], kind="mergesort") \
             .drop_duplicates("_h", keep="first") \
-            .drop(columns=["_h", "_b"])
+            .drop(columns=["_h"])
         # arrow out: downstream ops on pandas blocks hit a slow path
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_hash, batch_format="pyarrow")
-            .groupby("_b").map_groups(first, batch_format="pandas"))
+    return bucket_shuffle(ds, "_h", first, num_buckets, prepare=add_hash)
 
 
 def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
@@ -562,18 +560,11 @@ def _dedupe_pairs(cand):
     """Cross-band duplicate pairs: coarse-bucket by hash(a), then one
     vectorized drop_duplicates per bucket (NOT a per-pair groupby — that
     costs a python call per candidate pair).  Arrow blocks in/out."""
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_pb"] = (pd.util.hash_pandas_object(df["a"], index=False)
-                     % 16).astype("int32")
-        return df
-
     def drop(g: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(
-            g.drop_duplicates(["a", "b"]).drop(columns=["_pb"]),
-            preserve_index=False)
+        return pa.Table.from_pandas(g.drop_duplicates(["a", "b"]),
+                                    preserve_index=False)
 
-    return cand.map_batches(add_bucket, batch_format="pandas") \
-        .groupby("_pb").map_groups(drop, batch_format="pandas")
+    return bucket_shuffle(cand, "a", drop, 16)
 
 
 def _dedupe_pairs_minbound(cand):
@@ -583,17 +574,11 @@ def _dedupe_pairs_minbound(cand):
     only if min(ub) over its observed tokens still admits need.  Same
     coarse-bucket shape as ``_dedupe_pairs`` (hash(a) buckets, one
     vectorized pandas groupby per bucket), emitting bare (a, b)."""
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_pb"] = (pd.util.hash_pandas_object(df["a"], index=False)
-                     % 16).astype("int32")
-        return df
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def combine(t: pa.Table) -> pd.DataFrame:
         # per-batch partial min BEFORE the bucket shuffle: the exchange
         # moves distinct pairs per batch, not one row per (pair, token)
-        out = df.groupby(["a", "b"], sort=False).agg(
+        return t.to_pandas().groupby(["a", "b"], sort=False).agg(
             ub=("ub", "min"), need=("need", "first")).reset_index()
-        return add_bucket(out)
 
     def drop(g: pd.DataFrame) -> pa.Table:
         agg = g.groupby(["a", "b"], sort=False).agg(
@@ -601,8 +586,7 @@ def _dedupe_pairs_minbound(cand):
         keep = agg.loc[agg["ub"] >= agg["need"], ["a", "b"]]
         return pa.Table.from_pandas(keep, preserve_index=False)
 
-    return cand.map_batches(combine, batch_format="pandas") \
-        .groupby("_pb").map_groups(drop, batch_format="pandas")
+    return bucket_shuffle(cand, "a", drop, 16, prepare=combine)
 
 
 def _sharded_multi_groups(ds, group_cols: list, key_col: str, fn,
@@ -1319,8 +1303,7 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
     per-doc regroup, never a driver-side blowup."""
     import ray
 
-    from .relational import (_pair_index, bucketed_hash_join, ds_to_table,
-                             stable_bucket)
+    from .relational import _pair_index, bucketed_hash_join, ds_to_table
 
     def explode_all(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False)
@@ -1348,10 +1331,8 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
     def partial_count(t: pa.Table) -> pa.Table:
         g, c = np.unique(t["g"].to_numpy(zero_copy_only=False),
                          return_counts=True)
-        out = pa.table({"g": pa.array(g, type=pa.uint64()),
-                        "c": pa.array(c.astype(np.int64))})
-        return out.append_column(
-            "_b", pa.array((g % np.uint64(num_shards)).astype(np.int32)))
+        return pa.table({"g": pa.array(g, type=pa.uint64()),
+                         "c": pa.array(c.astype(np.int64))})
 
     def final_count(df: pd.DataFrame) -> pa.Table:
         s = df.groupby("g", sort=False)["c"].sum()
@@ -1364,9 +1345,8 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
     # consumed twice (size probe, then broadcast-or-join) — without this
     # pin each consumer would re-run the corpus-wide shingle explode that
     # feeds it (ADVICE r3)
-    df2 = rows3.map_batches(partial_count, batch_format="pyarrow") \
-        .groupby("_b").map_groups(final_count, batch_format="pandas") \
-        .materialize()
+    df2 = bucket_shuffle(rows3, "g", final_count, num_shards,
+                         prepare=partial_count).materialize()
 
     p_frac = jaccard_threshold
 
@@ -1419,18 +1399,12 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
         joined = bucketed_hash_join(rows3, df2, on="g",
                                     num_buckets=num_shards, how="left")
 
-        def bucket_doc(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "_db", pa.array(stable_bucket(t[key_col], num_shards)))
-
         def per_bucket(df: pd.DataFrame) -> pa.Table:
-            df = df.drop(columns=["_db"])
             df["df"] = df["df"].fillna(1).astype(np.int64)
             df["g"] = df["g"].astype(np.uint64)
             return select_prefix(df)
 
-        prefix_rows = joined.map_batches(bucket_doc, batch_format="pyarrow") \
-            .groupby("_db").map_groups(per_bucket, batch_format="pandas")
+        prefix_rows = bucket_shuffle(joined, key_col, per_bucket, num_shards)
 
     schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                         ("ub", pa.int64()), ("need", pa.int64())])

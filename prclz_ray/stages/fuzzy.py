@@ -164,7 +164,7 @@ def blocked_fuzzy_pairs(left_ds, right_ds, id_col: str = "id",
     ``batch_edit_distance`` call per group after a length prefilter.
     """
     from .dedup import _dedupe_pairs
-    from .relational import _ragged_arange
+    from .relational import _ragged_arange, bucket_shuffle
 
     neighborhood = max_dist == 1
     schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
@@ -236,24 +236,13 @@ def blocked_fuzzy_pairs(left_ds, right_ds, id_col: str = "id",
             "dist": pa.array(d[keep].astype(np.int64)),
         })
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(t["block"].to_numpy(zero_copy_only=False)
-                               .astype(object))
-        return t.append_column(
-            "_shard", pa.array((h % num_shards).astype(np.int32)))
-
-    def shard(df: pd.DataFrame) -> pa.Table:
-        return shard_fn(df.drop(columns=["_shard"]))
-
     mk = _variant_rows if neighborhood else \
         (lambda s, i, t: _block_rows(s, i, t, block_len))
     rows = left_ds.map_batches(
         mk(0, id_col, text_col), batch_format="pyarrow"
     ).union(right_ds.map_batches(
         mk(1, id_col, text_col), batch_format="pyarrow"))
-    pairs = rows.map_batches(add_shard, batch_format="pyarrow") \
-        .groupby("_shard").map_groups(shard, batch_format="pandas")
-    return _dedupe_pairs(pairs)
+    return _dedupe_pairs(bucket_shuffle(rows, "block", shard_fn, num_shards))
 
 
 def batch_damerau_levenshtein(a_list, b_list) -> np.ndarray:

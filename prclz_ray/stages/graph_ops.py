@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .relational import bucket_shuffle
+
 
 def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
              dst_col: str = "dst", iters: int = 3, damping: float = 0.85,
@@ -477,7 +479,7 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
     V-scale BSP leg runs: one bucketed edges×labels co-shuffle join +
     per-batch count partials + a bucketed argmax per round, nothing
     driver-sized."""
-    from .relational import bucketed_hash_join, stable_bucket
+    from .relational import bucketed_hash_join
 
     def sym(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -505,10 +507,8 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
         def count_partial(t: pa.Table) -> pa.Table:
             g = t.select(["node", "lbl"]).group_by(["node", "lbl"]) \
                 .aggregate([("lbl", "count")])
-            g = pa.table({"node": g["node"], "lbl": g["lbl"],
-                          "pn": g["lbl_count"].cast(pa.int64())})
-            return g.append_column("_nb", pa.array(
-                stable_bucket(g["node"], num_buckets)))
+            return pa.table({"node": g["node"], "lbl": g["lbl"],
+                             "pn": g["lbl_count"].cast(pa.int64())})
 
         def argmax(t: pa.Table) -> pa.Table:
             # whole node-bucket at once: sum partials per (node, lbl),
@@ -523,8 +523,8 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
                 "nbr": pa.array(df["node"].to_numpy(dtype=np.int64)),
                 "lbl": pa.array(df["lbl"].to_numpy(dtype=np.int64))})
 
-        new = j.map_batches(count_partial, batch_format="pyarrow") \
-            .groupby("_nb").map_groups(argmax, batch_format="pyarrow")
+        new = bucket_shuffle(j, "node", argmax, num_buckets,
+                             prepare=count_partial, batch_format="pyarrow")
         # isolated nodes keep their own label: left-anti union
         from .relational import bucketed_semi_join
         keep = bucketed_semi_join(labels, new.map_batches(
@@ -565,9 +565,7 @@ def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
             uniq, cnt = np.unique(pair, axis=0, return_counts=True)
             return pa.table({
                 "i": pa.array(uniq[:, 0]), "l": pa.array(uniq[:, 1]),
-                "c": pa.array(cnt.astype(np.int64)),
-                "_nb": pa.array((uniq[:, 0]
-                                 % num_buckets).astype(np.int32))})
+                "c": pa.array(cnt.astype(np.int64))})
 
         def argmax(t: pa.Table) -> pa.Table:
             df = t.to_pandas().groupby(["i", "l"], sort=False,
@@ -579,9 +577,9 @@ def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
                 "i": pa.array(df["i"].to_numpy(dtype=np.int64)),
                 "l": pa.array(df["l"].to_numpy(dtype=np.int64))})
 
-        top = ds_to_table(
-            sym_edges.map_batches(partial, batch_format="pyarrow")
-            .groupby("_nb").map_groups(argmax, batch_format="pyarrow"))
+        top = ds_to_table(bucket_shuffle(
+            sym_edges, "i", argmax, num_buckets, prepare=partial,
+            batch_format="pyarrow"))
         new = lbl.copy()                 # isolated nodes keep their own
         new[top["i"].to_numpy(zero_copy_only=False)] = \
             top["l"].to_numpy(zero_copy_only=False)
@@ -613,8 +611,7 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
     nothing driver-sized.  Frontier-only expansion (not the whole
     visited set) is what keeps round r's exchange proportional to the
     NEW surface, the textbook BSP BFS shape."""
-    from .relational import (bucketed_hash_join, bucketed_semi_join,
-                             stable_bucket)
+    from .relational import bucketed_hash_join, bucketed_semi_join
 
     guard_n = approx_num_nodes if approx_num_nodes is not None \
         else seeds_ds.count()
@@ -645,15 +642,12 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
             combine=lambda t: pa.table(
                 {"dst": pc.unique(t["dst"])}))
 
-        def tag_dst(batch: pa.Table) -> pa.Table:
-            u = pc.unique(batch["dst"])
-            return pa.table({"_bk": u, "_nb": pa.array(
-                stable_bucket(u, num_buckets))})
+        def distinct_dst(t: pa.Table) -> pa.Table:
+            return pa.table({"_bk": pc.unique(t["dst"])})
 
-        cand = j.map_batches(tag_dst, batch_format="pyarrow") \
-            .groupby("_nb").map_groups(
-                lambda t: pa.table({"_bk": pc.unique(t["_bk"])}),
-                batch_format="pyarrow")
+        cand = bucket_shuffle(
+            j, "_bk", lambda t: pa.table({"_bk": pc.unique(t["_bk"])}),
+            num_buckets, prepare=distinct_dst, batch_format="pyarrow")
         new = bucketed_semi_join(cand, dist.select_columns(["_bk"]),
                                  on="_bk", anti=True,
                                  num_buckets=num_buckets) \
@@ -735,7 +729,7 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
     bfs_hops: small graphs run a driver-merged streaming-pass leg,
     large run the bucketed BSP leg (join with per-bucket min combine +
     one bucketed min-merge per round)."""
-    from .relational import bucketed_hash_join, stable_bucket
+    from .relational import bucketed_hash_join
 
     _INF = np.int64(2**62)
 
@@ -783,22 +777,17 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
             return pa.table({"_bk": b["_bk"], "d": b["d"],
                              "old": b["d"]})
 
-        def tag_nb(b: pa.Table) -> pa.Table:
-            return b.append_column("_nb", pa.array(
-                stable_bucket(b["_bk"], num_buckets)))
-
         def min_merge(t: pa.Table) -> pa.Table:
             g = t.group_by("_bk").aggregate([("d", "min"),
                                              ("old", "min")])
             return pa.table({"_bk": g["_bk"], "d": g["d_min"],
                              "old": g["old_min"]})
 
-        u = j.map_batches(cand_rows, batch_format="pyarrow") \
-            .union(dist.map_batches(old_rows, batch_format="pyarrow")) \
-            .map_batches(tag_nb, batch_format="pyarrow") \
-            .groupby("_nb").map_groups(min_merge,
-                                       batch_format="pyarrow") \
-            .materialize()
+        u = bucket_shuffle(
+            j.map_batches(cand_rows, batch_format="pyarrow")
+            .union(dist.map_batches(old_rows, batch_format="pyarrow")),
+            "_bk", min_merge, num_buckets,
+            batch_format="pyarrow").materialize()
         dist = u.select_columns(["_bk", "d"]).materialize()
         changed = u.map_batches(
             lambda b: pa.table(
@@ -1035,8 +1024,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
     import ray
     from ray.data.aggregate import Count, Sum
 
-    from .relational import (bucketed_hash_join, ds_to_table,
-                             stable_bucket)
+    from .relational import bucketed_hash_join, ds_to_table
     from .util import worker_cached
 
     def norm(batch: pa.Table) -> pa.Table:
@@ -1108,11 +1096,6 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
     # pivot-keyed wedge explosion: distinct (lo, hi) partials bucket on
     # lo; per bucket a vectorized sorted repeat/ragged-arange pair walk
     # emits (pivot, a, b) with a < b (hi values sorted per pivot)
-    def tag(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lo", "hi"]).aggregate([])
-        return g.append_column(
-            "_bk", pa.array(stable_bucket(g["lo"], num_buckets)))
-
     def explode(group: pd.DataFrame) -> pa.Table:
         df = group.drop_duplicates(["lo", "hi"]).sort_values(["lo", "hi"])
         k = df.groupby("lo", sort=False).size().to_numpy()
@@ -1134,8 +1117,9 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
             "a": pa.array(vals[off[rep] + i]),
             "b": pa.array(vals[off[rep] + j])})
 
-    wedges = oriented.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bk").map_groups(explode, batch_format="pandas") \
+    wedges = bucket_shuffle(
+        oriented, "lo", explode, num_buckets,
+        prepare=lambda t: t.group_by(["lo", "hi"]).aggregate([])) \
         .materialize()
 
     def zero_out():
@@ -1391,12 +1375,6 @@ def oriented_wedges_with_pivot(oriented_ds):
     explosion (sorted repeat / arange index arithmetic — no per-key
     Python loop).  Out-degrees are O(√m)-bounded after orientation, so
     the explosion is O(m^1.5) total."""
-    from .relational import stable_bucket
-
-    def tag(t: pa.Table) -> pa.Table:
-        b = stable_bucket(t["lo"], 64)
-        return t.append_column("_bucket", pa.array(b))
-
     def explode(g: pd.DataFrame) -> pd.DataFrame:
         df = g.sort_values(["lo", "hi"])
         lo = df["lo"].to_numpy(np.int64)
@@ -1420,8 +1398,7 @@ def oriented_wedges_with_pivot(oriented_ds):
         b = np.maximum(hi[i_idx], hi[j_idx])
         return pd.DataFrame({"pivot": lo[i_idx], "a": a, "b": b})
 
-    return oriented_ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(explode, batch_format="pandas")
+    return bucket_shuffle(oriented_ds, "lo", explode)
 
 
 def k_truss(edges_ds, k: int = 4, src_col: str = "src",
@@ -1660,15 +1637,7 @@ def hyperball_nf(edges_ds, nodes_ds, node_col: str = "v",
             .map_batches(lambda b: pa.table({"v": b["dst"],
                                              "regs": b["regs"]}),
                          batch_format="pyarrow")
-        unioned = state.union(contrib)
-
-        def tag(b: pa.Table) -> pa.Table:
-            v = b["v"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "_nb", pa.array((v % num_buckets).astype(np.int32)))
-
-        state = unioned.map_batches(tag, batch_format="pyarrow") \
-            .groupby("_nb").map_groups(merge, batch_format="pandas") \
-            .materialize()
+        state = bucket_shuffle(state.union(contrib), "v", merge,
+                               num_buckets).materialize()
         totals.append(nf_total(state))
     return totals

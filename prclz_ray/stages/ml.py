@@ -244,16 +244,13 @@ def distributed_auc(ds, score_col: str, label_col: str,
     """
     import pandas as pd
 
-    def partial(t: pa.Table) -> pa.Table:
+    from .relational import bucket_shuffle
+
+    def partial(t: pa.Table) -> pd.DataFrame:
         s = t[score_col].to_numpy(zero_copy_only=False)
         l = t[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
         df = pd.DataFrame({"s": s, "p": l, "n": 1 - l})
-        g = df.groupby("s", sort=False).sum().reset_index()
-        out = pa.Table.from_pandas(g, preserve_index=False)
-        return out.append_column(
-            "_b", pa.array((np.abs(
-                pd.util.hash_array(g["s"].to_numpy())) % 64)
-            .astype(np.int32)))
+        return df.groupby("s", sort=False).sum().reset_index()
 
     def combine(df: pd.DataFrame) -> pa.Table:
         g = df.groupby("s", sort=False)[["p", "n"]].sum().reset_index()
@@ -271,7 +268,6 @@ def distributed_auc(ds, score_col: str, label_col: str,
         return pa.table({"auc": pa.array([round(auc, round_dp)],
                                          type=pa.float64())})
 
-    reduced = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("_b").map_groups(combine, batch_format="pandas")
+    reduced = bucket_shuffle(ds, "s", combine, prepare=partial)
     return reduced.repartition(1).map_batches(
         finish, batch_format="pyarrow", batch_size=None)

@@ -9,9 +9,14 @@ large-large joins.
 Every two-sided shuffle join (``bucketed_semi_join``, ``bucketed_hash_join``,
 ``salted_join``, ``asof_join``, ``band_join`` and ``joins.pip_join_tiled``)
 co-partitions through ``cogroup``; each supplies only its tagger and its
-per-group kernel.
+per-group kernel.  Every one-sided keyed operator (sessions, LAG/LEAD,
+ranks, running and moving windows, funnels, modes, dedup, posting lists)
+hash-partitions through ``bucket_shuffle``; each supplies only its
+per-batch ``prepare`` and its per-bucket kernel.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -149,8 +154,14 @@ def stable_bucket(col, num_buckets: int) -> np.ndarray:
     must NEVER be used to co-partition two sides that hash in different
     worker processes — same key, different bucket, silently dropped rows.
     ``pd.util.hash_array`` is seed-stable across processes."""
-    vals = col.to_numpy(zero_copy_only=False) if hasattr(col, "to_numpy") \
-        else np.asarray(col)
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if col.null_count and pa.types.is_integer(col.type):
+            # to_numpy turns an int column with nulls into float64, which
+            # hashes apart from the same values in a null-free batch
+            col = pc.fill_null(col, 0)
+        vals = col.to_numpy(zero_copy_only=False)
+    else:
+        vals = np.asarray(col)
     # normalize width so e.g. int32 and int64 keys of equal value hash
     # identically (the two join sides may carry different widths)
     if vals.dtype == object or vals.dtype.kind in ("U", "S"):
@@ -162,6 +173,38 @@ def stable_bucket(col, num_buckets: int) -> np.ndarray:
     else:
         h = pd.util.hash_array(np.ascontiguousarray(vals))
     return (h % num_buckets).astype(np.int32)
+
+
+def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
+                   prepare=None, batch_format: str = "pandas"):
+    """Hash-partition ``ds`` on ``key`` into ``num_buckets`` coarse groups
+    and run ``per_bucket(group)`` once per bucket: the one shape behind
+    every one-sided keyed operator.  A bucket holds every row of each key
+    hashed into it, so a per-key kernel sees whole keys, and the shuffle
+    sorts ``num_buckets`` groups instead of one per key.
+
+    One map tags each Arrow batch: the optional ``prepare(batch)`` runs
+    first (column pruning with ``select``, a filter, a per-batch partial
+    aggregate; it may return a pandas DataFrame), then
+    ``stable_bucket(key)`` is appended as ``_bucket``.  One
+    ``groupby("_bucket").map_groups`` follows; ``per_bucket`` gets its
+    group in ``batch_format`` with the bucket column dropped, and its
+    name stays the Ray operator's name."""
+    def tag(batch: pa.Table) -> pa.Table:
+        t = batch if prepare is None else prepare(batch)
+        if isinstance(t, pd.DataFrame):
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        return t.append_column(
+            "_bucket", pa.array(stable_bucket(t[key], num_buckets)))
+
+    @functools.wraps(per_bucket)
+    def run(group):
+        if isinstance(group, pd.DataFrame):
+            return per_bucket(group.drop(columns=["_bucket"]))
+        return per_bucket(group.drop_columns(["_bucket"]))
+
+    return ds.map_batches(tag, batch_format="pyarrow") \
+        .groupby("_bucket").map_groups(run, batch_format=batch_format)
 
 
 def broadcast_join(big_ds, small, on: str, how: str = "inner",
@@ -236,7 +279,10 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
                        num_buckets: int = 32):
     """Shuffle semi/anti join for a key side too large to broadcast: both
     sides bucket on a stable key hash, co-group per bucket, vectorized
-    isin within the bucket.  One all-to-all exchange on narrow columns."""
+    isin within the bucket.  One all-to-all exchange on narrow columns.
+    Both sides bucket and probe at the permissive union of their key
+    types (the hash is dtype-sensitive: int64 3 and float64 3.0 land in
+    different buckets); the output keeps the big side's key type."""
     keys_only = keys_ds.select_columns([on]) if hasattr(keys_ds, "select_columns") \
         else keys_ds
 
@@ -253,16 +299,19 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
         return batch.append_column(
             "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
 
+    out_sch = _arrow_schema(big_sch)
+
     def probe(lg: pa.Table, kg: pa.Table) -> pa.Table:
         # null keys drop on BOTH semi and anti, matching the broadcast
         # semi_join
         mask = pc.is_in(lg[on], value_set=pc.unique(kg[on].combine_chunks()))
         if anti:
             mask = pc.invert(mask)
-        return lg.filter(pc.fill_null(mask, False))
+        out = lg.filter(pc.fill_null(mask, False))
+        return out if out.schema == out_sch else out.cast(out_sch)
 
     return cogroup(big_ds, keys_only, "_bucket", pa.int32(), tag, tag, probe,
-                   big_sch, keys_sch)
+                   *_unify_keys(big_sch, keys_sch, [on]))
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
@@ -502,12 +551,10 @@ def windowed_aggregate(events_ds, key_col: str, ts_col: str, value_col: str,
                       "v": batch[value_col]})
         g = t.group_by([key_col, "window"]).aggregate(
             [("v", "sum"), ("v", "count"), ("v", "max")])
-        h = pd.util.hash_array(g[key_col].to_numpy(zero_copy_only=False))
         return pa.table({
             key_col: g[key_col], "window": g["window"],
             "part_sum": g["v_sum"], "part_n": g["v_count"],
             "part_max": g["v_max"],
-            "_bucket": pa.array((h % num_buckets).astype(np.int32)),
         })
 
     def combine(t: pa.Table) -> pa.Table:
@@ -519,9 +566,8 @@ def windowed_aggregate(events_ds, key_col: str, ts_col: str, value_col: str,
             "max_value": g["part_max_max"],
         })
 
-    partials = events_ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("_bucket").map_groups(combine,
-                                                  batch_format="pyarrow")
+    return bucket_shuffle(events_ds, key_col, combine, num_buckets,
+                          prepare=partial, batch_format="pyarrow")
 
 
 def pack_desc_rank_key(value: np.ndarray, value_max: int,
@@ -817,11 +863,6 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
     results are deterministic under any shuffle order.  At cluster scale
     raise ``num_buckets`` ≈ total cores; salt only if one user dominates
     a bucket (that user's rows still fit the sort)."""
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch[user_col], num_buckets)
-        t = pa.table({user_col: batch[user_col], ts_col: batch[ts_col]})
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([user_col, ts_col])
         u = df[user_col].to_numpy()
@@ -851,9 +892,8 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
                 (ts_i[ends] - ts_i[starts]) // 1_000_000),
         })
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(events_ds, user_col, per_bucket, num_buckets,
+                          prepare=lambda t: t.select([user_col, ts_col]))
 
 
 def sliding_window_aggregate(events_ds, key_col: str, ts_col: str,
@@ -888,11 +928,9 @@ def sliding_window_aggregate(events_ds, key_col: str, ts_col: str,
                        "v": vals})
         g = tt.group_by([key_col, "window"]).aggregate(
             [("v", "sum"), ("v", "count")])
-        h = pd.util.hash_array(g[key_col].to_numpy(zero_copy_only=False))
         return pa.table({
             key_col: g[key_col], "window": g["window"],
             "part_sum": g["v_sum"], "part_n": g["v_count"],
-            "_bucket": pa.array((h % num_buckets).astype(np.int32)),
         })
 
     def combine(t: pa.Table) -> pa.Table:
@@ -904,9 +942,8 @@ def sliding_window_aggregate(events_ds, key_col: str, ts_col: str,
             "n_events": g["part_n_sum"].cast(pa.int64()),
         })
 
-    partials = events_ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("_bucket").map_groups(combine,
-                                                  batch_format="pyarrow")
+    return bucket_shuffle(events_ds, key_col, combine, num_buckets,
+                          prepare=partial, batch_format="pyarrow")
 
 
 SAMPLE_MIX = 0x9E3779B97F4A7C15  # golden-ratio 64-bit mix (shared with SQL twin)
@@ -949,25 +986,18 @@ def running_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
     must hash-match — integer running sums are accumulation-order-proof,
     float ones are only reproducible, not portable across engines.
     """
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch[key_col], num_buckets)
-        t = pa.table({key_col: batch[key_col], ts_col: batch[ts_col],
-                      order_col: batch[order_col],
-                      value_col: batch[value_col]})
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
         g = df.groupby(key_col, sort=False)
         df = df.assign(
             running_n=g.cumcount().to_numpy() + 1,
             running_sum=g[value_col].cumsum().to_numpy(),
-        ).drop(columns=["_bucket", value_col])
+        ).drop(columns=[value_col])
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        events_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
 def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
@@ -981,10 +1011,8 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
     a vectorized pivot.  Output is inherently small (distinct row keys),
     so the wide step never sees raw rows."""
     def partial(batch: pa.Table) -> pa.Table:
-        g = pa.table({row_col: batch[row_col], col_col: batch[col_col]}) \
+        return pa.table({row_col: batch[row_col], col_col: batch[col_col]}) \
             .group_by([row_col, col_col]).aggregate([([], "count_all")])
-        b = stable_bucket(g[row_col], num_buckets)
-        return g.append_column("_bucket", pa.array(b))
 
     def widen(group: pd.DataFrame) -> pa.Table:
         w = group.pivot_table(index=row_col, columns=col_col,
@@ -999,9 +1027,7 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
         out["n_total"] = total
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("_bucket").map_groups(widen,
-                                                  batch_format="pandas")
+    return bucket_shuffle(ds, row_col, widen, num_buckets, prepare=partial)
 
 
 def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
@@ -1021,10 +1047,8 @@ def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
     shift_n = -1 if lead else 1
     prefix = "next_" if lead else "prev_"
 
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([c for c in batch.column_names if c in keep])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
+    def prune(batch: pa.Table) -> pa.Table:
+        return batch.select([c for c in batch.column_names if c in keep])
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
@@ -1032,16 +1056,15 @@ def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
         ts_i = df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
         nbr_ts = pd.Series(ts_i, index=df.index).groupby(
             df[key_col], sort=False).shift(shift_n)
-        out = df.drop(columns=["_bucket"]).copy()
+        out = df.copy()
         for c in lag_cols:
             out[f"{prefix}{c}"] = g[c].shift(shift_n).convert_dtypes()
         gap = (ts_i - nbr_ts.to_numpy()) * shift_n
         out["gap_us"] = pd.array(gap, dtype="Int64")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
+                          prepare=prune)
 
 
 def scd2_intervals(events_ds, key_col: str, ts_col: str, order_col: str,
@@ -1059,12 +1082,6 @@ def scd2_intervals(events_ds, key_col: str, ts_col: str, order_col: str,
     per-bucket vectorized sort + boundary diff; the output is
     change-rows-sized, usually far smaller than the log."""
     keep = [key_col, ts_col, order_col, state_col]
-
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(keep)
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     empty = pa.table({key_col: pa.array([], type=pa.int64()),
                       state_col: pa.array([], type=pa.string()),
                       "valid_from_us": pa.array([], type=pa.int64()),
@@ -1100,9 +1117,8 @@ def scd2_intervals(events_ds, key_col: str, ts_col: str, order_col: str,
                          "valid_to_us": pa.array(vt, mask=~same_next),
                          "version": pa.array(version)})
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
+                          prepare=lambda t: t.select(keep))
 
 
 def unpivot(ds, id_cols: list, value_cols: list,
@@ -1135,11 +1151,6 @@ def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str,
 
     Scale shape: identical to ``running_aggregate`` — ONE coarse-bucket
     shuffle, per-bucket vectorized sort + C groupby rank kernels."""
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, order_col, id_col])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, order_col, id_col])
         g = df.groupby(key_col, sort=False)
@@ -1151,14 +1162,14 @@ def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str,
         # CUME_DIST = rows-with-value<=current / n — one exact-int
         # division, bit-identical doubles like PERCENT_RANK
         cume = rmax / n
-        out = df.drop(columns=["_bucket"]).assign(
+        out = df.assign(
             row_number=g.cumcount().to_numpy() + 1,
             rank=rank, dense_rank=dense, pct_rank=pct, cume_dist=cume)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        events_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, order_col, id_col]))
 
 
 def moving_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
@@ -1170,23 +1181,18 @@ def moving_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
 
     Scale shape: ONE coarse-bucket shuffle; per bucket a vectorized sort
     + per-key C rolling sum (pandas groupby.rolling)."""
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, ts_col, order_col, value_col])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
         r = df.groupby(key_col, sort=False)[value_col] \
             .rolling(window=window_rows + 1, min_periods=1)
-        out = df.drop(columns=["_bucket", value_col]).assign(
+        out = df.drop(columns=[value_col]).assign(
             mov_sum=r.sum().to_numpy().astype(np.int64),
             mov_n=r.count().to_numpy().astype(np.int64))
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        events_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
 def ewma_bounded(events_ds, key_col: str, ts_col: str, order_col: str,
@@ -1205,11 +1211,6 @@ def ewma_bounded(events_ds, key_col: str, ts_col: str, order_col: str,
 
     Returns (order_col, key_col, 'ewma') with ewma on the RAW value
     scale (caller rescales, e.g. /100 for cents)."""
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, ts_col, order_col, value_col])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
         v = df[value_col].to_numpy(dtype=np.float64)
@@ -1239,9 +1240,9 @@ def ewma_bounded(events_ds, key_col: str, ts_col: str, order_col: str,
         return pa.Table.from_pandas(out, preserve_index=False) \
             .replace_schema_metadata(None)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        events_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
 def stratified_sample(ds, key_col: str, strata_col: str,
@@ -1381,13 +1382,6 @@ def grouped_ntile(ds, key_col: str, order_col: str, tiebreak_col: str,
     and the rest hold base (the SQL front-loaded-remainder rule — NOT
     the interleaving floor(rank·k/n) quantile formula).  Same
     one-coarse-bucket-shuffle shape as the other window operators."""
-    def tag(batch: pa.Table) -> pa.Table:
-        t = pa.table({key_col: batch[key_col],
-                      order_col: batch[order_col],
-                      tiebreak_col: batch[tiebreak_col]})
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, order_col, tiebreak_col])
         g = df.groupby(key_col, sort=False)
@@ -1400,13 +1394,12 @@ def grouped_ntile(ds, key_col: str, order_col: str, tiebreak_col: str,
             rank < cutoff,
             rank // np.maximum(base + 1, 1),
             rem + (rank - cutoff) // np.maximum(base, 1)) + 1
-        df = df.assign(tile=tile.astype(np.int64)) \
-            .drop(columns=["_bucket"])
+        df = df.assign(tile=tile.astype(np.int64))
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, order_col, tiebreak_col]))
 
 
 def salted_join(left_ds, right_ds, on: str, hot_keys,
@@ -1470,12 +1463,10 @@ def funnel_conversion(events_ds, user_col: str, ts_col: str,
     second-step timestamps — no per-user Python loop.  Emits one row
     per user that performed the first step: (user, first_ts,
     converted)."""
-    def tag(batch: pa.Table) -> pa.Table:
+    def steps(batch: pa.Table) -> pa.Table:
         m = pc.is_in(batch[type_col],
                      value_set=pa.array([first_step, second_step]))
-        t = batch.select([user_col, ts_col, type_col]).filter(m)
-        b = stable_bucket(t[user_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
+        return batch.select([user_col, ts_col, type_col]).filter(m)
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         first = group[group[type_col] == first_step] \
@@ -1503,9 +1494,8 @@ def funnel_conversion(events_ds, user_col: str, ts_col: str,
                              f_ts.view("datetime64[us]")),
                          "converted": pa.array(conv)})
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(events_ds, user_col, per_bucket, num_buckets,
+                          prepare=steps)
 
 
 def cohort_retention(events_ds, user_col: str, ts_col: str,
@@ -1870,12 +1860,8 @@ def cooccurrence_pairs(ds, key_col: str, val_col: str,
     lexicographically-first N survive; pass None to disable — only when
     the value domain is known-bounded, as with event types)."""
     def distinct_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([key_col, val_col]) \
+        return batch.select([key_col, val_col]) \
             .group_by([key_col, val_col]).aggregate([])
-        b = stable_bucket(g[key_col], num_buckets)
-        return g.append_column("_bucket", pa.array(b))
-
-    tagged = ds.map_batches(distinct_partial, batch_format="pyarrow")
 
     def explode_pairs(group: pd.DataFrame) -> pa.Table:
         df = group.drop_duplicates([key_col, val_col]) \
@@ -1911,8 +1897,8 @@ def cooccurrence_pairs(ds, key_col: str, val_col: str,
             .rename("n_keys").reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    pairs = tagged.groupby("_bucket").map_groups(explode_pairs,
-                                                 batch_format="pandas")
+    pairs = bucket_shuffle(ds, key_col, explode_pairs, num_buckets,
+                           prepare=distinct_partial)
     return pairs.groupby("_pb").map_groups(merge_pairs,
                                            batch_format="pandas")
 
@@ -2059,10 +2045,6 @@ def grouped_mode(ds, key_col: str, val_col: str, num_buckets: int = 64):
     counts = ds.map_batches(partial, batch_format="pyarrow") \
         .groupby([key_col, val_col]).aggregate(Sum("pn", alias_name="n"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch[key_col], num_buckets)
-        return batch.append_column("_bucket", pa.array(b))
-
     def pick(group: pd.DataFrame) -> pa.Table:
         g = group.sort_values([key_col, "n", val_col],
                               ascending=[True, False, True],
@@ -2072,8 +2054,7 @@ def grouped_mode(ds, key_col: str, val_col: str, num_buckets: int = 64):
         return pa.Table.from_pandas(
             out[[key_col, "mode_value", "n_mode"]], preserve_index=False)
 
-    return counts.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(pick, batch_format="pandas")
+    return bucket_shuffle(counts, key_col, pick, num_buckets)
 
 
 def hash_split(ds, key_col: str, splits: dict, seed: int = 1):
@@ -2162,11 +2143,6 @@ def grouped_ordered_concat(events_ds, key_col: str, order_cols: list[str],
     anchor-text-aggregation shape for web graphs.  ONE coarse-bucket
     shuffle; per bucket a vectorized sort then C-backed join per group.
     Emits (key, out_col, n_events)."""
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, *order_cols, val_col])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, *order_cols])
         g = df.groupby(key_col, sort=False)
@@ -2177,9 +2153,9 @@ def grouped_ordered_concat(events_ds, key_col: str, order_cols: list[str],
             "n_events": g.size().to_numpy().astype(np.int64)})
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return bucket_shuffle(
+        events_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, *order_cols, val_col]))
 
 
 def weighted_sample(ds, key_col: str, weight_col: str, n: int,
@@ -2224,16 +2200,12 @@ def longest_consecutive_run(events_ds, key_col: str, ts_col: str,
     BEFORE the one coarse-bucket shuffle; per bucket a vectorized sort +
     cumcount gives the classic day - row_number island id, then two C
     groupbys (island size, max per key).  Emits (key, longest_streak)."""
-    def tag(batch: pa.Table) -> pa.Table:
+    def key_days(batch: pa.Table) -> pd.DataFrame:
         d = batch[ts_col].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
-        df = pd.DataFrame({
+        return pd.DataFrame({
             key_col: batch[key_col].to_numpy(zero_copy_only=False),
             "_day": d}).drop_duplicates()
-        t = pa.Table.from_pandas(df, preserve_index=False)
-        return t.append_column("_bucket",
-                               pa.array(stable_bucket(t[key_col],
-                                                      num_buckets)))
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.drop_duplicates([key_col, "_day"]) \
@@ -2247,9 +2219,8 @@ def longest_consecutive_run(events_ds, key_col: str, ts_col: str,
             key_col: pa.array(best.index.to_numpy()),
             "longest_streak": pa.array(best.to_numpy(dtype=np.int64))})
 
-    tagged = events_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
+                          prepare=key_days)
 
 
 def detect_hot_keys(ds, on: str, capacity: int = 64,

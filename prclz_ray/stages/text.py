@@ -11,6 +11,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .relational import bucket_shuffle
+
 # tiny n-gram/stopword profiles for the heuristic language id
 _LANG_PROFILES = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
@@ -635,13 +637,7 @@ def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
         # word ASC) so the final shuffle carries n·docs rows, not all terms
         d = t.to_pandas().sort_values(
             ["score", "word"], ascending=[False, True], kind="mergesort")
-        d = d.groupby(key_col, sort=False).head(top_n)
-        from .relational import stable_bucket
-        out = pa.Table.from_pandas(d, preserve_index=False)
-        b = stable_bucket(out[key_col], num_buckets)
-        return out.append_column("_bucket", pa.array(b))
-
-    pruned = joined.map_batches(score, batch_format="pyarrow")
+        return d.groupby(key_col, sort=False).head(top_n)
 
     def final(group: pd.DataFrame) -> pa.Table:
         # one coarse bucket = many docs: vectorized per-doc exact top-n
@@ -652,11 +648,10 @@ def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
                           ascending=[True, False, True], kind="mergesort")
         g["rank"] = g.groupby(key_col, sort=False).cumcount() + 1
         g["score"] = g["score"].round(4)
-        return pa.Table.from_pandas(g.drop(columns=["_bucket"]),
-                                    preserve_index=False)
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    return pruned.groupby("_bucket").map_groups(final,
-                                                batch_format="pandas")
+    return bucket_shuffle(joined, key_col, final, num_buckets,
+                          prepare=score)
 
 
 def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
@@ -672,8 +667,6 @@ def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
     strings)."""
     import pyarrow.compute as pc
 
-    from .relational import stable_bucket
-
     def explode(batch: pa.Table) -> pa.Table:
         parts = pc.split_pattern(batch[text_col], pattern=" ")
         idx = pc.list_parent_indices(parts)
@@ -681,9 +674,7 @@ def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
         keys = batch[key_col].take(idx)
         t = pa.table({key_col: keys, "word": flat})
         t = t.filter(pc.not_equal(t["word"], ""))
-        g = t.group_by([key_col, "word"]).aggregate([])
-        b = stable_bucket(g["word"], num_buckets)
-        return g.append_column("_bucket", pa.array(b))
+        return t.group_by([key_col, "word"]).aggregate([])
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df_ = group.groupby("word", sort=False)[key_col].transform("size")
@@ -702,9 +693,8 @@ def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
         })
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
-    return exploded.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_shuffle(ds, "word", per_bucket, num_buckets,
+                          prepare=explode)
 
 
 def extract_regex_field(ds, col: str, pattern: str, out_col: str,
@@ -823,8 +813,7 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from .relational import (broadcast_join, bucketed_hash_join,
-                             ds_to_table, stable_bucket)
+    from .relational import broadcast_join, bucketed_hash_join, ds_to_table
 
     # Space cannot appear INSIDE a space-split token, so "w1 w2" is an
     # unambiguous pair key.  Do NOT use "\x00": pandas str-concat silently
@@ -938,12 +927,10 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
             .to_numpy(dtype=np.int64)
         c1v = batch["c1"].to_pandas().fillna(0).to_numpy(dtype=np.int64)
         ll = np.log((c12v + 1.0) / (c1v + float(vocab)))
-        t = pa.table({key_col: batch[key_col],
-                      "pll": pa.array(ll),
-                      "pn": pa.array(np.ones(len(batch),
-                                             dtype=np.int64))})
-        b = stable_bucket(t[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
+        return pa.table({key_col: batch[key_col],
+                         "pll": pa.array(ll),
+                         "pn": pa.array(np.ones(len(batch),
+                                                dtype=np.int64))})
 
     def per_doc(group: pd.DataFrame) -> pa.Table:
         g = group.groupby(key_col, sort=False).agg(
@@ -952,8 +939,8 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
         return pa.Table.from_pandas(
             g[[key_col, "n_bigrams", "nll"]], preserve_index=False)
 
-    scored = j.map_batches(term_partial, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(per_doc, batch_format="pandas")
+    scored = bucket_shuffle(j, key_col, per_doc, num_buckets,
+                            prepare=term_partial)
     # docs with <2 tokens never produced a bigram row: union them back
     def short_docs(batch: pa.Table) -> pa.Table:
         parts = pc.split_pattern(batch[text_col], pattern=" ")
@@ -1048,13 +1035,6 @@ def reassemble_chunks(chunks_ds, key_col: str = "doc_id",
     idx) per key: the inverse of zero-overlap ``chunk_documents`` (the
     roundtrip is pytest-pinned).  ONE coarse-bucket shuffle; per bucket a
     vectorized sort + per-key C join."""
-    from .relational import stable_bucket
-
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, idx_col, text_col])
-        b = stable_bucket(batch[key_col], num_buckets)
-        return t.append_column("_bucket", pa.array(b))
-
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, idx_col])
         g = df.groupby(key_col, sort=False)
@@ -1062,9 +1042,9 @@ def reassemble_chunks(chunks_ds, key_col: str = "doc_id",
                     n_chunks=(idx_col, "size")).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    tagged = chunks_ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    return bucket_shuffle(
+        chunks_ds, key_col, per_bucket, num_buckets,
+        prepare=lambda t: t.select([key_col, idx_col, text_col]))
 
 def top_pmi_collocations(ds, text_col: str = "text", k: int = 20,
                          min_count: int = 5, round_to: int = 4,

@@ -383,3 +383,25 @@ def test_shapefile_in_zip_matches_siblings_ignoring_case(tmp_path):
     df = codecs.read_shapefile(zp).to_pandas() \
         .sort_values("id").reset_index(drop=True)
     assert list(df["id"]) == [4, 5]
+
+
+@pytest.mark.parametrize("cut, offset", [
+    ("magic", 0),          # file code zeroed
+    ("body", 156),         # last record loses its y coordinate
+    ("header", 128),       # 4 bytes of the second record header remain
+])
+def test_corrupt_shapefile_raises_with_offset(tmp_path, cut, offset):
+    """A corrupt .shp raises ValueError naming the byte offset of the
+    bad part (it used to parse a zeroed magic as rows under python -O
+    and raise struct.error on a truncated record)."""
+    base = str(tmp_path / "pts")
+    codecs.write_shapefile(pa.table({
+        "id": pa.array([1, 2, 3], type=pa.int64()),
+        "geometry": pa.array([wkb.point(float(i), 0.0) for i in range(3)],
+                             type=pa.binary())}), base)
+    raw = open(base + ".shp", "rb").read()
+    assert len(raw) == 100 + 3 * 28       # three 28-byte point records
+    raw = {"magic": b"\0\0\0\0" + raw[4:], "body": raw[:-8],
+           "header": raw[:100 + 28 + 4]}[cut]
+    with pytest.raises(ValueError, match=f"byte offset {offset}\\b"):
+        codecs._shp_table(raw, None, None)

@@ -109,3 +109,101 @@ def test_two_sided_shuffle_joins_go_through_cogroup():
                     hits.append((name, owner, node.value))
     assert "cogroup" in found
     assert not hits, hits
+
+
+# one-sided hash-bucket shuffles that stay hand-rolled, with their reasons
+# (order-preserving range buckets, e.g. ``_global_prefix_scan``,
+# ``length_bucket_batches`` and ``checkpoint.write_clustered``, hash no key
+# and are not matched)
+BUCKET_SHUFFLE_EXCEPTIONS = {
+    # bucket on the (_h1, _h2) url-hash pair; perfbench's per-layer trace
+    # matches these operators by name (MapBatches(fused), (partial))
+    ("pipelines/flagship.py", "dedup_latest_by_url"),
+    ("pipelines/flagship.py", "duplicate_url_map"),
+    ("pipelines/flagship.py", "flagship_region_counts_streaming"),
+    # second shuffle on a pair bucket hashed from two columns (a, b)
+    ("stages/relational.py", "cooccurrence_pairs"),
+    ("pipelines/queries/corpus_stats.py", "q_graph_reciprocity"),
+    ("pipelines/queries/corpus_stats.py", "q_adamic_adar_links"),
+    ("pipelines/queries/corpus_stats.py", "q_resource_allocation_links"),
+    # shards hash several group columns (LSH band, bucket)
+    ("stages/dedup.py", "_sharded_multi_groups"),
+}
+
+
+def _hash_bucket_shuffles(tree):
+    """``(owner, column)`` for every top-level definition that builds a
+    column from a key hash (``stable_bucket``, ``hash_array``,
+    ``hash_pandas_object`` or a ``%``, directly or through a local name)
+    and runs ``groupby(<that column>).map_groups``."""
+    hashes = {"stable_bucket", "hash_array", "hash_pandas_object"}
+
+    def hashed(expr, names):
+        for n in ast.walk(expr):
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod):
+                return True
+            if isinstance(n, ast.Call) and getattr(
+                    n.func, "attr", getattr(n.func, "id", "")) in hashes:
+                return True
+            if isinstance(n, ast.Name) and n.id in names:
+                return True
+        return False
+
+    out = []
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(top))
+        names: set = set()
+        for node in nodes:      # names bound to a hash, in source order
+            if isinstance(node, ast.Assign) and hashed(node.value, names):
+                names |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+        made, grouped = set(), set()
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                fn = getattr(node.func, "attr", "")
+                if fn == "append_column" and len(node.args) == 2 \
+                        and isinstance(node.args[0], ast.Constant) \
+                        and hashed(node.args[1], names):
+                    made.add(node.args[0].value)
+                if (fn == "map_groups"
+                        and isinstance(node.func.value, ast.Call)
+                        and getattr(node.func.value.func, "attr", "")
+                        == "groupby"
+                        and node.func.value.args
+                        and isinstance(node.func.value.args[0],
+                                       ast.Constant)):
+                    grouped.add(node.func.value.args[0].value)
+            elif isinstance(node, ast.Dict):
+                made |= {k.value for k, v in zip(node.keys, node.values)
+                         if isinstance(k, ast.Constant)
+                         and hashed(v, names)}
+            elif isinstance(node, ast.Assign):
+                made |= {t.slice.value for t in node.targets
+                         if isinstance(t, ast.Subscript)
+                         and isinstance(t.slice, ast.Constant)
+                         and hashed(node.value, names)}
+        out += [(top.name, c) for c in sorted(made & grouped)]
+    return out
+
+
+def test_one_sided_keyed_shuffles_go_through_bucket_shuffle():
+    """Every one-sided shuffle that hashes a key column into coarse
+    buckets and runs ``groupby(<bucket>).map_groups`` does so through
+    ``relational.bucket_shuffle``, which owns the tagging map, the bucket
+    column and its drop.  The exceptions are listed above with their
+    reasons; an exception that no longer matches must leave the list."""
+    hits, used = [], set()
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        for owner, col in _hash_bucket_shuffles(ast.parse(path.read_text())):
+            if owner == "bucket_shuffle":
+                continue
+            if (rel, owner) in BUCKET_SHUFFLE_EXCEPTIONS:
+                used.add((rel, owner))
+            else:
+                hits.append((rel, owner, col))
+    assert not hits, hits
+    assert used == BUCKET_SHUFFLE_EXCEPTIONS, \
+        BUCKET_SHUFFLE_EXCEPTIONS - used

@@ -1539,3 +1539,75 @@ def test_joins_over_mapped_inputs_run_no_limit_probe(monkeypatch):
     assert sorted(semi["t"]) == [t for t in n if t % 7 < 3]
     assert len(band) == sum(abs(lt - rt) <= 2
                             for lt in left["t"] for rt in right["t"])
+
+
+def test_embedding_queries_run_no_limit_plan(monkeypatch, tmp_path):
+    """``q_embedding_centroid_drift`` and ``q_embedding_isotropy_audit``
+    take the embedding dimension from their partials' ``s{d}`` columns:
+    no plan they execute holds a ``Limit`` (the counter of
+    ``test_joins_over_mapped_inputs_run_no_limit_probe``, widened to any
+    operator of the plan, not only its root)."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.logical.operators.one_to_one_operator import \
+        Limit
+    from ray.data._internal.plan import ExecutionPlan
+
+    from prclz_ray.pipelines.queries import (q_embedding_centroid_drift,
+                                             q_embedding_isotropy_audit)
+
+    limits = []
+    for name in ("execute", "execute_to_iterator"):
+        orig = getattr(ExecutionPlan, name)
+
+        def counted(self, *a, _orig=orig, **kw):
+            limits.extend(op for op in
+                          self._logical_plan.dag.post_order_iter()
+                          if isinstance(op, Limit))
+            return _orig(self, *a, **kw)
+        monkeypatch.setattr(ExecutionPlan, name, counted)
+
+    rng = np.random.default_rng(3)
+    pq.write_table(pa.table({
+        "vec_id": pa.array(np.arange(24, dtype=np.int64)),
+        "embedding": pa.array(rng.normal(size=(24, 5)).tolist(),
+                              type=pa.list_(pa.float32())),
+        "label": pa.array(np.arange(24) % 3, type=pa.int32())}),
+        tmp_path / "embeddings.parquet")
+    drift = q_embedding_centroid_drift(str(tmp_path))
+    iso = q_embedding_isotropy_audit(str(tmp_path))
+    assert limits == []
+    assert sorted(drift["label"]) == [0, 1, 2]
+    assert len(iso) == 1
+
+
+def test_bucketed_semi_join_across_key_types():
+    """The shuffle semi/anti join buckets and probes both sides at the
+    permissive union of their key types, so it returns what the
+    broadcast ``semi_join`` returns when the key types differ (int64
+    against float64 used to meet in the wrong buckets: 1 row of 20), and
+    the output keeps the big side's key type."""
+    keys = np.arange(20)
+    for big_t, key_t in ((pa.int32(), pa.int64()),
+                         (pa.int64(), pa.float64())):
+        big = pa.table({"k": pa.array(keys, type=big_t),
+                        "v": pa.array(keys * 10)})
+        kt = pa.table({"k": pa.array(keys[::2], type=key_t)})
+        for anti in (False, True):
+            got = relational.ds_to_table(relational.bucketed_semi_join(
+                rd.from_arrow(big), rd.from_arrow(kt), on="k", anti=anti,
+                num_buckets=8))
+            want = relational.ds_to_table(relational.semi_join(
+                rd.from_arrow(big), kt, on="k", anti=anti))
+            assert got.schema.field("k").type == big_t
+            assert sorted(got["v"].to_pylist()) \
+                == sorted(want["v"].to_pylist()) \
+                == [v for v in keys * 10 if (v // 10 % 2 == 1) == anti]
+
+
+def test_stable_bucket_ignores_nulls_in_int_keys():
+    """A null in an int key column does not move the other keys of its
+    batch: Arrow's ``to_numpy`` would turn the column into float64, which
+    hashes apart from the same values in a null-free batch."""
+    ref = relational.stable_bucket(pa.array([1, 2, 3, 40]), 64)
+    with_null = relational.stable_bucket(pa.array([1, 2, None, 3, 40]), 64)
+    assert list(np.delete(with_null, 2)) == list(ref)
