@@ -64,23 +64,62 @@ def _write(ds, out: str, overwrite: bool):
     print(f"wrote {out}")
 
 
-def _resume_filter(a, blocks):
-    """--resume (reference --progress ledger, split_buildings.py:87-118):
-    drop blocks already committed in the output manifest before any compute."""
-    if getattr(a, "resume", False):
-        from .runtime import checkpoint
-        return checkpoint.filter_uncommitted(blocks, a.out, "block_id")
-    return blocks
+# parsed args that do not change the rows a command writes
+_UNFINGERPRINTED = {"fn", "out", "overwrite", "resume", "qc"}
 
 
-def _write_stage(a, out_ds):
-    if getattr(a, "resume", False):
+class _Resume:
+    """``--resume`` (the reference's --progress ledger,
+    split_buildings.py:87-118): the output commits per ``key`` to the
+    manifest in ``a.out`` and is sealed when the write finishes. One
+    output directory holds one (input, flags) run: the fingerprint covers
+    every file under ``inputs`` and every parsed flag outside
+    ``_UNFINGERPRINTED``, so a rerun over other input or flags raises
+    ``ValueError`` instead of keeping stale partitions.
+
+    A sealed rerun prints its summary here and executes nothing (the
+    command returns when ``done``). Otherwise ``keep`` drops committed
+    keys from the input before any compute and ``write`` commits the
+    rest."""
+
+    def __init__(self, a, key: str, *inputs: str):
         from .runtime import checkpoint
-        info = checkpoint.write_partitioned_resumable(out_ds, a.out, "block_id")
+        self.out, self.key = a.out, key
+        flags = sorted((k, v) for k, v in vars(a).items()
+                       if k not in _UNFINGERPRINTED)
+        self.fp, sealed = checkpoint.open_resumable(a.out, inputs, flags)
+        self.done = sealed is not None
+        if self.done:
+            self._report({"written": 0, "skipped": len(sealed[0]["keys"]),
+                          "rows": 0})
+
+    def keep(self, ds):
+        from .runtime import checkpoint
+        return checkpoint.filter_uncommitted(ds, self.out, self.key)
+
+    def write(self, ds):
+        from .runtime import checkpoint
+        self._report(checkpoint.write_partitioned_resumable(
+            ds, self.out, self.key, self.fp))
+
+    @staticmethod
+    def _report(info):
         print(f"resume write: {info['written']} partitions written, "
               f"{info['skipped']} skipped, {info['rows']} rows")
+
+
+def _stage(a, build, *inputs):
+    """A per-block stage command: ``build(blocks)`` over ``--blocks``
+    (after ``--blocks-subset``) writes to ``a.out``; with ``--resume``
+    through ``_Resume``, whose fingerprint also covers ``inputs``."""
+    r = _Resume(a, "block_id", a.blocks, *inputs) if a.resume else None
+    if r is not None and r.done:
+        return
+    blocks = _filter_blocks(_read(a.blocks), a.blocks_subset)
+    if r is None:
+        _write(build(blocks), a.out, a.overwrite)
     else:
-        _write(out_ds, a.out, a.overwrite)
+        r.write(build(r.keep(blocks)))
 
 
 def _filter_blocks(ds, subset):
@@ -154,13 +193,11 @@ def cmd_blocks(a):
 def cmd_parcels(a):
     from .stages.parcels import check_parcels_qc, parcels_pipeline
     _init_ray()
-    blocks = _resume_filter(a, _filter_blocks(_read(a.blocks), a.blocks_subset))
-    out = parcels_pipeline(blocks, _read(a.buildings),
-                           method=getattr(a, "tessellation", "footprint"))
-    _write_stage(a, out)
-    if getattr(a, "qc", False):
+    _stage(a, lambda blocks: parcels_pipeline(
+        blocks, _read(a.buildings), method=a.tessellation), a.buildings)
+    if a.qc:
         # J6/A4 QC invariant (ref _parcels.py:218-237): ≤1 building/parcel
-        if getattr(a, "resume", False):
+        if a.resume:
             from .runtime import checkpoint
             written = checkpoint.read_resumable(a.out)
         else:
@@ -176,21 +213,18 @@ def cmd_parcels(a):
 def cmd_complexity(a):
     from .stages.complexity import complexity_pipeline
     _init_ray()
-    blocks = _resume_filter(a, _filter_blocks(_read(a.blocks), a.blocks_subset))
-    out = complexity_pipeline(blocks, _read(a.buildings))
-    _write_stage(a, out)
+    _stage(a, lambda blocks: complexity_pipeline(blocks, _read(a.buildings)),
+           a.buildings)
 
 
 def cmd_reblock(a):
     from .stages.reblock import reblock_pipeline
     _init_ray()
-    out = reblock_pipeline(
-        _resume_filter(a, _filter_blocks(_read(a.blocks), a.blocks_subset)),
-        _read(a.parcels), _read(a.buildings),
+    _stage(a, lambda blocks: reblock_pipeline(
+        blocks, _read(a.parcels), _read(a.buildings),
         use_width=a.use_width, through_ratio=a.through_ratio,
         connect_n=a.connect_n, simplify=a.simplify,
-        to_corridors=getattr(a, "to_corridors", False))
-    _write_stage(a, out)
+        to_corridors=a.to_corridors), a.parcels, a.buildings)
 
 
 def cmd_flagship(a):
@@ -260,12 +294,21 @@ def cmd_corpus(a):
     from .stages import text as T
     from .stages.util import cached_callable
     _init_ray()
-    docs = _read(a.docs)
     stages = (_CORPUS_STAGES if a.stages == "all"
               else tuple(s.strip() for s in a.stages.split(",")))
     unknown = set(stages) - set(_CORPUS_STAGES)
     if unknown:
         raise SystemExit(f"unknown corpus stages: {sorted(unknown)}")
+    # partition-resumable output is only sound for per-row stages: a
+    # global dedup's keep-decision may depend on rows in partitions a
+    # resumed run would skip, silently changing results
+    if a.resume and a.dedup != "none":
+        raise SystemExit("--resume requires --dedup none "
+                         "(dedup is a global operator)")
+    resume = _Resume(a, "_part", a.docs) if a.resume else None
+    if resume is not None and resume.done:
+        return
+    docs = _read(a.docs)
     if getattr(a, "sample_ppm", 0):
         # subsample FIRST: every downstream stage sees only kept rows
         from .stages.relational import deterministic_sample
@@ -280,27 +323,18 @@ def cmd_corpus(a):
                    (kv.split(":") for kv in a.mix.split(","))}
         docs = mixture_sample(docs, key_col=a.key_col,
                               strata_col=a.mix_col, weights=weights)
-    resume = getattr(a, "resume", False)
-    if resume:
-        # partition-resumable output is only sound for per-row stages: a
-        # global dedup's keep-decision may depend on rows in partitions a
-        # resumed run would skip, silently changing results
-        if a.dedup != "none":
-            raise SystemExit("--resume requires --dedup none "
-                             "(dedup is a global operator)")
-        from .runtime.checkpoint import filter_uncommitted
+    if resume is not None:
         from .stages.relational import stable_bucket
-        n_parts = getattr(a, "resume_parts", 64)
 
         def add_part(batch):
             import pyarrow as _pa
-            b = stable_bucket(batch[a.key_col], n_parts)
+            b = stable_bucket(batch[a.key_col], a.resume_parts)
             return batch.append_column(
                 "_part", _pa.array(b.astype("U"), type=_pa.string()))
 
-        docs = docs.map_batches(add_part, batch_format="pyarrow")
         # committed partitions drop BEFORE any compute
-        docs = filter_uncommitted(docs, a.out, "_part")
+        docs = resume.keep(docs.map_batches(add_part,
+                                            batch_format="pyarrow"))
     if "normalize" in stages:
         docs = docs.map_batches(T.normalize_text_batch,
                                 batch_format="pyarrow")
@@ -340,13 +374,19 @@ def cmd_corpus(a):
         splits = {k: int(v) for k, v in
                   (kv.split(":") for kv in a.split.split(","))}
         docs = hash_split(docs, key_col=a.key_col, splits=splits)
-    if resume:
-        from .runtime.checkpoint import write_partitioned_resumable
-        res = write_partitioned_resumable(docs, a.out, "_part")
-        print(f"{a.out} written={res['written']} skipped={res['skipped']}")
+    if resume is not None:
+        resume.write(docs)
     else:
         docs.write_parquet(a.out)
         print(a.out)
+
+
+_RESUME_HELP = (
+    "manifest-checkpointed output (reference --progress ledger): a rerun "
+    "skips {unit} already committed before any compute, and a finished "
+    "write is sealed, so its rerun executes nothing. One output directory "
+    "holds one (input, flags) run: a rerun whose input files or flags "
+    "changed raises instead of resuming")
 
 
 def main(argv=None):
@@ -384,9 +424,8 @@ def main(argv=None):
                        help="comma-separated block_id predicate pushdown")
         s.add_argument("--overwrite", action="store_true")
         s.add_argument("--resume", action="store_true",
-                       help="manifest-checkpointed per-block output: skip "
-                            "blocks already committed (reference --progress "
-                            "ledger); ignores --overwrite")
+                       help=_RESUME_HELP.format(unit="blocks")
+                       + "; ignores --overwrite")
         if name == "parcels":
             s.add_argument("--qc", action="store_true",
                            help="verify ≤1 building per parcel after write")
@@ -416,8 +455,7 @@ def main(argv=None):
                         "reference get_steiner_linestrings return_polys)")
     s.add_argument("--overwrite", action="store_true")
     s.add_argument("--resume", action="store_true",
-                   help="manifest-checkpointed per-block output: skip blocks "
-                        "already committed (reference --progress ledger)")
+                   help=_RESUME_HELP.format(unit="blocks"))
     s.set_defaults(fn=cmd_reblock)
 
     s = sub.add_parser("corpus", help="training-data corpus hygiene: "
@@ -441,9 +479,8 @@ def main(argv=None):
                         "only passing docs (needs langid,tokens,repetition "
                         "stages)")
     s.add_argument("--resume", action="store_true",
-                   help="manifest-checkpointed key-hash partitions: a "
-                        "rerun skips committed partitions BEFORE any "
-                        "compute (per-row stages only: needs --dedup none)")
+                   help=_RESUME_HELP.format(unit="key-hash partitions")
+                   + "; per-row stages only: needs --dedup none")
     s.add_argument("--resume-parts", type=int, default=64,
                    help="number of key-hash output partitions for --resume")
     s.add_argument("--mix", default=None,

@@ -328,9 +328,9 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     counts its cells, written or skipped), not a pass of its own — so a
     fresh write parses every page once.
 
-    A finished write is sealed (``runtime.checkpoint.write_seal``) with an
-    input fingerprint: the input files' paths, sizes and mtimes, ``level``
-    and ``regions_tbl``. A rerun whose fingerprint matches a seal whose
+    ``runtime.checkpoint.open_resumable`` fingerprints the input files'
+    paths, sizes and mtimes, ``level`` and ``regions_tbl``, and the
+    finished write seals the directory with it. A rerun whose fingerprint matches a seal whose
     partitions are all still committed executes nothing: ``info`` comes
     from the seal and the stored histogram (``hot_cells`` with this call's
     ``salt_threshold``), and ``joined`` reads the committed partitions
@@ -371,10 +371,8 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
 
     info: dict = {"level": level}
     if out_dir is not None:
-        fp = checkpoint.input_fingerprint(pages_ds.input_files(), level,
-                                          regions_tbl)
-        checkpoint.check_fingerprint(out_dir, fp)
-        sealed = checkpoint.read_seal(out_dir, fp)
+        fp, sealed = checkpoint.open_resumable(
+            out_dir, pages_ds.input_files(), level, regions_tbl)
         if sealed is not None:
             seal, cells = sealed
             info.update(dedup_path=seal["dedup_path"], resume="sealed",
@@ -439,11 +437,10 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                 pc.fill_null(t["gadm_code"], "UNMATCHED")),
             batch_format="pyarrow")
         write = checkpoint.write_partitioned_resumable(
-            sink, out_dir, "gadm_code", fingerprint=fp, count_col="cell")
+            sink, out_dir, "gadm_code", fp, count_col="cell",
+            dedup_path=info["dedup_path"])
         hist = pa.Table.from_pandas(write.pop("counts"), preserve_index=False)
         info["hot_cells"] = tiling.salt_plan(hist, threshold=salt_threshold)
         info["n_cells"] = hist.num_rows
         info["write"] = write
-        checkpoint.write_seal(out_dir, fp, hist,
-                              dedup_path=info["dedup_path"])
     return joined, info

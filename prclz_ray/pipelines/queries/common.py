@@ -251,18 +251,16 @@ def _daily_revenue_cents(sf_dir: str) -> pd.DataFrame:
 
 def _fingerprint_cache_dir(sf_dir: str, table: str, kind: str) -> str:
     """Content-fingerprinted /tmp cache path for format-roundtrip
-    queries (name+size+mtime per input file — regenerated fixtures get
-    a fresh dir; see the JSONL twin for the rationale)."""
+    queries (``checkpoint.input_fingerprint`` over the table's input
+    files: regenerated fixtures get a fresh dir).  Build it with
+    ``checkpoint.publish_dir``."""
     import glob
-    import hashlib
     import os
-    h = hashlib.md5()
-    for f in sorted(glob.glob(os.path.join(sf_dir, f"{table}*"))):
-        st = os.stat(f)
-        h.update(f"{os.path.basename(f)}:{st.st_size}:"
-                 f"{st.st_mtime_ns}".encode())
+
+    from ...runtime.checkpoint import input_fingerprint
+    fp = input_fingerprint(glob.glob(os.path.join(sf_dir, f"{table}*")))
     tag = os.path.basename(os.path.normpath(sf_dir))
-    return f"/tmp/prclz_ray_{kind}_{tag}_{h.hexdigest()[:12]}"
+    return f"/tmp/prclz_ray_{kind}_{tag}_{fp[:12]}"
 
 
 def _synthetic_links(sf_dir: str):

@@ -11,6 +11,7 @@ import ray
 import ray.data as rd
 
 from ...geom import wkb
+from ...runtime.checkpoint import publish_dir
 from ...stages import joins, relational
 from ...stages.util import cached_callable, worker_cached
 from .common import (
@@ -561,7 +562,6 @@ def q_shapefile_source_stats(sf_dir: str):
     column and the %.17g float DBF column all break the value hash
     if the writer or reader corrupts a byte."""
     import os
-    import uuid
 
     from ray.data.aggregate import Sum
 
@@ -569,10 +569,8 @@ def q_shapefile_source_stats(sf_dir: str):
 
     base = _fingerprint_cache_dir(sf_dir, "customer", "shp")
     shp = os.path.join(base, "customer")
-    if not os.path.isfile(shp + ".shp"):
-        tmp = f"{base}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
 
+    def build(tmp: str) -> None:
         def to_geom(t: pa.Table) -> pa.Table:
             xs = t["px"].to_numpy(zero_copy_only=False)
             ys = t["py"].to_numpy(zero_copy_only=False)
@@ -589,11 +587,8 @@ def q_shapefile_source_stats(sf_dir: str):
                          batch_format="pyarrow")
             .map_batches(to_geom, batch_format="pyarrow"))
         codecs.write_shapefile(pts, os.path.join(tmp, "customer"))
-        try:
-            os.rename(tmp, base)
-        except OSError:            # concurrent run won the rename
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(base, build)
 
     ds = codecs.read_shapefile(shp + ".shp")
 
@@ -688,16 +683,14 @@ def q_zorder_pruned_scan(sf_dir: str):
     the raw box predicate."""
     import glob
     import os
-    import uuid
 
     import pyarrow.parquet as pq_
     from ...runtime.checkpoint import write_clustered
 
     X0, X1, Y0, Y1 = 200, 399, 100, 299
     out = _fingerprint_cache_dir(sf_dir, "customer", "zorder")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
 
+    def build(tmp: str) -> None:
         def add_z(t: pa.Table) -> pa.Table:
             k = t["c_custkey"].to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
@@ -712,11 +705,8 @@ def q_zorder_pruned_scan(sf_dir: str):
             _read(sf_dir, "customer", ["c_custkey"])
             .map_batches(add_z, batch_format="pyarrow"),
             tmp, key_col="z", num_ranges=16)
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     cover = _morton_box_cover(X0, X1, Y0, Y1)
     files = sorted(glob.glob(os.path.join(out, "part=*", "*.parquet")))
@@ -1331,13 +1321,13 @@ def q_osm_pbf_source_stats(sf_dir: str):
     ``supplier`` directly, so any framing/varint/delta-coding bug in
     either codec breaks the value hash."""
     import os
-    import uuid
 
     from ...io import osmpbf
 
     base = _fingerprint_cache_dir(sf_dir, "supplier", "osmpbf")
     pbf = os.path.join(base, "synth.osm.pbf")
-    if not os.path.isfile(pbf):
+
+    def build(tmp: str) -> None:
         sup = _read_table(sf_dir, "supplier", ["s_suppkey"])
         keys = sup["s_suppkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -1359,15 +1349,10 @@ def q_osm_pbf_source_stats(sf_dir: str):
             else:
                 tags = {"waterway": "river"}
             ways.append((s, tags, [2 * s, 2 * s + 1]))
-        tmp = f"{base}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
         osmpbf.write_osm_pbf(os.path.join(tmp, "synth.osm.pbf"),
                              nodes, ways)
-        try:
-            os.rename(tmp, base)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(base, build)
 
     ds = osmpbf.read_osm_pbf(pbf)
 

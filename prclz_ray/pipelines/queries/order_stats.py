@@ -11,6 +11,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ...runtime.checkpoint import publish_dir
 from ...stages import dedup as dd
 from ...stages import relational
 from ...stages.util import worker_cached
@@ -608,22 +609,18 @@ def q_hive_pruned_scan(sf_dir: str):
     the original table, so a wrong partition routing breaks the
     hash."""
     import os
-    import uuid
 
     from ray.data.aggregate import Sum
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "hive")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+
+    def build(tmp: str) -> None:
         _read(sf_dir, "orders",
               ["o_orderkey", "o_orderstatus", "o_orderpriority",
                "o_totalprice"]) \
             .write_parquet(tmp, partition_cols=["o_orderstatus"])
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     import ray.data as rd
     part = rd.read_parquet(os.path.join(out, "o_orderstatus=F"),
@@ -788,14 +785,12 @@ def _ensure_clustered_orders(sf_dir: str) -> str:
     side effect."""
     import glob
     import os
-    import uuid
 
     from ...runtime.checkpoint import write_clustered
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "zonemap")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
 
+    def build(tmp: str) -> None:
         def add_day(t: pa.Table) -> pa.Table:
             day = t["o_orderdate"].to_numpy(zero_copy_only=False) \
                 .astype("datetime64[us]").astype(np.int64) \
@@ -807,11 +802,8 @@ def _ensure_clustered_orders(sf_dir: str) -> str:
                   ["o_orderdate", "o_orderpriority", "o_totalprice"])
             .map_batches(add_day, batch_format="pyarrow"),
             tmp, key_col="day", num_ranges=16)
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
     return out
 
 
@@ -902,7 +894,6 @@ def q_time_travel_read(sf_dir: str):
     break the hash."""
     import json
     import os
-    import uuid
 
     import pyarrow.parquet as pq_
     import ray.data as rd
@@ -910,9 +901,8 @@ def q_time_travel_read(sf_dir: str):
     from ray.data.aggregate import Sum
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "timetravel")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
+
+    def build(tmp: str) -> None:
         t = relational.ds_to_table(
             _read(sf_dir, "orders", ["o_orderkey", "o_orderdate",
                                      "o_totalprice"]))
@@ -931,11 +921,8 @@ def q_time_travel_read(sf_dir: str):
         with open(os.path.join(tmp, "manifest-v2.json"), "w") as fh:
             json.dump({"files": ["early.parquet", "late.parquet"],
                        "mid_day": mid}, fh)
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     def snapshot(version: int) -> pd.Series:
         with open(os.path.join(out, f"manifest-v{version}.json")) as fh:
@@ -1614,7 +1601,6 @@ def q_range_rebalance_layout(sf_dir: str):
     uniform split."""
     import glob
     import os
-    import uuid
 
     import pyarrow.parquet as pq_
     from ray.data.aggregate import Sum
@@ -1648,15 +1634,12 @@ def q_range_rebalance_layout(sf_dir: str):
             for k in range(1, N_RANGES)]
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "rebalance")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+
+    def build(tmp: str) -> None:
         write_clustered(orders, tmp, key_col="day",
                         boundaries=bnds)
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     files = sorted(glob.glob(os.path.join(out, "part=*",
                                           "*.parquet")))
@@ -1862,15 +1845,13 @@ def q_partition_evolution_read(sf_dir: str):
     import glob
     import json
     import os
-    import uuid
 
     import pyarrow.parquet as pq_
     from ray.data.aggregate import Sum
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "specevo")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
+
+    def build(tmp: str) -> None:
         t = relational.ds_to_table(
             _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"]))
         day = t["o_orderdate"].to_numpy(zero_copy_only=False) \
@@ -1897,11 +1878,8 @@ def q_partition_evolution_read(sf_dir: str):
                              "value": int(d_)})
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
             json.dump({"files": manifest, "mid": mid}, fh)
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     with open(os.path.join(out, "manifest.json")) as fh:
         man = json.load(fh)
@@ -1959,7 +1937,6 @@ def q_bucketed_layout_scan(sf_dir: str):
     the oracle runs the raw predicate."""
     import glob
     import os
-    import uuid
 
     import pyarrow.parquet as pq_
     from ray.data.aggregate import Max, Min
@@ -1973,9 +1950,8 @@ def q_bucketed_layout_scan(sf_dir: str):
         return (h % np.uint64(N_BUCKETS)).astype(np.int64)
 
     out = _fingerprint_cache_dir(sf_dir, "orders", "hashbucket")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
+
+    def build(tmp: str) -> None:
         t = relational.ds_to_table(
             _read(sf_dir, "orders",
                   ["o_orderkey", "o_custkey", "o_totalprice"]))
@@ -1984,11 +1960,8 @@ def q_bucketed_layout_scan(sf_dir: str):
         for bb in range(N_BUCKETS):
             pq_.write_table(t.filter(pa.array(b == bb)),
                             os.path.join(tmp, f"bucket={bb}.parquet"))
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     cust = _read(sf_dir, "orders", ["o_custkey"])
     lohi = cust.aggregate(Min("o_custkey", alias_name="lo"),
@@ -2921,7 +2894,6 @@ def q_secondary_index_lookup(sf_dir: str):
     MAX(o_custkey)."""
     import glob
     import os
-    import uuid
 
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq_
@@ -2934,8 +2906,8 @@ def q_secondary_index_lookup(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_totalprice"])
     mx = int(orders.aggregate(Max("o_orderkey", alias_name="m"))["m"])
     per = -(-mx // 16)                         # ceil(max/16)
-    if not os.path.isdir(root):
-        tmp = f"{root}.tmp-{uuid.uuid4().hex}"
+
+    def build(tmp: str) -> None:
         os.makedirs(os.path.join(tmp, "data"), exist_ok=True)
         t = relational.ds_to_table(orders)
         f = (t["o_orderkey"].to_numpy(zero_copy_only=False)
@@ -2958,11 +2930,8 @@ def q_secondary_index_lookup(sf_dir: str):
             .groupby(["o_custkey", "f"]).aggregate(Count()))
         pq_.write_table(idx.select(["o_custkey", "f"]),
                         os.path.join(tmp, "index.parquet"))
-        try:
-            os.rename(tmp, root)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(root, build)
     probe = int(orders.aggregate(Max("o_custkey", alias_name="m"))["m"])
     hits = rd.read_parquet(os.path.join(root, "index.parquet"),
                            filter=(pads.field("o_custkey") == probe))

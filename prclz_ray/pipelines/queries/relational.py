@@ -11,6 +11,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ...runtime.checkpoint import publish_dir
 from ...stages import dedup as dd
 from ...stages import relational
 from ...stages.util import worker_cached
@@ -2325,7 +2326,6 @@ def q_bloom_pruned_scan(sf_dir: str):
     (smallest custkey in the upper half of the key range)."""
     import glob
     import os
-    import uuid
 
     from ray.data.aggregate import Max, Min
     from ...runtime.checkpoint import write_clustered
@@ -2333,9 +2333,8 @@ def q_bloom_pruned_scan(sf_dir: str):
 
     M_BITS, K_HASH = 8192, 5
     out = _fingerprint_cache_dir(sf_dir, "orders", "bloomscan")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
 
+    def build(tmp: str) -> None:
         def add_day(t: pa.Table) -> pa.Table:
             day = t["o_orderdate"].to_numpy(zero_copy_only=False) \
                 .astype("datetime64[us]").astype(np.int64) \
@@ -2361,11 +2360,8 @@ def q_bloom_pruned_scan(sf_dir: str):
         np.savez(os.path.join(tmp, "blooms.npz"),
                  **{os.path.relpath(p, tmp): bm
                     for p, bm in blooms.items()})
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     # deterministic probe: smallest custkey in the upper half of the
     # key range (mirrored verbatim in the SQL twin)

@@ -9,6 +9,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ...runtime.checkpoint import publish_dir
 from ...stages import dedup as dd
 from ...stages import relational, similarity, text
 from ...stages.text import token_count_batch
@@ -1956,40 +1957,25 @@ def q_fuzzy_entity_clusters(sf_dir: str):
 
 def q_jsonl_source_stats(sf_dir: str):
     """JSONL source/sink parity: documents round-trip through the
-    line-delimited JSON interchange format (written once to /tmp,
-    _DONE-marked), then aggregate per lang from the JSONL READ — the
+    line-delimited JSON interchange format (published once per input
+    fingerprint to /tmp), then aggregate per lang from the JSONL READ — the
     oracle aggregates the original parquet, so any reader/writer
     corruption breaks the hash."""
-    import glob
-    import hashlib
-    import os
-    import uuid
-
     from ray.data.aggregate import Sum
 
     from ...io import codecs
-    # cache keyed by a CONTENT fingerprint of the input parquet (name +
+    # cache keyed by a CONTENT fingerprint of the input parquet (path +
     # size + mtime per file): regenerated-in-place fixtures get a fresh
-    # cache dir instead of silently reusing a stale one, and the
-    # write-to-unique-tmp + atomic rename makes concurrent runs safe
-    # (ADVICE r3)
-    h = hashlib.md5()
-    for f in sorted(glob.glob(os.path.join(sf_dir, "documents*"))):
-        st = os.stat(f)
-        h.update(f"{os.path.basename(f)}:{st.st_size}:"
-                 f"{st.st_mtime_ns}".encode())
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out = f"/tmp/prclz_ray_jsonl_{tag}_{h.hexdigest()[:12]}"
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+    # cache dir instead of silently reusing a stale one, and
+    # ``publish_dir`` makes concurrent runs safe (ADVICE r3)
+    out = _fingerprint_cache_dir(sf_dir, "documents", "jsonl")
+
+    def build(tmp: str) -> None:
         codecs.write_jsonl(_read(sf_dir, "documents",
                                  ["doc_id", "text", "lang", "n_chars"]),
                            tmp)
-        try:
-            os.rename(tmp, out)
-        except OSError:            # concurrent run won the rename race
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
     docs = codecs.read_jsonl(out)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2323,31 +2309,17 @@ def q_ipc_source_stats(sf_dir: str):
     then aggregate per lang FROM THE IPC READ — the oracle aggregates
     the original parquet, so any writer/reader corruption breaks the
     hash."""
-    import glob
-    import hashlib
-    import os
-    import uuid
-
     from ray.data.aggregate import Sum
 
     from ...io import codecs
 
-    h = hashlib.md5()
-    for f in sorted(glob.glob(os.path.join(sf_dir, "documents*"))):
-        st = os.stat(f)
-        h.update(f"{os.path.basename(f)}:{st.st_size}:"
-                 f"{st.st_mtime_ns}".encode())
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out = f"/tmp/prclz_ray_ipc_{tag}_{h.hexdigest()[:12]}"
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+    out = _fingerprint_cache_dir(sf_dir, "documents", "ipc")
+
+    def build(tmp: str) -> None:
         codecs.write_ipc(_read(sf_dir, "documents",
                                ["doc_id", "lang", "n_chars"]), tmp)
-        try:
-            os.rename(tmp, out)
-        except OSError:            # concurrent run won the rename
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     docs = codecs.read_ipc(out)
 
@@ -2381,24 +2353,16 @@ def q_csv_quarantine_stats(sf_dir: str):
     reader that silently accepts or drops the wrong rows breaks the
     hash.  Validation is vectorized (Arrow split + list-length, pandas
     coerce) — no per-row try/except."""
-    import glob
-    import hashlib
     import os
+    import shutil
     import uuid
 
     from ray.data.aggregate import Sum
 
     from ...io import codecs
-    h = hashlib.md5()
-    for f in sorted(glob.glob(os.path.join(sf_dir, "documents*"))):
-        st = os.stat(f)
-        h.update(f"{os.path.basename(f)}:{st.st_size}:"
-                 f"{st.st_mtime_ns}".encode())
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out = f"/tmp/prclz_ray_csvq_{tag}_{h.hexdigest()[:12]}"
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+    out = _fingerprint_cache_dir(sf_dir, "documents", "csvq")
 
+    def build(tmp: str) -> None:
         def to_csv_lines(t: pa.Table) -> pa.Table:
             ids = t["doc_id"].to_numpy(zero_copy_only=False)
             langs = t["lang"].to_numpy(zero_copy_only=False)
@@ -2414,12 +2378,13 @@ def q_csv_quarantine_stats(sf_dir: str):
 
         ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]) \
             .map_batches(to_csv_lines, batch_format="pyarrow")
-        os.makedirs(tmp, exist_ok=True)
+        raw = os.path.join(tmp, "_raw")
+        os.makedirs(raw)
 
         def write_block(t: pa.Table) -> pa.Table:
             # raw-text block writer (a CSV writer would quote the
             # already-joined lines); manifest row per block
-            name = os.path.join(tmp, f"part-{uuid.uuid4().hex}.txt")
+            name = os.path.join(raw, f"part-{uuid.uuid4().hex}.txt")
             with open(name, "w") as f:
                 f.write("\n".join(t["text"].to_pylist()) + "\n")
             return pa.table({"path": pa.array([name])})
@@ -2429,17 +2394,12 @@ def q_csv_quarantine_stats(sf_dir: str):
         # side-effect writes are NOT exactly-once under Ray retries /
         # schema probes — only files the MANIFEST names are real (the
         # write_ipc contract); orphans from replayed tasks get dropped
-        # with the tmp dir
-        import shutil
-        fin = f"{out}.fin-{uuid.uuid4().hex}"
-        os.makedirs(fin)
+        # with the raw dir
         for i, p in enumerate(sorted(mani["path"].to_pylist())):
-            os.rename(p, os.path.join(fin, f"part-{i:05d}.txt"))
-        shutil.rmtree(tmp, ignore_errors=True)
-        try:
-            os.rename(fin, out)
-        except OSError:
-            shutil.rmtree(fin, ignore_errors=True)
+            os.rename(p, os.path.join(tmp, f"part-{i:05d}.txt"))
+        shutil.rmtree(raw)
+
+    publish_dir(out, build)
 
     parsed = codecs.read_csv_quarantine(
         [os.path.join(out, f) for f in sorted(os.listdir(out))],
@@ -2497,7 +2457,6 @@ def q_orc_source_stats(sf_dir: str):
     hash."""
     import json
     import os
-    import uuid
 
     from ray.data.aggregate import Max, Sum
 
@@ -2505,19 +2464,16 @@ def q_orc_source_stats(sf_dir: str):
 
     out = _fingerprint_cache_dir(sf_dir, "documents", "orc")
     manifest = os.path.join(out, "_MANIFEST.json")
-    if not os.path.isfile(manifest):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+
+    def build(tmp: str) -> None:
         m = codecs.write_orc(_read(sf_dir, "documents",
                                    ["doc_id", "source", "n_chars"]),
                              tmp).to_pandas()
         files = [os.path.basename(f) for f in m["file"]]
         with open(os.path.join(tmp, "_MANIFEST.json"), "w") as fh:
             json.dump(files, fh)
-        try:
-            os.rename(tmp, out)
-        except OSError:            # concurrent run won the rename
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
     with open(manifest) as fh:
         files = [os.path.join(out, f) for f in json.load(fh)]
 
@@ -2559,16 +2515,14 @@ def q_schema_evolution_stats(sf_dir: str):
     every long-lived pipeline hits.  Split rule doc_id % 2 so the
     oracle can reproduce the null pattern from the original table."""
     import os
-    import uuid
 
     from ray.data.aggregate import Count, Sum
 
     from ...io import codecs
 
     out = _fingerprint_cache_dir(sf_dir, "documents", "schevo")
-    if not os.path.isdir(out):
-        tmp = f"{out}.tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
+
+    def build(tmp: str) -> None:
         t = relational.ds_to_table(
             _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]))
         even = pc.equal(pc.bit_wise_and(t["doc_id"], 1), 0)
@@ -2577,11 +2531,8 @@ def q_schema_evolution_stats(sf_dir: str):
                         os.path.join(tmp, "v1.parquet"))
         pq_.write_table(t.filter(pc.invert(even)),
                         os.path.join(tmp, "v2.parquet"))
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    publish_dir(out, build)
 
     files = [os.path.join(out, "v1.parquet"),
              os.path.join(out, "v2.parquet")]

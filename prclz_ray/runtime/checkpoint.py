@@ -25,15 +25,21 @@ fingerprint differs from the writer's marks a stale directory, and the
 write refuses it.
 
 The seal is written last (histogram first, each tmp file + rename), so a
-killed run leaves none. A rerun whose input fingerprint matches a seal
-whose keys are all still committed is a metadata read in the caller: it
+killed run leaves none. A writer opens its directory with
+``open_resumable``: a rerun whose input fingerprint matches a seal whose
+keys are all still committed is a metadata read in the caller: it
 executes nothing.
+
+``input_fingerprint`` is also the key of every derived /tmp directory
+(the queries' format round-trips and layouts, the result cache), and
+``publish_dir`` their one atomic commit.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import shutil
 import time
 import uuid
 
@@ -79,16 +85,21 @@ def check_fingerprint(out_dir: str, fingerprint: str) -> None:
 
 
 def input_fingerprint(files, *params) -> str:
-    """sha1 over ``(path, st_size, st_mtime_ns)`` of each input file and
-    over ``params`` (a ``pa.Table`` is hashed by its content, anything
-    else by its ``repr``). Reads file metadata only. With no files, or a
-    file ``os.stat`` cannot read (a remote path), it is ``""``: such input
-    is never sealed."""
-    if not files:
+    """sha1 over ``(path, st_size, st_mtime_ns)`` of each input file (a
+    directory stands for every file under it) and over ``params`` (a
+    ``pa.Table`` is hashed by its content, anything else by its
+    ``repr``). Reads file metadata only. With no files, or a file
+    ``os.stat`` cannot read (a remote path), it is ``""``: such input is
+    never sealed."""
+    paths = []
+    for f in files:
+        paths += ([os.path.join(d, n) for d, _, ns in os.walk(f) for n in ns]
+                  if os.path.isdir(f) else [f])
+    if not paths:
         return ""
     h = hashlib.sha1()
     try:
-        for f in sorted(files):
+        for f in sorted(paths):
             st = os.stat(f)
             h.update(repr((f, st.st_size, st.st_mtime_ns)).encode())
     except OSError:
@@ -104,23 +115,48 @@ def input_fingerprint(files, *params) -> str:
     return h.hexdigest()
 
 
+def open_resumable(out_dir: str, files, *params):
+    """Open ``out_dir`` for a resumable write of ``files``, whose rows
+    ``params`` also shape: ``(fingerprint, sealed)``. ``fingerprint`` is
+    ``input_fingerprint(files, *params)``, for the write to record. A
+    directory committed from other input raises ``ValueError``.
+    ``sealed`` is ``(seal, cells)`` when the directory holds a finished
+    write of this input (every sealed key still committed; ``cells`` is
+    its histogram, or ``None`` for a write without ``count_col``), so the
+    caller can answer from it and execute nothing; otherwise ``None``."""
+    fp = input_fingerprint(files, *params)
+    check_fingerprint(out_dir, fp)
+    path = os.path.join(out_dir, SEAL)
+    if not fp or not os.path.exists(path):
+        return fp, None
+    with open(path) as f:
+        seal = json.load(f)
+    cells = os.path.join(out_dir, CELLS)
+    if seal.get("fingerprint") != fp \
+            or not set(seal["keys"]) <= committed_keys(out_dir) \
+            or (seal.get("count_col") and not os.path.exists(cells)):
+        return fp, None
+    return fp, (seal, pq.read_table(cells) if seal.get("count_col")
+                else None)
+
+
 def _replace_atomically(path: str, write) -> None:
     tmp = f"{path}.tmp-{uuid.uuid4().hex}"
     write(tmp)
     os.replace(tmp, path)
 
 
-def write_seal(out_dir: str, fingerprint: str, cells: pa.Table,
-               **facts) -> None:
-    """Seal a finished write: ``cells`` (its histogram) goes to
+def _write_seal(out_dir: str, fingerprint: str, cells, **facts) -> None:
+    """Seal a finished write: ``cells`` (its histogram, if any) goes to
     ``_cells.parquet``, then ``_SEAL.json`` records the fingerprint, every
     committed key and ``facts``. No-op for an empty fingerprint or an
     empty directory."""
     keys = sorted(committed_keys(out_dir))
     if not fingerprint or not keys:
         return
-    _replace_atomically(os.path.join(out_dir, CELLS),
-                        lambda tmp: pq.write_table(cells, tmp))
+    if cells is not None:
+        _replace_atomically(os.path.join(out_dir, CELLS),
+                            lambda tmp: pq.write_table(cells, tmp))
 
     def dump(tmp):
         with open(tmp, "w") as f:
@@ -128,21 +164,24 @@ def write_seal(out_dir: str, fingerprint: str, cells: pa.Table,
     _replace_atomically(os.path.join(out_dir, SEAL), dump)
 
 
-def read_seal(out_dir: str, fingerprint: str):
-    """``(seal, cells)`` when ``out_dir`` holds a valid seal for
-    ``fingerprint``: it matches, every sealed key is still committed and
-    the histogram exists. Otherwise ``None``."""
-    path = os.path.join(out_dir, SEAL)
-    cells = os.path.join(out_dir, CELLS)
-    if not fingerprint or not os.path.exists(path) \
-            or not os.path.exists(cells):
-        return None
-    with open(path) as f:
-        seal = json.load(f)
-    if seal.get("fingerprint") != fingerprint \
-            or not set(seal["keys"]) <= committed_keys(out_dir):
-        return None
-    return seal, pq.read_table(cells)
+def publish_dir(out: str, build) -> None:
+    """Build a derived directory once: unless ``out`` exists,
+    ``build(tmp)`` fills a fresh ``{out}.tmp-<uuid>`` directory that is
+    then renamed to ``out``. If another writer renamed first, its build
+    stays and this one is dropped, so ``out`` only ever holds one
+    complete build; a failed build leaves no tmp directory behind."""
+    if os.path.exists(out):
+        return
+    tmp = f"{out}.tmp-{uuid.uuid4().hex}"
+    os.makedirs(tmp)
+    try:
+        build(tmp)
+        os.rename(tmp, out)
+    except OSError:
+        if not os.path.isdir(out):   # not a lost race: the build failed
+            raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def commit_partition(out_dir: str, key: str, table: pa.Table,
@@ -168,11 +207,14 @@ def commit_partition(out_dir: str, key: str, table: pa.Table,
 
 
 def write_partitioned_resumable(ds, out_dir: str, key_col: str,
-                                fingerprint: str = "",
-                                count_col: str | None = None) -> dict:
+                                fingerprint: str,
+                                count_col: str | None = None,
+                                **facts) -> dict:
     """Consume a Dataset into per-key partitions, skipping keys already
     committed in the manifest. Returns {"written": n, "skipped": m,
-    "rows": r}.
+    "rows": r}: ``skipped`` counts every committed key the run left alone,
+    also those whose rows an input filter (``filter_uncommitted``) removed
+    before they reached the write.
 
     The groupby is the one shuffle; each group writes + commits itself on
     the worker, so a kill between groups loses only in-flight partitions.
@@ -184,15 +226,20 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     rows, so the histogram comes out of the write's execution instead of a
     second pass over the input.
 
-    Every record carries ``fingerprint``. A committed record with a
-    different non-empty one raises ``ValueError`` before anything runs.
+    Every record carries ``fingerprint`` (``open_resumable`` computes
+    it). A committed record with a different non-empty one raises
+    ``ValueError`` before anything runs. A finished write with a
+    fingerprint seals the directory: ``_SEAL.json`` holds the
+    fingerprint, the committed keys, ``count_col`` and ``facts``, and
+    ``_cells.parquet`` the histogram when ``count_col`` is given.
     """
     import pandas as pd
     import ray
 
     os.makedirs(out_dir, exist_ok=True)
     check_fingerprint(out_dir, fingerprint)
-    done_ref = ray.put(committed_keys(out_dir))
+    done = committed_keys(out_dir)
+    done_ref = ray.put(done)
 
     def write_group(group: pa.Table) -> pa.Table:
         key = str(group[key_col][0].as_py())
@@ -211,22 +258,20 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
         return pa.table(out)
 
     res = ds.groupby(key_col).map_groups(write_group, batch_format="pyarrow").to_pandas()
-    if res.empty:  # empty input: no group ran
-        summary = {"written": 0, "skipped": 0, "rows": 0}
-        if count_col is not None:
-            summary["counts"] = pd.DataFrame({count_col: [], "count()": []})
-        return summary
-    summary = {
-        "written": int((~res.skipped).sum()),
-        "skipped": int(res.skipped.sum()),
-        "rows": int(res.rows.sum()),
-    }
+    ran = not res.empty  # empty input: no group ran
+    summary = {"written": int((~res.skipped).sum()) if ran else 0,
+               "skipped": len(done),
+               "rows": int(res.rows.sum()) if ran else 0}
+    cells = None
     if count_col is not None:
-        per_group = pd.DataFrame({count_col: np.concatenate(res["values"]),
-                                  "count()": np.concatenate(res["counts"])})
+        per_group = pd.DataFrame({
+            count_col: np.concatenate(res["values"]) if ran else [],
+            "count()": np.concatenate(res["counts"]) if ran else []})
         summary["counts"] = per_group.groupby(
             count_col, as_index=False, sort=False, dropna=False)[
             "count()"].sum()
+        cells = pa.Table.from_pandas(summary["counts"], preserve_index=False)
+    _write_seal(out_dir, fingerprint, cells, count_col=count_col, **facts)
     return summary
 
 
@@ -237,14 +282,6 @@ def read_resumable(out_dir: str):
     import ray.data as rd
     files = sorted(glob.glob(os.path.join(out_dir, "part=*", "data.parquet")))
     return rd.read_parquet(files)
-
-
-def pending_keys(candidate_keys, out_dir: str) -> list:
-    """Resume work-list (SURVEY §2.1 S6): anti-join candidate partition keys
-    against the committed manifest — the split-buildings progress-ledger
-    pattern (``split_buildings.py:87-118``) as one set difference."""
-    done = committed_keys(out_dir)
-    return [k for k in candidate_keys if str(k) not in done]
 
 
 def filter_uncommitted(ds, out_dir: str, key_col: str):
@@ -268,7 +305,7 @@ def filter_uncommitted(ds, out_dir: str, key_col: str):
 
 
 def write_clustered(ds, out_dir: str, key_col: str,
-                    num_ranges: int = 64, fingerprint: str = "",
+                    num_ranges: int = 64,
                     boundaries: list[int] | None = None) -> dict:
     """Clustered (range-partitioned, internally sorted) parquet output:
     rows range-partition on an integer key (order-preserving bucket
@@ -321,7 +358,7 @@ def write_clustered(ds, out_dir: str, key_col: str,
                              "skipped": [True]})
         g = group.drop_columns(["_range"]).sort_by(
             [(key_col, "ascending")])
-        commit_partition(out_dir, key, g, fingerprint)
+        commit_partition(out_dir, key, g)
         return pa.table({"key": [key], "rows": [g.num_rows],
                          "skipped": [False]})
 

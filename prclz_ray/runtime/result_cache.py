@@ -5,55 +5,37 @@ result can be memoized on disk keyed by (query name, input content
 fingerprint): re-running an expensive pipeline over unchanged inputs
 becomes a parquet read, while ANY change to an input file (size or
 mtime) silently misses to a fresh computation — the same fingerprint
-discipline the format-roundtrip queries use for their /tmp exports
-(ADVICE r3: never key a cache by directory name alone).
+(``checkpoint.input_fingerprint``) the format-roundtrip queries key
+their /tmp exports by (ADVICE r3: never key a cache by directory name
+alone).
 
-Writes are crash-safe: the result lands in a tmp dir that is renamed
-into place only after the ``_DONE`` marker is written, so a killed run
-can never serve a partial result.
+Writes are crash-safe: the result is published with
+``checkpoint.publish_dir``, so the cache entry appears only once it is
+complete and a killed run can never serve a partial result.
 """
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
-import shutil
-import uuid
 
 import pandas as pd
 
-
-def input_fingerprint(sf_dir: str) -> str:
-    """name:size:mtime_ns over every parquet in the input dir."""
-    h = hashlib.md5()
-    for f in sorted(glob.glob(os.path.join(sf_dir, "*.parquet"))):
-        st = os.stat(f)
-        h.update(f"{os.path.basename(f)}:{st.st_size}:"
-                 f"{st.st_mtime_ns}".encode())
-    return h.hexdigest()[:16]
+from .checkpoint import input_fingerprint, publish_dir
 
 
 def cached_result(name: str, sf_dir: str, fn,
                   cache_root: str = "/tmp/prclz_ray_qcache"
                   ) -> pd.DataFrame:
     """Return ``fn(sf_dir)`` as a DataFrame, memoized under
-    (name, input fingerprint).  ``fn`` may return a DataFrame, a
-    pyarrow Table, or a Ray Dataset."""
-    key = f"{name}_{input_fingerprint(sf_dir)}"
-    hit = os.path.join(cache_root, key)
-    marker = os.path.join(hit, "_DONE")
-    if os.path.exists(marker):
+    (name, fingerprint of the input dir's parquet files).  ``fn`` may
+    return a DataFrame, a pyarrow Table, or a Ray Dataset."""
+    fp = input_fingerprint(glob.glob(os.path.join(sf_dir, "*.parquet")))
+    hit = os.path.join(cache_root, f"{name}_{fp[:16]}")
+    if os.path.exists(hit):
         return pd.read_parquet(os.path.join(hit, "result.parquet"))
     res = fn(sf_dir)
     if not isinstance(res, pd.DataFrame):
         res = res.to_pandas()
-    tmp = f"{hit}.tmp-{uuid.uuid4().hex}"
-    os.makedirs(tmp, exist_ok=True)
-    res.to_parquet(os.path.join(tmp, "result.parquet"), index=False)
-    with open(os.path.join(tmp, "_DONE"), "w") as fh:
-        fh.write("ok")
-    try:
-        os.rename(tmp, hit)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
+    publish_dir(hit, lambda tmp: res.to_parquet(
+        os.path.join(tmp, "result.parquet"), index=False))
     return res

@@ -194,7 +194,9 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
         t = batch if prepare is None else prepare(batch)
         if isinstance(t, pd.DataFrame):
             t = pa.Table.from_pandas(t, preserve_index=False)
-        return t.append_column(
+        # schema metadata (pandas') is an unhashable dict: Ray's shuffle
+        # then unifies every block's schema and logs a warning per merge
+        return t.replace_schema_metadata(None).append_column(
             "_bucket", pa.array(stable_bucket(t[key], num_buckets)))
 
     @functools.wraps(per_bucket)

@@ -22,7 +22,7 @@ def _ds():
 
 def test_write_then_resume_skips_committed():
     shutil.rmtree(OUT, ignore_errors=True)
-    res1 = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    res1 = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
     assert res1["written"] == 4 and res1["skipped"] == 0
     assert checkpoint.committed_keys(OUT) == {"a", "b", "c", "d"}
 
@@ -34,7 +34,7 @@ def test_write_then_resume_skips_committed():
         f.write("\n".join(keep) + "\n")
     shutil.rmtree(os.path.join(OUT, "part=c"))
 
-    res2 = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    res2 = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
     assert res2["written"] == 1 and res2["skipped"] == 3
 
     back = checkpoint.read_resumable(OUT).to_pandas()
@@ -61,7 +61,7 @@ def test_value_counts_cover_written_and_skipped_partitions():
         return dict(zip(h["cell"].astype(int), h["count()"].astype(int)))
 
     shutil.rmtree(OUT, ignore_errors=True)
-    res1 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+    res1 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key", "",
                                                   count_col="cell")
     assert hist(res1) == want
     assert res1 == {"written": 4, "skipped": 0, "rows": 100}
@@ -70,13 +70,13 @@ def test_value_counts_cover_written_and_skipped_partitions():
     lines = open(checkpoint.manifest_path(OUT)).read().strip().splitlines()
     with open(checkpoint.manifest_path(OUT), "w") as f:
         f.write("\n".join(l for l in lines if '"key": "c"' not in l) + "\n")
-    res2 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+    res2 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key", "",
                                                   count_col="cell")
     assert hist(res2) == want
     assert res2 == {"written": 1, "skipped": 3, "rows": 25}
 
     # a rerun with everything committed still counts every row
-    res3 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key",
+    res3 = checkpoint.write_partitioned_resumable(ds(), OUT, "part_key", "",
                                                   count_col="cell")
     assert hist(res3) == want
     assert res3 == {"written": 0, "skipped": 4, "rows": 0}
@@ -110,12 +110,12 @@ def test_stale_fingerprint_raises_instead_of_skipping():
     res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
                                                  fingerprint="input-v1")
     assert res == {"written": 0, "skipped": 4, "rows": 0}
-    res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
     assert res == {"written": 0, "skipped": 4, "rows": 0}
 
     # records with no fingerprint are not checked
     shutil.rmtree(OUT, ignore_errors=True)
-    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
     res = checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key",
                                                  fingerprint="input-v2")
     assert res == {"written": 0, "skipped": 4, "rows": 0}
@@ -143,27 +143,69 @@ def test_input_fingerprint_tracks_files_and_params(tmp_path):
 
 
 def test_seal_valid_only_while_its_partitions_are_committed(tmp_path):
+    import pyarrow.parquet as pq
     out = str(tmp_path / "out")
-    cells = pa.table({"cell": np.arange(3, dtype=np.uint64),
-                      "count()": np.array([5, 1, 2])})
-    checkpoint.write_seal(out, "fp", cells, dedup_path="broadcast")
-    assert not os.path.exists(out)   # nothing committed: no seal
-    checkpoint.write_partitioned_resumable(_ds(), out, "part_key",
-                                           fingerprint="fp")
-    checkpoint.write_seal(out, "", cells)
-    assert checkpoint.read_seal(out, "") is None   # no fingerprint: no seal
-    checkpoint.write_seal(out, "fp", cells, dedup_path="broadcast")
-    seal, got = checkpoint.read_seal(out, "fp")
-    assert seal == {"fingerprint": "fp", "keys": ["a", "b", "c", "d"],
-                    "dedup_path": "broadcast"}
+    src = str(tmp_path / "in.parquet")
+    pq.write_table(pa.table({"x": [1]}), src)
+    fp, sealed = checkpoint.open_resumable(out, [src], "p")
+    assert sealed is None
+    checkpoint.write_partitioned_resumable(_ds().filter(expr="val < 0"),
+                                           out, "part_key", fp)
+    assert not os.path.exists(os.path.join(out, checkpoint.SEAL))  # nothing committed: no seal
+    res = checkpoint.write_partitioned_resumable(
+        _ds(), out, "part_key", fp, count_col="val", dedup_path="broadcast")
+    cells = pa.Table.from_pandas(res["counts"], preserve_index=False)
+    seal, got = checkpoint.open_resumable(out, [src], "p")[1]
+    assert seal == {"fingerprint": fp, "keys": ["a", "b", "c", "d"],
+                    "count_col": "val", "dedup_path": "broadcast"}
     assert got.equals(cells)
-    assert checkpoint.read_seal(out, "other") is None
+    assert checkpoint.open_resumable(out, [], "p") == ("", None)   # no fingerprint: no seal
+    with pytest.raises(ValueError, match="new directory"):
+        checkpoint.open_resumable(out, [src], "other")
     assert not [f for f in os.listdir(out) if ".tmp-" in f]
 
     lines = open(checkpoint.manifest_path(out)).read().splitlines()
     with open(checkpoint.manifest_path(out), "w") as f:
         f.write("\n".join(l for l in lines if '"key": "c"' not in l) + "\n")
-    assert checkpoint.read_seal(out, "fp") is None
+    assert checkpoint.open_resumable(out, [src], "p") == (fp, None)
+
+
+def test_publish_dir_one_build_wins(tmp_path):
+    """Two builds race for one target: the first rename wins, the other
+    build is dropped, and no tmp directory is left behind."""
+    import threading
+
+    out = str(tmp_path / "derived")
+    both_built = threading.Barrier(2)
+
+    def build(tag):
+        def fill(tmp):
+            for i in range(3):
+                with open(os.path.join(tmp, f"{i}.txt"), "w") as f:
+                    f.write(tag)
+            both_built.wait()   # neither renames before both have built
+        return fill
+
+    racers = [threading.Thread(target=checkpoint.publish_dir,
+                               args=(out, build(tag))) for tag in "ab"]
+    for t in racers:
+        t.start()
+    for t in racers:
+        t.join()
+    assert sorted(os.listdir(out)) == ["0.txt", "1.txt", "2.txt"]
+    assert len({open(os.path.join(out, f)).read()
+                for f in os.listdir(out)}) == 1
+    assert os.listdir(tmp_path) == ["derived"]
+
+    # a published target is not built again
+    checkpoint.publish_dir(out, lambda tmp: pytest.fail())
+
+    # a failed build raises and leaves nothing behind
+    def broken(tmp):
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.publish_dir(str(tmp_path / "other"), broken)
+    assert os.listdir(tmp_path) == ["derived"]
 
 
 def test_manifest_wall_sec_times_the_write():
@@ -173,7 +215,7 @@ def test_manifest_wall_sec_times_the_write():
 
     import pyarrow.parquet as pq
     shutil.rmtree(OUT, ignore_errors=True)
-    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
     recs = [json.loads(l) for l in open(checkpoint.manifest_path(OUT))]
     assert len(recs) == 4
     for r in recs:
@@ -184,8 +226,7 @@ def test_manifest_wall_sec_times_the_write():
 
 def test_pending_keys_and_filter_uncommitted():
     shutil.rmtree(OUT, ignore_errors=True)
-    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key")
-    assert checkpoint.pending_keys(["a", "b", "c", "d", "e"], OUT) == ["e"]
+    checkpoint.write_partitioned_resumable(_ds(), OUT, "part_key", "")
 
     filtered = checkpoint.filter_uncommitted(_ds(), OUT, "part_key")
     assert filtered.count() == 0  # everything committed → nothing pending

@@ -1,9 +1,12 @@
 """CLI surface: subcommand wiring, parquet-in → parquet-out, predicate
 pushdown via --blocks-subset. Runs in-process (the CLI guards ray.init)."""
 import glob
+import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from prclz_ray import cli
 
@@ -56,7 +59,7 @@ def test_complexity_resume(capsys):
     assert "2 partitions written, 0 skipped" in first
     cli.main(args)  # identical rerun: everything committed already
     second = capsys.readouterr().out
-    assert "0 partitions written" in second and "0 rows" in second
+    assert "0 partitions written, 2 skipped, 0 rows" in second
     from prclz_ray.runtime import checkpoint
     out = checkpoint.read_resumable(f"{t}/complexity").to_pandas()
     assert set(out["block_id"]) == {"SYNA.1.1_1_0", "SYNA.1.1_1_3"}
@@ -69,7 +72,7 @@ def test_complexity_resume(capsys):
                 f.write(json.dumps(rec) + "\n")
     cli.main(args)
     third = capsys.readouterr().out
-    assert "1 partitions written" in third
+    assert "1 partitions written, 1 skipped" in third
 
 
 def test_cli_corpus_pipeline(tmp_path):
@@ -135,12 +138,12 @@ def test_cli_corpus_resume(tmp_path, capsys):
             "--stages", "tokens", "--resume", "--resume-parts", "8"]
     main(args)
     first = capsys.readouterr().out
-    assert "written=8 skipped=0" in first
+    assert "8 partitions written, 0 skipped" in first
     assert read_resumable(out).count() == 300
     # rerun: everything committed -> all partitions skip before compute
     main(args)
     second = capsys.readouterr().out
-    assert "written=0 skipped=0" in second or "skipped=" in second
+    assert "0 partitions written, 8 skipped" in second
     assert read_resumable(out).count() == 300
     # drop one partition from the manifest -> only it recomputes
     mp = manifest_path(out)
@@ -152,7 +155,7 @@ def test_cli_corpus_resume(tmp_path, capsys):
                 f.write(json.dumps(r) + "\n")
     main(args)
     third = capsys.readouterr().out
-    assert "written=1" in third
+    assert "1 partitions written, 7 skipped" in third
     assert read_resumable(out).count() == 300
     # dedup + resume is refused (global operator)
     import pytest
@@ -240,3 +243,78 @@ def test_cli_query_verb_runs_registry_pipeline(tmp_path, capsys):
     got = pq.read_table(str(out)).to_pandas()
     assert set(got["o_orderstatus"]) == {"F", "O", "P"}
     assert got["n"].sum() == 1500
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Synth tables, their blocks and the parcels of two blocks: the
+    inputs of every ``--resume`` command."""
+    d = str(tmp_path_factory.mktemp("resume_inputs"))
+    cli.main(["synth", "--out", d, "--n-pages", "200"])
+    cli.main(["blocks", "--regions", f"{d}/regions.parquet",
+              "--lines", f"{d}/lines.parquet", "--out", f"{d}/blocks"])
+    cli.main(["parcels", "--blocks", f"{d}/blocks",
+              "--buildings", f"{d}/buildings.parquet",
+              "--out", f"{d}/parcels", "--blocks-subset", _SUBSET])
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(60), type=pa.int64()),
+        "text": pa.array([f"document {i} says hello" for i in range(60)])}),
+        f"{d}/docs.parquet")
+    return d
+
+
+_SUBSET = "SYNA.1.1_1_0,SYNA.1.1_1_3"
+
+
+def _resume_args(cmd, d, out):
+    """``(argv, rewritten input)`` of a ``--resume`` run of ``cmd``."""
+    if cmd == "corpus":
+        return (["corpus", "--docs", f"{d}/docs.parquet", "--out", out,
+                 "--stages", "tokens", "--resume", "--resume-parts", "4"],
+                f"{d}/docs.parquet")
+    args = [cmd, "--blocks", f"{d}/blocks", "--buildings",
+            f"{d}/buildings.parquet", "--out", out, "--resume"]
+    if cmd == "reblock":
+        args += ["--parcels", f"{d}/parcels"]
+    return args + ["--blocks-subset", _SUBSET], f"{d}/buildings.parquet"
+
+
+@pytest.mark.parametrize("cmd", ["parcels", "complexity", "reblock",
+                                 "corpus"])
+def test_resume_refuses_changed_input(cmd, stage_inputs, tmp_path):
+    """One output directory holds one (input, flags) run: after an input
+    file is rewritten, ``--resume`` raises instead of keeping the rows
+    committed from the old input."""
+    d = str(tmp_path / "in")
+    shutil.copytree(stage_inputs, d)
+    args, victim = _resume_args(cmd, d, str(tmp_path / "out"))
+    cli.main(args)
+    # another flag that shapes the rows is another run
+    with pytest.raises(ValueError, match="different input"):
+        cli.main(args + ["--resume-parts", "5"] if cmd == "corpus"
+                 else args[:-1] + ["SYNA.1.1_1_0"])
+    t = pq.read_table(victim)
+    pq.write_table(t.slice(0, t.num_rows - 1), victim)
+    with pytest.raises(ValueError, match="different input"):
+        cli.main(args)
+
+
+@pytest.mark.parametrize("cmd", ["parcels", "complexity", "reblock",
+                                 "corpus"])
+def test_sealed_resume_rerun_executes_nothing(cmd, stage_inputs, tmp_path,
+                                              capsys, monkeypatch):
+    from test_flagship_write import _count_executions
+
+    from prclz_ray.runtime import checkpoint
+    out = str(tmp_path / "out")
+    args, _ = _resume_args(cmd, stage_inputs, out)
+    cli.main(args)
+    n = len(checkpoint.committed_keys(out))
+    assert f"{n} partitions written, 0 skipped" in capsys.readouterr().out
+    assert os.path.exists(os.path.join(out, checkpoint.SEAL))
+    runs = _count_executions(monkeypatch)
+    cli.main(args)
+    assert runs == []
+    monkeypatch.undo()
+    assert f"0 partitions written, {n} skipped, 0 rows" \
+        in capsys.readouterr().out
