@@ -56,13 +56,6 @@ def dist(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def polyline_length(coords: np.ndarray) -> float:
-    c = np.asarray(coords, dtype=np.float64)
-    if len(c) < 2:
-        return 0.0
-    return float(np.sum(np.sqrt(np.sum(np.diff(c, axis=0) ** 2, axis=1))))
-
-
 def project_point_to_segment(p, a, b) -> tuple[float, float, float]:
     """Closest point on segment [a,b] to p → (x, y, distance).
 
@@ -94,20 +87,6 @@ def point_segments_distance(p, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarr
     t = np.where(denom == 0.0, 0.0, t)
     q = a + t[:, None] * ab
     return np.sqrt(np.sum((q - p) ** 2, axis=1))
-
-
-def segments_points_min_distance(seg_a: np.ndarray, seg_b: np.ndarray,
-                                 pts: np.ndarray) -> float:
-    """Min distance between a polyline's segments and a point set (used for
-    edge↔building-polygon distance; polygons contribute their ring segments
-    via segment_segment_distance below)."""
-    best = np.inf
-    for p in np.asarray(pts, dtype=np.float64):
-        d = point_segments_distance(p, seg_a, seg_b)
-        m = float(d.min()) if len(d) else np.inf
-        if m < best:
-            best = m
-    return best
 
 
 def _seg_seg_distance(p1, p2, q1, q2) -> float:

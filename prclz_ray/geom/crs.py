@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import pyarrow as pa
-
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
 WGS84_E = np.sqrt(WGS84_F * (2 - WGS84_F))
@@ -42,23 +40,6 @@ def mercator_to_lnglat(x, y, iters: int = 8):
         lat = np.pi / 2 - 2 * np.arctan(
             t * ((1 - esin) / (1 + esin)) ** (e / 2))
     return lng, np.degrees(lat)
-
-
-def reproject_batch(batch: pa.Table, x_col: str, y_col: str,
-                    direction: str = "to_mercator") -> pa.Table:
-    """Ray stage: vectorized in-place reprojection of coordinate columns."""
-    xs = batch[x_col].to_numpy(zero_copy_only=False)
-    ys = batch[y_col].to_numpy(zero_copy_only=False)
-    if direction == "to_mercator":
-        nx, ny = lnglat_to_mercator(xs, ys)
-    elif direction == "to_lnglat":
-        nx, ny = mercator_to_lnglat(xs, ys)
-    else:
-        raise ValueError(direction)
-    batch = batch.set_column(batch.schema.get_field_index(x_col), x_col,
-                             pa.array(nx))
-    return batch.set_column(batch.schema.get_field_index(y_col), y_col,
-                            pa.array(ny))
 
 
 def haversine_m(lng0, lat0, lng1, lat1):

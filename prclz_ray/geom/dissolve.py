@@ -138,13 +138,3 @@ def dissolve_rings(rings: list[np.ndarray], decimals: int = 9
         if path is not None and len(path) >= 4:
             cycles.append(np.asarray(path, dtype=np.float64))
     return cycles
-
-
-def dissolve_by_id(items: list[tuple], decimals: int = 9) -> dict:
-    """(id, ring) pairs → {id: [rings]} with each id's rings dissolved
-    (the reference's ``dissolve(by='uID')``)."""
-    groups: dict = {}
-    for pid, ring in items:
-        groups.setdefault(pid, []).append(ring)
-    return {pid: (rs if len(rs) == 1 else dissolve_rings(rs, decimals))
-            for pid, rs in groups.items()}

@@ -52,11 +52,3 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray],
         in_hole = points_in_ring(px, py, hole, boundary=not boundary)
         res &= ~in_hole
     return res
-
-
-def bbox_contains(b: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    return (px >= b[0]) & (px <= b[2]) & (py >= b[1]) & (py <= b[3])
-
-
-def bbox_intersects(a: np.ndarray, b: np.ndarray) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])

@@ -69,10 +69,6 @@ def multipolygon(polys) -> bytes:
     return _HDR.pack(1, MULTIPOLYGON) + body
 
 
-def geom_type(buf: bytes) -> int:
-    return _HDR.unpack_from(buf, 0)[1] & 0xFF
-
-
 def decode(buf: bytes):
     """Decode WKB → (type, value) with value per the module docstring."""
     t, val, off = _decode_at(buf, 0)

@@ -16,8 +16,6 @@ boundary (SURVEY §1.5).
 """
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 Coord = tuple[float, float]
@@ -162,31 +160,6 @@ class PlanarGraph:
                 if edge_keys[i] & edge_keys[j]:
                     dual.add_edge(centroids[i], centroids[j])
         return dual
-
-
-def _collinear_overlap(a0, a1, b0, b1) -> bool:
-    """True if segments are collinear and overlap in more than a point."""
-    ax, ay = a1[0] - a0[0], a1[1] - a0[1]
-    if abs(ax * (b0[1] - a0[1]) - ay * (b0[0] - a0[0])) > 1e-9:
-        return False
-    if abs(ax * (b1[1] - a0[1]) - ay * (b1[0] - a0[0])) > 1e-9:
-        return False
-    # project onto dominant axis
-    if abs(ax) >= abs(ay):
-        lo_a, hi_a = sorted((a0[0], a1[0]))
-        lo_b, hi_b = sorted((b0[0], b1[0]))
-    else:
-        lo_a, hi_a = sorted((a0[1], a1[1]))
-        lo_b, hi_b = sorted((b0[1], b1[1]))
-    return min(hi_a, hi_b) - max(lo_a, lo_b) > 1e-9
-
-
-def _faces_touch_segment(f1, f2) -> bool:
-    for e1 in f1:
-        for e2 in f2:
-            if _collinear_overlap(e1[0], e1[1], e2[0], e2[1]):
-                return True
-    return False
 
 
 def weak_dual_sequence_depth(s0: PlanarGraph) -> int:

@@ -34,16 +34,23 @@ from ..geom import wkb
 
 
 def _rv(buf: bytes, pos: int) -> tuple[int, int]:
-    """Read one varint; return (value, new_pos)."""
+    """Read one varint; return (value, new_pos).  One that runs past the
+    buffer or past 10 bytes raises ``ValueError`` naming its offset."""
+    start = pos
     out = 0
     shift = 0
     while True:
-        b = buf[pos]
+        try:
+            b = buf[pos]
+        except IndexError:
+            raise ValueError(f"truncated varint at byte {start}") from None
         pos += 1
         out |= (b & 0x7F) << shift
         if not b & 0x80:
             return out, pos
         shift += 7
+        if shift == 70:
+            raise ValueError(f"bad varint at byte {start}: over 10 bytes")
 
 
 def _zz(v: int) -> int:
@@ -53,27 +60,29 @@ def _zz(v: int) -> int:
 
 def _fields(buf: bytes):
     """Iterate (field_no, wire_type, value) over one message.
-    value is int for varint fields, bytes for length-delimited."""
+    value is int for varint fields, bytes for length-delimited.  A field
+    that runs past the end of the message raises ``ValueError``."""
     pos = 0
     n = len(buf)
     while pos < n:
+        start = pos
         key, pos = _rv(buf, pos)
         fno, wt = key >> 3, key & 7
         if wt == 0:
             v, pos = _rv(buf, pos)
             yield fno, wt, v
-        elif wt == 2:
+            continue
+        if wt == 2:
             ln, pos = _rv(buf, pos)
-            yield fno, wt, buf[pos:pos + ln]
-            pos += ln
-        elif wt == 5:
-            yield fno, wt, buf[pos:pos + 4]
-            pos += 4
-        elif wt == 1:
-            yield fno, wt, buf[pos:pos + 8]
-            pos += 8
+        elif wt in (1, 5):
+            ln = 8 if wt == 1 else 4
         else:
-            raise ValueError(f"unsupported wire type {wt}")
+            raise ValueError(f"unsupported wire type {wt} at byte {start}")
+        if pos + ln > n:
+            raise ValueError(f"field {fno} at byte {start} runs past the "
+                             f"end of its {n}-byte message")
+        yield fno, wt, buf[pos:pos + ln]
+        pos += ln
 
 
 def _packed(buf: bytes, signed: bool = False) -> list[int]:
@@ -118,33 +127,45 @@ _UNSUPPORTED_BLOB = {4: "lzma", 5: "bzip2", 6: "lz4", 7: "zstd"}
 
 
 def _iter_blobs(raw: bytes):
-    """Yield (blob_type, decompressed PrimitiveBlock/HeaderBlock bytes)."""
+    """Yield (blob_type, decompressed PrimitiveBlock/HeaderBlock bytes).
+    A frame cut short, or a header/blob that does not decode, raises
+    ``ValueError`` naming the frame's file offset."""
     pos = 0
     n = len(raw)
-    while pos + 4 <= n:
-        (hlen,) = struct.unpack_from(">i", raw, pos)
-        pos += 4
-        header = raw[pos:pos + hlen]
-        pos += hlen
-        btype = b""
-        dsize = 0
-        for fno, _, v in _fields(header):
-            if fno == 1:
-                btype = v
-            elif fno == 3:
-                dsize = v
-        blob = raw[pos:pos + dsize]
-        pos += dsize
-        data = b""
-        for fno, _, v in _fields(blob):
-            if fno == 1:                     # raw
-                data = v
-            elif fno == 3:                   # zlib_data
-                data = zlib.decompress(v)
-            elif fno in _UNSUPPORTED_BLOB:
-                raise ValueError(
-                    f"{_UNSUPPORTED_BLOB[fno]}-compressed PBF blob: only "
-                    "raw and zlib blobs are supported")
+    while pos < n:
+        frame = pos
+        try:
+            if pos + 4 > n:
+                raise ValueError("truncated BlobHeader length")
+            (hlen,) = struct.unpack_from(">i", raw, pos)
+            pos += 4
+            if hlen < 0 or pos + hlen > n:
+                raise ValueError(f"{hlen}-byte BlobHeader runs past the "
+                                 f"end of the {n}-byte file")
+            btype = b""
+            dsize = 0
+            for fno, _, v in _fields(raw[pos:pos + hlen]):
+                if fno == 1:
+                    btype = v
+                elif fno == 3:
+                    dsize = v
+            pos += hlen
+            if pos + dsize > n:
+                raise ValueError(f"{dsize}-byte Blob runs past the end of "
+                                 f"the {n}-byte file")
+            data = b""
+            for fno, _, v in _fields(raw[pos:pos + dsize]):
+                if fno == 1:                     # raw
+                    data = v
+                elif fno == 3:                   # zlib_data
+                    data = zlib.decompress(v)
+                elif fno in _UNSUPPORTED_BLOB:
+                    raise ValueError(
+                        f"{_UNSUPPORTED_BLOB[fno]}-compressed PBF blob: "
+                        "only raw and zlib blobs are supported")
+            pos += dsize
+        except (ValueError, zlib.error) as e:
+            raise ValueError(f"PBF frame at byte {frame}: {e}") from None
         yield btype.decode("ascii", "replace"), data
 
 

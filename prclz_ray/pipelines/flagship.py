@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 
 from ..geom import wkb
 from ..index import s2, tiling
+from ..stages import util
 from ..stages.extract_text import extract_text_bytes
 from ..stages.util import worker_cached
 
@@ -113,8 +114,7 @@ def _url_hash_cols(batch: pa.Table, url_col: str = "url") -> pa.Table:
     return out.append_column("_h2", pa.array(h2))
 
 
-def duplicate_url_map(pages_ds, num_buckets: int = 64,
-                      broadcast_limit_bytes: int | None = None):
+def duplicate_url_map(pages_ds, num_buckets: int = 64):
     """Narrow pre-pass for dedup: over (url, warc_ts) ONLY — column-pruned
     at the parquet read — find urls appearing more than once and their max
     warc_ts. Returns (dup_map: dict[(h1, h2), max_ts], ties: bool).
@@ -129,8 +129,8 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64,
     broadcast via ray.put; at cluster scale raise num_buckets ≈ total
     cores.
 
-    ``broadcast_limit_bytes`` guards the DRIVER-side dict: the grouped dup
-    table is counted distributed (object-store materialize, spillable)
+    ``util.BROADCAST_LIMIT_BYTES`` guards the DRIVER-side dict: the grouped
+    dup table is counted distributed (object-store materialize, spillable)
     BEFORE anything lands on the driver, and if the estimated dict size
     exceeds the budget the function returns ``(None, True)`` — the caller
     must fall back to the one-shuffle grouped dedup.  At 10¹² pages with
@@ -167,11 +167,10 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64,
     grouped = pages_ds.select_columns(["url", "warc_ts"]) \
         .map_batches(partial, batch_format="pyarrow") \
         .groupby("_bucket").map_groups(combine, batch_format="pandas")
-    if broadcast_limit_bytes is not None:
-        grouped = grouped.materialize()   # dup-key-sized, spillable
-        # ~200 B per python dict entry (tuple key of two u64 + int value)
-        if grouped.count() * 200 > broadcast_limit_bytes:
-            return None, True
+    grouped = grouped.materialize()   # dup-key-sized, spillable
+    # ~200 B per python dict entry (tuple key of two u64 + int value)
+    if grouped.count() * 200 > util.BROADCAST_LIMIT_BYTES:
+        return None, True
     res = grouped.to_pandas()
     if res.empty:
         # no url repeats: every bucket emitted an empty frame, and Ray
@@ -319,8 +318,7 @@ def assign_cells(ds, level: int = s2.DEFAULT_LEVEL):
 
 def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
                  out_dir: str | None = None, salt_threshold: int = 50_000,
-                 narrow_pages_ds=None,
-                 dedup_broadcast_limit_bytes: int = 256 << 20):
+                 narrow_pages_ds=None):
     """Returns (joined_ds, info dict). joined_ds streams; nothing is
     materialized. With ``out_dir`` the resumable write consumes the stream
     once, and the per-cell histogram behind ``info["hot_cells"]`` and
@@ -343,7 +341,7 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
 
     Url dedup runs the narrow url pre-pass + broadcast-filter (the wide
     stream never shuffles).  The broadcast dup map is size-guarded by
-    ``dedup_broadcast_limit_bytes`` (counted distributed in the pre-pass,
+    ``util.BROADCAST_LIMIT_BYTES`` (counted distributed in the pre-pass,
     BEFORE anything driver-sized exists): past the budget, or when a url's
     latest warc_ts is tied, the pipeline falls back to the one-shuffle
     grouped dedup automatically — at CC-realistic
@@ -389,8 +387,7 @@ def run_flagship(pages_ds, regions_tbl: pa.Table, level: int = s2.DEFAULT_LEVEL,
     # Ray does not push select_columns into the parquet scan, so without
     # it the pre-pass would decode the html column just to drop it.
     dup_map, ties = duplicate_url_map(
-        pages_ds if narrow_pages_ds is None else narrow_pages_ds,
-        broadcast_limit_bytes=dedup_broadcast_limit_bytes)
+        pages_ds if narrow_pages_ds is None else narrow_pages_ds)
 
     ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
 

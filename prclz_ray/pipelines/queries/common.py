@@ -252,15 +252,15 @@ def _daily_revenue_cents(sf_dir: str) -> pd.DataFrame:
 def _fingerprint_cache_dir(sf_dir: str, table: str, kind: str) -> str:
     """Content-fingerprinted /tmp cache path for format-roundtrip
     queries (``checkpoint.input_fingerprint`` over the table's input
-    files: regenerated fixtures get a fresh dir).  Build it with
-    ``checkpoint.publish_dir``."""
+    files: regenerated fixtures get a fresh dir, and the stale one is
+    evicted).  Build it with ``checkpoint.publish_dir``."""
     import glob
     import os
 
-    from ...runtime.checkpoint import input_fingerprint
+    from ...runtime.checkpoint import fingerprinted_dir, input_fingerprint
     fp = input_fingerprint(glob.glob(os.path.join(sf_dir, f"{table}*")))
     tag = os.path.basename(os.path.normpath(sf_dir))
-    return f"/tmp/prclz_ray_{kind}_{tag}_{fp[:12]}"
+    return fingerprinted_dir(f"/tmp/prclz_ray_{kind}_{tag}", fp[:12])
 
 
 def _synthetic_links(sf_dir: str):

@@ -122,7 +122,7 @@ def q_connected_components_chain(sf_dir: str):
         a = d[(d % 5 < 4) & (d + 1 < n)]
         return pa.table({"a": pa.array(a), "b": pa.array(a + 1)})
 
-    out = dd.connected_components_min_label(
+    out = dd.connected_components(
         docs.map_batches(edges, batch_format="pyarrow"))
     return out.map_batches(
         lambda b: pa.table({"node": b["node"], "label": b["label"]}),

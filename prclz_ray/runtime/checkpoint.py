@@ -31,14 +31,17 @@ keys are all still committed is a metadata read in the caller: it
 executes nothing.
 
 ``input_fingerprint`` is also the key of every derived /tmp directory
-(the queries' format round-trips and layouts, the result cache), and
-``publish_dir`` their one atomic commit.
+(the queries' format round-trips and layouts, the result cache):
+``fingerprinted_dir`` names it and evicts its stale versions, and
+``publish_dir`` is their one atomic commit.
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
+import re
 import shutil
 import time
 import uuid
@@ -162,6 +165,21 @@ def _write_seal(out_dir: str, fingerprint: str, cells, **facts) -> None:
         with open(tmp, "w") as f:
             json.dump({"fingerprint": fingerprint, "keys": keys, **facts}, f)
     _replace_atomically(os.path.join(out_dir, SEAL), dump)
+
+
+def fingerprinted_dir(prefix: str, fp: str) -> str:
+    """``{prefix}_{fp}``: the path of a derived build keyed by an input
+    fingerprint.  Asking for a fingerprint with no build yet removes the
+    complete builds of earlier fingerprints under the same ``prefix``, so
+    a changed input leaves one build behind, not one per version.
+    ``.tmp-`` directories (a build in progress) are never touched."""
+    out = f"{prefix}_{fp}"
+    if not os.path.exists(out):
+        stale = re.compile(re.escape(prefix) + "_[0-9a-f]{%d}" % len(fp))
+        for d in glob.glob(glob.escape(prefix) + "_*"):
+            if stale.fullmatch(d):
+                shutil.rmtree(d, ignore_errors=True)
+    return out
 
 
 def publish_dir(out: str, build) -> None:

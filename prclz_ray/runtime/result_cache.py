@@ -4,7 +4,8 @@ A registry query is a pure function of its input directory, so its
 result can be memoized on disk keyed by (query name, input content
 fingerprint): re-running an expensive pipeline over unchanged inputs
 becomes a parquet read, while ANY change to an input file (size or
-mtime) silently misses to a fresh computation — the same fingerprint
+mtime) misses to a fresh computation and evicts the stale entry
+(``checkpoint.fingerprinted_dir``) — the same fingerprint
 (``checkpoint.input_fingerprint``) the format-roundtrip queries key
 their /tmp exports by (ADVICE r3: never key a cache by directory name
 alone).
@@ -20,7 +21,7 @@ import os
 
 import pandas as pd
 
-from .checkpoint import input_fingerprint, publish_dir
+from .checkpoint import fingerprinted_dir, input_fingerprint, publish_dir
 
 
 def cached_result(name: str, sf_dir: str, fn,
@@ -30,7 +31,7 @@ def cached_result(name: str, sf_dir: str, fn,
     (name, fingerprint of the input dir's parquet files).  ``fn`` may
     return a DataFrame, a pyarrow Table, or a Ray Dataset."""
     fp = input_fingerprint(glob.glob(os.path.join(sf_dir, "*.parquet")))
-    hit = os.path.join(cache_root, f"{name}_{fp[:16]}")
+    hit = fingerprinted_dir(os.path.join(cache_root, name), fp[:16])
     if os.path.exists(hit):
         return pd.read_parquet(os.path.join(hit, "result.parquet"))
     res = fn(sf_dir)

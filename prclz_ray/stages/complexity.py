@@ -69,36 +69,18 @@ def block_complexity(block_ring: np.ndarray, centroids: np.ndarray) -> int:
     return weak_dual_sequence_depth(s0_approximation(block_ring, centroids))
 
 
-def complexity_pipeline(blocks, buildings_ds, max_buildings_per_block: int = 2000,
-                        pip_broadcast_limit_bytes: int = 64 << 20):
+def complexity_pipeline(blocks, buildings_ds, max_buildings_per_block: int = 2000):
     """blocks: pa.Table or Dataset (block_id, geometry[, cell]);
     buildings_ds: Dataset with WKB geometry. Output: COMPLEXITY schema.
 
-    Buildings are centroided in a vectorized batch stage, PIP-joined to the
-    blocks (broadcast while the blocks side fits
-    ``pip_broadcast_limit_bytes``, co-partitioned tiled join past it —
-    the 100× guard for continental blocks tables), then grouped per block
-    for the CPU-heavy kernel — the group stage caps pathological groups
-    (reference precedent: unbounded weak-dual loops, SURVEY §7.5.7) via
+    Buildings are centroided and joined to their blocks
+    (``joins.buildings_in_blocks``), then grouped per block for the
+    CPU-heavy kernel — the group stage caps pathological groups (reference
+    precedent: unbounded weak-dual loops, SURVEY §7.5.7) via
     ``max_buildings_per_block``."""
-    from .joins import pip_join_auto
+    from .joins import buildings_in_blocks
 
-    def centroid_batch(batch: pa.Table) -> pa.Table:
-        # M2 vectorized: batched shoelace over uniform WKB (ref
-        # _complexity.py:104 geometry.centroid), no per-row decode
-        xs, ys = wkb.polygon_centroids(batch["geometry"])
-        out = batch.append_column("cx", pa.array(xs))
-        return out.append_column("cy", pa.array(ys))
-
-    blocks_sel = blocks.select(["block_id", "geometry"]) \
-        if isinstance(blocks, pa.Table) \
-        else blocks.select_columns(["block_id", "geometry"])
-    cents = buildings_ds.map_batches(centroid_batch, batch_format="pyarrow")
-    joined = pip_join_auto(cents.select_columns(["bldg_id", "cx", "cy"]),
-                           blocks_sel,
-                           id_col="block_id", x_col="cx", y_col="cy",
-                           how="inner", attach_geom_col="block_geom",
-                           broadcast_limit_bytes=pip_broadcast_limit_bytes)
+    joined = buildings_in_blocks(buildings_ds, blocks, ["bldg_id", "cx", "cy"])
 
     def per_block(group: pa.Table) -> pa.Table:
         bid = group["block_id"][0].as_py()

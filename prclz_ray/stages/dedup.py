@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import util
 from .relational import bucket_shuffle
 
 _MERSENNE = (1 << 61) - 1
@@ -76,8 +77,7 @@ def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id",
 
 def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
                           sep: str = "\n\n", min_count: int = 2,
-                          num_buckets: int = 32,
-                          broadcast_limit_bytes: int = 64 << 20):
+                          num_buckets: int = 32):
     """CCNet-style paragraph-duplication profile: split each doc into
     paragraphs on ``sep``, find paragraphs repeated >= ``min_count`` times
     corpus-wide, and report per doc the paragraph count, the number of
@@ -94,7 +94,7 @@ def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
          so the per-hash group holds at most one row per batch);
       3. duplicate hashes (cnt >= min_count) flag the para rows: the
          dup-hash set broadcasts via ray.put when it fits
-         ``broadcast_limit_bytes`` (vectorized pc.is_in per batch — the
+         ``BROADCAST_LIMIT_BYTES`` (vectorized pc.is_in per batch — the
          common case: dup paragraphs are a small fraction of distinct
          ones), else a bucketed left join marks them (one exchange, no
          broadcast assumption — same guarded pattern as
@@ -119,13 +119,11 @@ def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
     paras = ds.map_batches(explode, batch_format="pyarrow")
     return _dup_profile(paras, key_col, n_col="n_paras",
                         dup_alias="n_dup_paras", min_count=min_count,
-                        num_buckets=num_buckets,
-                        broadcast_limit_bytes=broadcast_limit_bytes)
+                        num_buckets=num_buckets)
 
 
 def _dup_profile(rows, key_col: str, n_col: str, dup_alias: str,
-                 min_count: int, num_buckets: int,
-                 broadcast_limit_bytes: int):
+                 min_count: int, num_buckets: int):
     """Shared dup-profile tail over narrow (key, _h, n_col) rows: partial
     hash counts → tiny per-hash groupby → duplicate-hash set flags the
     rows (size-guarded ``ray.put`` broadcast + ``pc.is_in``, bucketed left
@@ -143,22 +141,22 @@ def _dup_profile(rows, key_col: str, n_col: str, dup_alias: str,
     dup_hashes = counts.filter(expr=f"cnt >= {int(min_count)}") \
         .materialize()  # distinct-dup-hash-sized: needed twice below
     return _flag_profile(rows, dup_hashes, key_col, n_col, dup_alias,
-                         num_buckets, broadcast_limit_bytes)
+                         num_buckets)
 
 
 def _flag_profile(rows, flag_keys, key_col: str, n_col: str, dup_alias: str,
-                  num_buckets: int, broadcast_limit_bytes: int,
+                  num_buckets: int,
                   frac_alias: str = "dup_frac"):
     """Flag-and-profile tail shared by the dup profiles and
     decontamination: ``flag_keys`` is a MATERIALIZED narrow Dataset whose
     ``_h`` column is the flag set.  The set broadcasts via ``ray.put`` +
-    ``pc.is_in`` when it fits ``broadcast_limit_bytes``, else a bucketed
+    ``pc.is_in`` when it fits ``BROADCAST_LIMIT_BYTES``, else a bucketed
     left join marks the rows; one per-key groupby sums the flags."""
     from ray.data.aggregate import Max, Sum
 
     dup_hashes = flag_keys
     n_dup_hashes = dup_hashes.count()
-    if n_dup_hashes * 8 <= broadcast_limit_bytes:
+    if n_dup_hashes * 8 <= util.BROADCAST_LIMIT_BYTES:
         import ray
         dup_arr = np.sort(np.concatenate(
             [b["_h"].to_numpy(zero_copy_only=False)
@@ -247,8 +245,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
                              domain_col: str = "source",
                              text_col: str = "text", sep: str = "\n\n",
                              min_frac: float = 0.3, min_docs: int = 2,
-                             num_buckets: int = 32,
-                             broadcast_limit_bytes: int = 64 << 20):
+                             num_buckets: int = 32):
     """Domain-scoped boilerplate detection (the per-site complement of
     corpus-wide ``paragraph_dedup_stats``): a paragraph is boilerplate
     within a domain when it appears in >= ``min_docs`` docs AND in
@@ -299,7 +296,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
         .groupby(domain_col).aggregate(Sum("pn", alias_name="n_docs")) \
         .materialize()
 
-    if totals.count() * 48 <= broadcast_limit_bytes:
+    if totals.count() * 48 <= util.BROADCAST_LIMIT_BYTES:
         tot_tbl = pa.concat_tables(
             [b.select([domain_col, "n_docs"])
              for b in totals.iter_batches(batch_format="pyarrow")])
@@ -336,8 +333,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
 
 def decontaminate_ngrams(train_ds, bench_ds, key_col: str = "doc_id",
                          text_col: str = "text", n: int = 5,
-                         num_buckets: int = 32,
-                         broadcast_limit_bytes: int = 64 << 20):
+                         num_buckets: int = 32):
     """Benchmark decontamination (the GPT-3 appendix-C / Dodge et al.
     C4-contamination procedure): flag every training document sharing at
     least one word ``n``-gram with the benchmark/eval corpus, reporting
@@ -353,7 +349,7 @@ def decontaminate_ngrams(train_ds, bench_ds, key_col: str = "doc_id",
          batch first);
       3. the distinct bench set flags the train rows through the shared
          size-guarded tail: ``ray.put`` broadcast + ``pc.is_in`` when the
-         set fits ``broadcast_limit_bytes`` (the common case — eval sets
+         set fits ``BROADCAST_LIMIT_BYTES`` (the common case — eval sets
          are tiny next to the corpus), bucketed left join past it;
       4. one per-doc groupby sums the flags.
     The SQL oracle twin joins on the n-gram STRING itself (identical
@@ -374,15 +370,13 @@ def decontaminate_ngrams(train_ds, bench_ds, key_col: str = "doc_id",
     return _flag_profile(train_rows, bench_hashes, key_col,
                          n_col="n_ngrams", dup_alias="n_contam",
                          num_buckets=num_buckets,
-                         broadcast_limit_bytes=broadcast_limit_bytes,
                          frac_alias="contam_frac")
 
 
 def duplicate_span_stats(ds, key_col: str = "doc_id",
                          text_col: str = "text", k: int = 32,
                          stride: int = 8, min_count: int = 2,
-                         num_buckets: int = 32,
-                         broadcast_limit_bytes: int = 64 << 20):
+                         num_buckets: int = 32):
     """Exact substring-duplication profile (Lee et al. 2022,
     arXiv:2107.06499 'Deduplicating Training Data Makes Language Models
     Better'): slide a ``k``-char window at ``stride`` over every doc and
@@ -455,8 +449,7 @@ def duplicate_span_stats(ds, key_col: str = "doc_id",
     rows = ds.map_batches(explode, batch_format="pyarrow")
     return _dup_profile(rows, key_col, n_col="n_spans",
                         dup_alias="n_dup_spans", min_count=min_count,
-                        num_buckets=num_buckets,
-                        broadcast_limit_bytes=broadcast_limit_bytes)
+                        num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------------ minhash
@@ -620,12 +613,11 @@ def _sharded_multi_groups(ds, group_cols: list, key_col: str, fn,
 
 def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
                          jaccard_threshold=0.8, shingle_k=5,
-                         num_buckets=16, emit_score: bool = False,
-                         broadcast_limit_bytes: int = 1 << 31):
+                         num_buckets=16, emit_score: bool = False):
     """Distributed candidate verification: NO whole-corpus driver map.
     Texts are first restricted to candidate docs (semi-join on the pairs'
     key set).  When that candidate-text table fits
-    ``broadcast_limit_bytes`` it is ``ray.put`` ONCE as an Arrow table
+    ``BROADCAST_LIMIT_BYTES`` it is ``ray.put`` ONCE as an Arrow table
     (one shared copy per node, zero-copy reads) and pairs verify against
     a per-worker shingle-hash index — text moves once per node, not once
     per pair.  Past the limit (adversarially dense corpora) it falls back
@@ -698,7 +690,7 @@ def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
             cols["jaccard"] = t["jaccard"]
         return pa.table(cols)
 
-    if cand_texts.size_bytes() <= broadcast_limit_bytes:
+    if cand_texts.size_bytes() <= util.BROADCAST_LIMIT_BYTES:
         # ---- broadcast path: candidate texts as ONE object-store table
         import ray
         tref = ray.put(ds_to_table(cand_texts))
@@ -759,58 +751,21 @@ def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
         cast_back, batch_format="pyarrow")
 
 
-def connected_components(edges_ds, max_rounds: int = 20,
-                         single_task_edges: int = 2_000_000):
-    """Connected components over a verified-duplicate edge Dataset →
-    Dataset (node, label).  The edge set is orders of magnitude smaller
-    than the corpus (only near-dup pairs survive verification), so when it
-    fits one task comfortably we run union-find INSIDE a single Ray task
-    (no driver materialization); past ``single_task_edges`` we switch to
-    the fully-sharded min-label propagation rounds.
+def connected_components(edges_ds, max_rounds: int = 20):
+    """Connected components over an (a, b) edge Dataset → Dataset (node,
+    label) over every node that appears in an edge; label == min key of
+    the node's component.
 
-    The edge Dataset is pinned first: both the count and the labeling
-    consume it, and without the pin the (often expensive) upstream pair
-    pipeline would re-execute once per consumer."""
-    edges_ds = edges_ds.materialize()
-    n = edges_ds.count()
-    if n <= single_task_edges:
-        def uf(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:  # typed empty result
-                return pa.table({"node": t["a"], "label": t["a"]})
-            a = t["a"].to_pylist()
-            b = t["b"].to_pylist()
-            parent: dict = {}
-
-            def find(x):
-                while parent.setdefault(x, x) != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for x, y in zip(a, b):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-            keys = list(parent)
-            return pa.table({"node": keys, "label": [find(k) for k in keys]})
-
-        return edges_ds.repartition(1).map_batches(
-            uf, batch_format="pyarrow", batch_size=None)
-    return connected_components_min_label(edges_ds, max_rounds=max_rounds)
-
-
-def connected_components_min_label(edges_ds, max_rounds: int = 20,
-                                   key_type=None,
-                                   broadcast_limit_bytes: int = 64 << 20):
-    """Distributed connected components by iterated min-label propagation:
-    each round every node takes the min label over itself and its
-    neighbors (two groupbys per round, narrow (node,label) rows — no
-    driver-side union-find, no corpus-sized broadcast).  Labels decrease
-    monotonically; converged when the label sum is unchanged.  Rounds
-    needed ≈ component diameter (near-dup components are shallow).
-
-    Returns a Dataset (key, label) over every node that appears in an
-    edge; label == min key of the node's component."""
+    The edges become one narrow symmetric (u, v) list, materialized.  When
+    it fits ``util.BROADCAST_LIMIT_BYTES`` (the common case: only verified
+    near-dup pairs reach here, orders of magnitude fewer than the corpus)
+    one vectorized hash-to-min pass labels it.  Past the budget it runs
+    distributed min-label propagation: each round every node takes the min
+    label over itself and its neighbors (one bucketed join + one groupby
+    per round, narrow (node, label) rows, nothing driver-sized).  Labels
+    decrease monotonically; converged when the label digest is unchanged.
+    Rounds needed ≈ component diameter (near-dup components are
+    shallow)."""
     # symmetric edge list (u→v and v→u), one narrow table
     def sym(t: pa.Table) -> pa.Table:
         a = t["a"].combine_chunks()
@@ -819,6 +774,8 @@ def connected_components_min_label(edges_ds, max_rounds: int = 20,
                          "v": pa.concat_arrays([b.cast(b.type), a.cast(a.type)])})
 
     edges = edges_ds.map_batches(sym, batch_format="pyarrow").materialize()
+    if edges.size_bytes() <= util.BROADCAST_LIMIT_BYTES:
+        return _cc_single_pass(edges)
 
     labels = edges.map_batches(
         lambda t: pa.table({"node": t["u"], "label": t["u"]}),
@@ -848,13 +805,6 @@ def connected_components_min_label(edges_ds, max_rounds: int = 20,
         return (agg["sum(d_lo)"], agg["sum(d_hi)"])
 
     from .relational import bucketed_hash_join
-
-    # size guard (the repo's standard pattern): an edge set that fits the
-    # broadcast budget resolves in ONE vectorized hash-to-min pass with
-    # pointer jumping (log-diameter rounds, np.minimum.at — no per-round
-    # Ray jobs at all); the BSP join leg below is the past-guard path.
-    if edges.size_bytes() <= broadcast_limit_bytes:
-        return _cc_single_pass(edges)
 
     def nbr_min(t: pa.Table) -> pa.Table:
         # per-bucket (bucketed on u) vectorized partial min per neighbor
@@ -892,6 +842,11 @@ def _cc_single_pass(sym_edges_ds):
     from .relational import ds_to_table
 
     t = ds_to_table(sym_edges_ds)
+    if t.num_rows == 0:  # typed empty result
+        typ = t.schema.field("u").type if "u" in t.column_names \
+            else pa.int64()
+        return rd.from_arrow(pa.table({"node": pa.array([], typ),
+                                       "label": pa.array([], typ)}))
     u, v = t["u"], t["v"]
     combined = pa.concat_arrays([u.combine_chunks(), v.combine_chunks()])
     ids = pc.unique(combined)
@@ -919,8 +874,8 @@ def _cc_single_pass(sym_edges_ds):
 def minhash_lsh_dedup(ds, key_col="doc_id", text_col="text", num_perm=64,
                       num_bands=16, jaccard_threshold=0.8, max_rounds=10):
     """Full near-dup pipeline: candidates → verify true Jaccard
-    (distributed pair↔text joins) → connected components (iterated
-    min-label propagation) → keep min key per component.  Nothing
+    (distributed pair↔text joins) → ``connected_components`` → keep min
+    key per component.  Nothing
     corpus-sized ever lands on the driver or in a broadcast object.
     Returns (kept_ds, components_df — the small duplicate set only)."""
     from .relational import semi_join
@@ -930,9 +885,8 @@ def minhash_lsh_dedup(ds, key_col="doc_id", text_col="text", num_perm=64,
                                  text_col=text_col,
                                  jaccard_threshold=jaccard_threshold) \
         .materialize()  # narrow verified pairs, candidate-sized
-    labels = connected_components(edges, max_rounds=max_rounds)
-    if hasattr(labels, "materialize"):
-        labels = labels.materialize()  # tiny; read by dups + components df
+    # tiny; read by dups + components df
+    labels = connected_components(edges, max_rounds=max_rounds).materialize()
 
     # duplicates = nodes whose component label is not their own key; the
     # dup-key table is small (duplicate docs only) → broadcast anti-join
@@ -1282,8 +1236,7 @@ def _doc_shingles(txt: str, shingle_k: int) -> np.ndarray:
 def prefix_filter_candidates(ds, key_col: str = "doc_id",
                              text_col: str = "text",
                              jaccard_threshold: float = 0.8,
-                             shingle_k: int = 5, num_shards: int = 64,
-                             df_broadcast_limit_bytes: int = 256 << 20):
+                             shingle_k: int = 5, num_shards: int = 64):
     """AllPairs/PPJoin-style prefix filtering: recall-COMPLETE candidate
     pairs for an EXACT-Jaccard threshold self-join (no LSH false
     negatives).  A doc with m distinct shingles emits its first
@@ -1362,7 +1315,7 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
         out = df.loc[keep, ["g", key_col, "m"]].assign(r=rank[keep])
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    if df2.size_bytes() <= df_broadcast_limit_bytes:
+    if df2.size_bytes() <= util.BROADCAST_LIMIT_BYTES:
         ref = ray.put(ds_to_table(df2))
 
         def sorted_df():

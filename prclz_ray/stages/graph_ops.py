@@ -25,13 +25,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import util
 from .relational import bucket_shuffle
 
 
 def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
              dst_col: str = "dst", iters: int = 3, damping: float = 0.85,
              round_dp: int = 9, num_buckets: int = 32,
-             broadcast_limit_bytes: int = 64 << 20,
              teleport_fn=None):
     """PageRank over an edge-list Dataset.  Returns a Dataset of
     (node_col, pagerank) after ``iters`` power-iteration rounds from the
@@ -40,7 +40,7 @@ def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
     nothing, matching the unrolled-CTE SQL twin.
 
     Size guard (the repo's standard broadcast pattern): when the rank
-    vector fits ``broadcast_limit_bytes`` (16 B/node), each round is ONE
+    vector fits ``BROADCAST_LIMIT_BYTES`` (16 B/node), each round is ONE
     streaming map over the edges — ranks ship via ``ray.put``, per-batch
     contributions collapse to sparse (dst, c) partials, and the driver
     merges ≤ batch-bounded rows into the dense vector (same k×blocks
@@ -56,7 +56,7 @@ def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
     # teleport_fn(ids: np.ndarray) -> np.ndarray makes the restart
     # distribution a FUNCTION of the node id (personalized PageRank):
     # both paths evaluate it per batch, so no vector ever ships
-    if n * 16 <= broadcast_limit_bytes:
+    if n * 16 <= util.BROADCAST_LIMIT_BYTES:
         return _pagerank_broadcast(edges_ds, nodes_ds, node_col, src_col,
                                    dst_col, iters, damping, round_dp,
                                    teleport, teleport_fn)
@@ -185,8 +185,7 @@ def _pagerank_broadcast(edges_ds, nodes_ds, node_col, src_col, dst_col,
 
 
 def triangle_count(edges_ds, src_col: str = "src",
-                   dst_col: str = "dst",
-                   broadcast_limit_bytes: int = 64 << 20) -> int:
+                   dst_col: str = "dst") -> int:
     """Distributed EXACT triangle counting via degree-ordered edge
     orientation: each distinct undirected edge is directed from its
     lower-(degree, id) endpoint to the higher, wedges are enumerated
@@ -243,7 +242,7 @@ def triangle_count(edges_ds, src_col: str = "src",
         .groupby("node").aggregate(Sum("pn", alias_name="deg")) \
         .materialize()
 
-    if deg.count() * 16 <= broadcast_limit_bytes:
+    if deg.count() * 16 <= util.BROADCAST_LIMIT_BYTES:
         deg_t = ds_to_table(deg)
         ids = deg_t["node"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -324,7 +323,7 @@ def triangle_count(edges_ds, src_col: str = "src",
 
 def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
          dst_col: str = "dst", iters: int = 2, round_dp: int = 9,
-         num_buckets: int = 32, broadcast_limit_bytes: int = 64 << 20):
+         num_buckets: int = 32):
     """HITS hubs/authorities power iteration over an edge-list Dataset.
     Per round: a(v) = Σ_{u→v} h(u), max-normalized; h(u) = Σ_{u→v} a(v),
     max-normalized.  MAX normalization (not L1/L2) keeps the reference
@@ -334,7 +333,7 @@ def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
     at the compare grain.
 
     Size guard (the repo's standard pattern): while two V-sized float
-    vectors fit ``broadcast_limit_bytes`` the rounds are streaming
+    vectors fit ``BROADCAST_LIMIT_BYTES`` the rounds are streaming
     sparse-partial passes over the edges (same shape as PageRank's
     broadcast leg); past it, each half-round is one bucketed
     edges×scores co-shuffle join + a groupby sum + a driver-scalar max
@@ -351,7 +350,7 @@ def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
                                        "hub": pa.array([], pa.float64()),
                                        "authority": pa.array(
                                            [], pa.float64())}))
-    if n * 16 <= broadcast_limit_bytes:
+    if n * 16 <= util.BROADCAST_LIMIT_BYTES:
         return _hits_broadcast(edges_ds, nodes_ds, node_col, src_col,
                                dst_col, iters, round_dp)
 
@@ -461,8 +460,7 @@ def _hits_broadcast(edges_ds, nodes_ds, node_col, src_col, dst_col,
 
 def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
                       src_col: str = "src", dst_col: str = "dst",
-                      iters: int = 2, num_buckets: int = 32,
-                      broadcast_limit_bytes: int = 64 << 20):
+                      iters: int = 2, num_buckets: int = 32):
     """Synchronous community label propagation, fully DETERMINISTIC
     (unlike classic async LPA): labels start as node ids; each round
     every node adopts the most frequent label among its (undirected)
@@ -471,7 +469,7 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
     an unrolled SQL twin reproduces it exactly at any partitioning.
 
     Size guard (the repo's standard pattern): while the label vector
-    fits ``broadcast_limit_bytes`` (16 B/node), each round is ONE
+    fits ``BROADCAST_LIMIT_BYTES`` (16 B/node), each round is ONE
     streaming edge pass (labels ship via ``ray.put``, per-batch
     vectorized (node, lbl) count partials) into ONE node-bucket
     groupby whose per-bucket argmax is a single lexicographic sort —
@@ -492,7 +490,7 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
     edges = edges_ds.map_batches(sym, batch_format="pyarrow").materialize()
 
     n = nodes_ds.count()
-    if n * 16 <= broadcast_limit_bytes:
+    if n * 16 <= util.BROADCAST_LIMIT_BYTES:
         return _label_prop_broadcast(edges, nodes_ds, node_col, iters,
                                      num_buckets)
 
@@ -591,7 +589,6 @@ def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
 
 def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
              dst_col: str = "dst", rounds: int = 3, num_buckets: int = 32,
-             broadcast_limit_bytes: int = 64 << 20,
              approx_num_nodes: int | None = None):
     """Multi-source BFS hop distance over a directed edge-list Dataset:
     every node reachable from the seed set within ``rounds`` hops gets
@@ -600,7 +597,7 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
     reproduces it exactly at any partitioning.
 
     Size guard (the repo's standard pattern): while the visited set fits
-    ``broadcast_limit_bytes`` (16 B/node, judged on ``approx_num_nodes``
+    ``BROADCAST_LIMIT_BYTES`` (16 B/node, judged on ``approx_num_nodes``
     when given, else on the seed count as a floor), each round is ONE
     streaming edge pass — the CURRENT frontier ships via ``ray.put``,
     per-batch vectorized membership (searchsorted) emits unique new
@@ -615,7 +612,7 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
 
     guard_n = approx_num_nodes if approx_num_nodes is not None \
         else seeds_ds.count()
-    if guard_n * 16 <= broadcast_limit_bytes:
+    if guard_n * 16 <= util.BROADCAST_LIMIT_BYTES:
         return _bfs_broadcast(edges_ds, seeds_ds, node_col, src_col,
                               dst_col, rounds)
 
@@ -713,7 +710,6 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
                 src_col: str = "src", dst_col: str = "dst",
                 weight_col: str = "w", rounds: int = 3,
                 num_buckets: int = 32,
-                broadcast_limit_bytes: int = 64 << 20,
                 approx_num_nodes: int | None = None):
     """Bounded-hop single/multi-source shortest path (min-plus
     Bellman-Ford): after ``rounds`` relaxations every node reachable
@@ -735,7 +731,7 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
 
     guard_n = approx_num_nodes if approx_num_nodes is not None \
         else seeds_ds.count()
-    if guard_n * 16 <= broadcast_limit_bytes:
+    if guard_n * 16 <= util.BROADCAST_LIMIT_BYTES:
         return _sssp_broadcast(edges_ds, seeds_ds, node_col, src_col,
                                dst_col, weight_col, rounds)
 
@@ -873,8 +869,7 @@ def _sssp_broadcast(edges_ds, seeds_ds, node_col, src_col, dst_col,
 
 def k_core(edges_ds, k: int = 2, rounds: int = 3,
            src_col: str = "src", dst_col: str = "dst",
-           num_buckets: int = 32,
-           broadcast_limit_bytes: int = 64 << 20):
+           num_buckets: int = 32):
     """Bounded k-core peeling over an undirected graph given as a
     directed edge list (symmetrized + self-loop-dropped + deduped
     internally).  Each peel round recomputes every surviving node's
@@ -889,7 +884,7 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
     reproduces it exactly at any partitioning.
 
     Size guard (the repo's standard pattern): while the node set fits
-    ``broadcast_limit_bytes`` (16 B/node), each round is one streaming
+    ``BROADCAST_LIMIT_BYTES`` (16 B/node), each round is one streaming
     degree aggregate plus ONE edge pass filtering both endpoints
     against the broadcast survivor vector (sorted searchsorted probe).
     Past the guard, the V-scale BSP leg runs each round as a degree
@@ -927,7 +922,7 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
             .groupby("v").aggregate(Sum("pn", alias_name="deg"))
 
     deg = degrees(edges).materialize()
-    broadcast_ok = deg.count() * 16 <= broadcast_limit_bytes
+    broadcast_ok = deg.count() * 16 <= util.BROADCAST_LIMIT_BYTES
 
     if broadcast_ok:
         surv = np.array([], dtype=np.int64)
@@ -1004,8 +999,7 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
 
 
 def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                     num_buckets: int = 32,
-                     broadcast_limit_bytes: int = 64 << 20):
+                     num_buckets: int = 32):
     """Per-node triangle count + local clustering coefficient, built on
     the same degree-ordered orientation as ``triangle_count`` (wedges
     enumerated only at the (deg, id)-minimum vertex, O(m^1.5) total
@@ -1053,7 +1047,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
         .groupby("v").aggregate(Sum("pn", alias_name="deg")) \
         .materialize()
 
-    if deg.count() * 16 <= broadcast_limit_bytes:
+    if deg.count() * 16 <= util.BROADCAST_LIMIT_BYTES:
         deg_t = ds_to_table(deg)
         ids = deg_t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         dv = deg_t["deg"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1162,7 +1156,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
         return zero_out()
     tri = tri.groupby("v").aggregate(Sum("pt", alias_name="tri"))
 
-    if deg.count() * 16 <= broadcast_limit_bytes:
+    if deg.count() * 16 <= util.BROADCAST_LIMIT_BYTES:
         # broadcast regime: the tri table is V-bounded too — finish the
         # left attach driver-side (saves the attach shuffle AND the
         # final map stage; ~2 barriers off the critical path)
@@ -1402,8 +1396,7 @@ def oriented_wedges_with_pivot(oriented_ds):
 
 
 def k_truss(edges_ds, k: int = 4, src_col: str = "src",
-            dst_col: str = "dst", max_rounds: int = 30,
-            broadcast_limit_bytes: int = 64 << 20):
+            dst_col: str = "dst", max_rounds: int = 30):
     """k-truss decomposition: the maximal subgraph in which every edge
     participates in ≥ k−2 triangles — the cohesive-community standard
     one notch above k-core.  Iterative peel: per round, per-edge

@@ -35,6 +35,7 @@ import ray
 from ..geom import wkb
 from ..geom.predicates import points_in_polygon
 from ..geom.strtree import STRtree
+from . import util
 from .relational import (_arrow_schema, cogroup, ds_to_table, filter_rows,
                          with_schema)
 from .util import cached_callable
@@ -234,10 +235,10 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
                   y_col: str = "lat", how: str = "inner",
                   out_id_col: Optional[str] = None,
                   attach_geom_col: Optional[str] = None,
-                  broadcast_limit_bytes: int = 64 << 20,
                   level: int = 12):
     """Size-routed PIP join: broadcast ``pip_join`` while the polygon side
-    fits the per-worker budget, co-partitioned ``pip_join_tiled`` past it.
+    fits ``util.BROADCAST_LIMIT_BYTES``, co-partitioned ``pip_join_tiled``
+    past it.
 
     This is the 100×-scale guard for the per-block geo pipelines: at
     continental coverage the blocks table is 10⁶-10⁷ polygons (GBs) — a
@@ -254,7 +255,7 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
         polygons = polygons.materialize()
         size = polygons.size_bytes() or 0
         tbl, ds = None, polygons
-    if size <= broadcast_limit_bytes:
+    if size <= util.BROADCAST_LIMIT_BYTES:
         if tbl is None:
             tbl = ds_to_table(ds)
         return pip_join(points_ds, tbl, id_col=id_col, x_col=x_col,
@@ -266,6 +267,35 @@ def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",
                           y_col=y_col, level=level, out_id_col=out_id_col,
                           attach_geom_col=attach_geom_col, how=how)
 
+
+
+def _centroid_batch(batch: pa.Table) -> pa.Table:
+    # batched shoelace over uniform WKB (ref _complexity.py:104,
+    # _reblock.py:166 geometry.centroid), no per-row decode
+    xs, ys = wkb.polygon_centroids(batch["geometry"])
+    return batch.append_column("cx", pa.array(xs)) \
+        .append_column("cy", pa.array(ys))
+
+
+def building_centroids(buildings_ds, cols: list):
+    """Buildings (``geometry`` WKB polygons) → their ``cols``, which may
+    name the centroid columns ``cx``/``cy``: one vectorized map."""
+    return buildings_ds.map_batches(_centroid_batch, batch_format="pyarrow") \
+        .select_columns(cols)
+
+
+def buildings_in_blocks(buildings_ds, blocks, cols: list):
+    """The prclz block stages' one buildings→blocks join: each building's
+    ``cols`` (with ``cx``/``cy``) inner-joined by centroid to the block
+    containing it, plus ``block_id`` and the block's WKB as
+    ``block_geom``.  ``blocks`` is a (block_id, geometry[, ...]) table or
+    Dataset; ``pip_join_auto`` broadcasts it or tiles past the budget."""
+    sel = ["block_id", "geometry"]
+    blocks = blocks.select(sel) if isinstance(blocks, pa.Table) \
+        else blocks.select_columns(sel)
+    return pip_join_auto(building_centroids(buildings_ds, cols), blocks,
+                         id_col="block_id", x_col="cx", y_col="cy",
+                         how="inner", attach_geom_col="block_geom")
 
 # ------------------------------------------------------------------ kNN
 

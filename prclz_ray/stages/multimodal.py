@@ -720,31 +720,6 @@ class MediaDecoder:
         return out.append_column("decoded", pa.array(decoded))
 
 
-class FrameSampler:
-    """Video frame-sample plumbing: emits one row per sampled frame index
-    (video decode itself is codec-bound — digest fallback above)."""
-
-    def __init__(self, every_ms: int = 1000):
-        self.every_ms = every_ms
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        vids = batch.filter(pc.equal(batch["kind"], "video"))
-        dur = vids["duration_ms"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        counts = np.maximum((dur + self.every_ms - 1) // self.every_ms, 0)
-        idx = np.repeat(np.arange(len(dur)), counts)
-        # per-row frame offsets: global arange minus each row's start
-        starts = np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]),
-                           counts)
-        frames = (np.arange(len(idx)) - starts) * self.every_ms
-        out = vids.select(["media_id"]).take(pa.array(idx))
-        out = out.append_column(
-            "kind", pa.array(np.full(len(idx), "frame", dtype=object)))
-        return out.append_column("frame_ms",
-                                 pa.array(frames.astype(np.int32)))
-
-
 def decode_pipeline(media_ds, batch_size=32):
     from .util import cached_callable
     return media_ds.map_batches(cached_callable(MediaDecoder),

@@ -231,8 +231,7 @@ def tessellate_block_footprints(block_ring: np.ndarray,
     return _reunite_orphans(parents, orphans, anchors)
 
 
-def parcels_pipeline(blocks, buildings_ds, method: str = "footprint",
-                     pip_broadcast_limit_bytes: int = 64 << 20):
+def parcels_pipeline(blocks, buildings_ds, method: str = "footprint"):
     """blocks: pa.Table/Dataset (block_id, geometry); buildings_ds: Dataset
     (bldg_id, geometry WKB). → PARCELS rows (block_id, parcel_id, geometry).
 
@@ -240,30 +239,17 @@ def parcels_pipeline(blocks, buildings_ds, method: str = "footprint",
     Tessellation over building polygons, ``_parcels.py:52-63``) anchors the
     Voronoi decomposition on boundary samples of each footprint;
     ``method="centroid"`` uses the one-point-per-building approximation
-    (coincides for point-like buildings, cheaper).  The blocks join routes
-    broadcast → tiled past ``pip_broadcast_limit_bytes`` (100× guard)."""
-    from .joins import pip_join_auto
+    (coincides for point-like buildings, cheaper).  Buildings reach their
+    blocks through ``joins.buildings_in_blocks``."""
+    from .joins import buildings_in_blocks
 
     if method not in ("footprint", "centroid"):
         raise ValueError(f"unknown tessellation method: {method}")
 
-    def centroid_batch(batch: pa.Table) -> pa.Table:
-        # M2 vectorized: batched shoelace over uniform WKB, no per-row decode
-        xs, ys = wkb.polygon_centroids(batch["geometry"])
-        out = batch.append_column("cx", pa.array(xs))
-        return out.append_column("cy", pa.array(ys))
-
     point_cols = ["bldg_id", "cx", "cy"]
     if method == "footprint":
         point_cols.append("geometry")   # footprint WKB co-shuffles with rows
-    blocks_sel = blocks.select(["block_id", "geometry"]) \
-        if isinstance(blocks, pa.Table) \
-        else blocks.select_columns(["block_id", "geometry"])
-    cents = buildings_ds.map_batches(centroid_batch, batch_format="pyarrow")
-    joined = pip_join_auto(cents.select_columns(point_cols), blocks_sel,
-                           id_col="block_id", x_col="cx", y_col="cy",
-                           how="inner", attach_geom_col="block_geom",
-                           broadcast_limit_bytes=pip_broadcast_limit_bytes)
+    joined = buildings_in_blocks(buildings_ds, blocks, point_cols)
 
     def per_block(group: pa.Table) -> pa.Table:
         bid = group["block_id"][0].as_py()
@@ -301,22 +287,15 @@ def check_parcels_qc(parcels_ds, buildings_ds):
     """J6 QC invariant (``_parcels.py:218-237``): every parcel contains at
     most one building centroid. Returns a Dataset of violations (empty =
     pass) — engine QC stage per SURVEY §2.4."""
-    from .joins import pip_join
+    from .joins import building_centroids, pip_join
     from .relational import ds_to_table
 
     parcels_tbl = ds_to_table(parcels_ds) \
         if not isinstance(parcels_ds, pa.Table) else parcels_ds
 
-    def centroid_batch(batch: pa.Table) -> pa.Table:
-        # M2 vectorized: batched shoelace over uniform WKB, no per-row decode
-        xs, ys = wkb.polygon_centroids(batch["geometry"])
-        out = batch.append_column("cx", pa.array(xs))
-        return out.append_column("cy", pa.array(ys))
-
     # STRtree-probed PIP (broadcast pack built once per worker) instead of
     # scanning every parcel per batch: O(points · log parcels)
-    cents = buildings_ds.map_batches(centroid_batch, batch_format="pyarrow")
-    joined = pip_join(cents.select_columns(["bldg_id", "cx", "cy"]),
+    joined = pip_join(building_centroids(buildings_ds, ["bldg_id", "cx", "cy"]),
                       parcels_tbl.select(["parcel_id", "geometry"]),
                       id_col="parcel_id", x_col="cx", y_col="cy",
                       how="inner")
@@ -324,19 +303,3 @@ def check_parcels_qc(parcels_ds, buildings_ds):
         .map_batches(lambda t: t.rename_columns(["parcel_id", "n"]),
                      batch_format="pyarrow")
     return total.filter(expr="n > 1")
-
-
-def find_parent_parcel(orphan_centroid, parcel_rings: list[np.ndarray],
-                       parcel_ids: list[str]) -> str | None:
-    """J7 kNN-with-refinement (``_parcels.py:105-149``): walk candidate
-    parcels by centroid distance ascending until one shares a border point
-    with the orphan position's nearest ring."""
-    from ..geom.core import point_segments_distance
-    c = np.asarray(orphan_centroid, dtype=np.float64)
-    dists = []
-    for ring in parcel_rings:
-        r = ensure_closed(ring)
-        d = point_segments_distance(c, r[:-1], r[1:])
-        dists.append(float(d.min()) if len(d) else np.inf)
-    order = np.argsort(dists, kind="stable")
-    return parcel_ids[order[0]] if len(order) else None

@@ -210,31 +210,16 @@ def reblock_pipeline(blocks, parcels_ds, buildings_ds, use_width: bool = False,
                      through_ratio: float | None = None,
                      connect_n: int | None = None,
                      min_buildings: int = 2, simplify: bool = False,
-                     pip_broadcast_limit_bytes: int = 64 << 20,
                      to_corridors: bool = False):
-    """blocks: (block_id, geometry) table or Dataset — broadcast while it
-    fits ``pip_broadcast_limit_bytes``, tiled PIP join past it (100×
-    guard); parcels_ds and buildings_ds co-grouped by block_id. Output
-    rows: REBLOCK schema + summary columns (road rows carry nulls in
-    summary cols; one summary row per block carries road_type='summary')."""
-    from .joins import pip_join_auto
+    """blocks: (block_id, geometry) table or Dataset, joined to the
+    buildings by ``joins.buildings_in_blocks``; parcels_ds and buildings_ds
+    co-grouped by block_id. Output rows: REBLOCK schema + summary columns
+    (road rows carry nulls in summary cols; one summary row per block
+    carries road_type='summary')."""
+    from .joins import buildings_in_blocks
 
-    def centroid_batch(batch: pa.Table) -> pa.Table:
-        # M2 vectorized: batched shoelace over uniform WKB (ref
-        # _reblock.py:166 geometry.centroid), no per-row decode
-        xs, ys = wkb.polygon_centroids(batch["geometry"])
-        out = batch.append_column("cx", pa.array(xs))
-        return out.append_column("cy", pa.array(ys))
-
-    blocks_sel = blocks.select(["block_id", "geometry"]) \
-        if isinstance(blocks, pa.Table) \
-        else blocks.select_columns(["block_id", "geometry"])
-    cents = buildings_ds.map_batches(centroid_batch, batch_format="pyarrow")
-    joined_bldgs = pip_join_auto(
-        cents.select_columns(["bldg_id", "cx", "cy", "geometry"]),
-        blocks_sel, id_col="block_id", x_col="cx", y_col="cy",
-        how="inner", out_id_col="block_id", attach_geom_col="block_geom",
-        broadcast_limit_bytes=pip_broadcast_limit_bytes)
+    joined_bldgs = buildings_in_blocks(buildings_ds, blocks,
+                                       ["bldg_id", "cx", "cy", "geometry"])
 
     b = joined_bldgs.map_batches(
         lambda t: t.append_column("_side", pa.array(np.zeros(t.num_rows, dtype=np.int8))),

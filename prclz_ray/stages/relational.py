@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from . import util
 from .util import worker_cached
 
 
@@ -1501,8 +1502,7 @@ def funnel_conversion(events_ds, user_col: str, ts_col: str,
 
 
 def cohort_retention(events_ds, user_col: str, ts_col: str,
-                     num_buckets: int = 64,
-                     broadcast_limit_bytes: int = 64 << 20):
+                     num_buckets: int = 64):
     """Weekly cohort retention: users are cohorted by the epoch-week of
     their FIRST event; for every (cohort_week, week_offset) report the
     distinct active users — the standard retention triangle.
@@ -1533,7 +1533,7 @@ def cohort_retention(events_ds, user_col: str, ts_col: str,
         .groupby(user_col).aggregate(Min("cw", alias_name="cohort_week")) \
         .materialize()
 
-    if cohorts.count() * 32 <= broadcast_limit_bytes:
+    if cohorts.count() * 32 <= util.BROADCAST_LIMIT_BYTES:
         tbl = ds_to_table(cohorts)  # empty-safe (0-row corner)
         ref = ray.put(tbl)
 
@@ -1580,8 +1580,7 @@ def cohort_retention(events_ds, user_col: str, ts_col: str,
 
 
 def grouped_zscore(ds, key_col: str, val_col: str, id_col: str,
-                   round_to: int = 4, num_buckets: int = 32,
-                   broadcast_limit_bytes: int = 64 << 20):
+                   round_to: int = 4, num_buckets: int = 32):
     """Per-group feature standardization: z = (x − mean_g) / stddev_g
     (sample stddev, SQL's STDDEV_SAMP; NULL when the group has < 2 rows
     or zero variance — both matching the SQL window twin).
@@ -1627,7 +1626,7 @@ def grouped_zscore(ds, key_col: str, val_col: str, id_col: str,
                          val_col: batch[val_col],
                          "zscore": pa.array(z)})
 
-    if stats.count() * 64 <= broadcast_limit_bytes:
+    if stats.count() * 64 <= util.BROADCAST_LIMIT_BYTES:
         st_tbl = pa.concat_tables(
             [b for b in stats.iter_batches(batch_format="pyarrow")])
         st_ref = ray.put(st_tbl)

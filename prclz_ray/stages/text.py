@@ -11,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import util
 from .relational import bucket_shuffle
 
 # tiny n-gram/stopword profiles for the heuristic language id
@@ -164,8 +165,7 @@ def top_k_words(ds, text_col="text", k: int = 20):
 
 
 def rare_word_stats(ds, key_col: str = "doc_id", text_col: str = "text",
-                    max_df: int = 2, num_buckets: int = 32,
-                    broadcast_limit_bytes: int = 64 << 20):
+                    max_df: int = 2, num_buckets: int = 32):
     """Rare-word density per doc: the count and fraction of word TYPES
     whose corpus-wide document frequency is ≤ ``max_df`` (hapax-heavy
     docs are a classic spam/garbage signal; the inverse of stopword
@@ -217,7 +217,7 @@ def rare_word_stats(ds, key_col: str = "doc_id", text_col: str = "text",
     common = dfreq.filter(expr=f"df > {int(max_df)}").materialize()
 
     n_common = common.count()
-    if n_common * 8 <= broadcast_limit_bytes:
+    if n_common * 8 <= util.BROADCAST_LIMIT_BYTES:
         import ray
         arr = np.sort(np.concatenate(
             [b["_h"].to_numpy(zero_copy_only=False)
@@ -569,8 +569,7 @@ def top_k_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
 
 
 def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
-                    top_n: int = 3, num_buckets: int = 32,
-                    broadcast_limit_bytes: int = 64 << 20):
+                    top_n: int = 3, num_buckets: int = 32):
     """Per-document top-N TF-IDF terms (keyword extraction):
     score = tf × ln(N / df), rank per doc by (score DESC, word ASC).
 
@@ -621,7 +620,7 @@ def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
         .materialize()  # vocabulary-sized; probed for the broadcast guard
 
     vocab_bytes = df.size_bytes() or 0
-    if vocab_bytes <= broadcast_limit_bytes:
+    if vocab_bytes <= util.BROADCAST_LIMIT_BYTES:
         joined = broadcast_join(tf, ds_to_table(df), on="word")
     else:
         joined = bucketed_hash_join(tf, df, on="word",
@@ -793,8 +792,7 @@ def filter_decision_batch(t: pa.Table, min_tokens: int = 20,
     return out.append_column("reason", pa.array(reason))
 
 def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
-                     round_to: int = 4, num_buckets: int = 32,
-                     broadcast_limit_bytes: int = 64 << 20):
+                     round_to: int = 4, num_buckets: int = 32):
     """CCNet-style n-gram LM scoring: train an add-1-smoothed bigram
     model on the corpus, then score every doc by its mean negative
     log-likelihood — the perplexity filter that keeps fluent text and
@@ -856,7 +854,7 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
     vocab = ds.map_batches(vocab_partial, batch_format="pyarrow") \
         .groupby("word").count().count()
 
-    if (bc.size_bytes() or 0) <= broadcast_limit_bytes:
+    if (bc.size_bytes() or 0) <= util.BROADCAST_LIMIT_BYTES:
         import ray
         t = ds_to_table(bc)
         if "w1" not in t.column_names:  # empty corpus: schema-less table
@@ -1047,8 +1045,7 @@ def reassemble_chunks(chunks_ds, key_col: str = "doc_id",
         prepare=lambda t: t.select([key_col, idx_col, text_col]))
 
 def top_pmi_collocations(ds, text_col: str = "text", k: int = 20,
-                         min_count: int = 5, round_to: int = 4,
-                         broadcast_limit_bytes: int = 64 << 20):
+                         min_count: int = 5, round_to: int = 4):
     """Collocation extraction: the top-k adjacent word pairs by
     pointwise mutual information, PMI = ln(c12 · W / (c1 · c2)) with W =
     total bigram tokens, c1/c2 = the word's count as left/right bigram
@@ -1102,7 +1099,7 @@ def top_pmi_collocations(ds, text_col: str = "text", k: int = 20,
     # margin attach is size-guarded: full-vocab margin tables broadcast
     # only under the byte budget; past it (web-scale vocabularies) the
     # margins co-shuffle with the candidates through bucketed joins
-    if (bc.size_bytes() or 0) <= broadcast_limit_bytes:
+    if (bc.size_bytes() or 0) <= util.BROADCAST_LIMIT_BYTES:
         j = broadcast_join(cand, ds_to_table(left), on="w1")
         j = broadcast_join(j, ds_to_table(right), on="w2")
     else:
@@ -1331,8 +1328,7 @@ def clean_lines(ds, key_col: str = "doc_id", text_col: str = "text",
 
 
 def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
-                     k: int = 20, num_buckets: int = 32,
-                     broadcast_limit_bytes: int = 64 << 20):
+                     k: int = 20, num_buckets: int = 32):
     """Top-k PMI collocations: pointwise mutual information
     ln(p(ab) / (p(a)·p(b))) over space-split bigrams, the classic
     collocation-extraction statistic (Church & Hanks 1990).
@@ -1405,7 +1401,7 @@ def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
     vocab_bytes = ug.size_bytes() or 0
     u1 = ds_to_table(ug).rename_columns(["w1", "c_a"])
     u2 = ds_to_table(ug).rename_columns(["w2", "c_b"])
-    if vocab_bytes <= broadcast_limit_bytes:
+    if vocab_bytes <= util.BROADCAST_LIMIT_BYTES:
         joined = broadcast_join(broadcast_join(cand, u1, on="w1"),
                                 u2, on="w2")
     else:

@@ -15,10 +15,21 @@ tasks fuse with the read (leave ``batch_size`` unset so that read→map
 fusion still happens) and run at full cluster width.
 
 Trade-off: broadcast state is held once per worker process, not once per
-pool actor; callers bound its size (``pip_join_auto``'s
-``broadcast_limit_bytes`` routes big polygon sides to the tiled join).
+pool actor; callers bound its size by ``BROADCAST_LIMIT_BYTES``.
+
+``BROADCAST_LIMIT_BYTES`` is the engine's one answer to "does this side fit
+one worker?": every broadcast-or-shuffle and single-pass-or-rounds choice
+(``pip_join_auto``, the graph, dedup and text stages, the flagship's dup
+map) compares its side's size against it, on the driver, and takes the
+shuffled path past it.  Read it at call time as ``util.BROADCAST_LIMIT_BYTES``
+(never a name import), so that setting the module attribute — a test's
+``monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)`` forces every
+fallback — reaches every decision.
 """
 from __future__ import annotations
+
+#: bytes a broadcast (or single-task) side may take before the stage shuffles
+BROADCAST_LIMIT_BYTES = 64 << 20
 
 _WORKER_STATE: dict = {}
 

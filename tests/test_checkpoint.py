@@ -208,6 +208,66 @@ def test_publish_dir_one_build_wins(tmp_path):
     assert os.listdir(tmp_path) == ["derived"]
 
 
+
+def test_stale_fingerprinted_builds_are_evicted(tmp_path):
+    """A changed input gets a fresh derived directory and the build of
+    the old fingerprint goes: for the queries' /tmp layouts and for the
+    result cache.  A ``.tmp-`` build in progress and a build of another
+    name sharing the prefix stay."""
+    import glob
+
+    import pandas as pd
+
+    from prclz_ray.pipelines.queries.common import _fingerprint_cache_dir
+    from prclz_ray.runtime.result_cache import cached_result
+
+    sf = tmp_path / f"sf_evict_{os.getpid()}"
+    sf.mkdir()
+    src = sf / "orders.parquet"
+    src.write_bytes(b"v1")
+
+    def touch():
+        st = os.stat(src)
+        os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+    def fill(tmp):
+        with open(os.path.join(tmp, "x"), "w") as f:
+            f.write("built")
+
+    try:
+        old = _fingerprint_cache_dir(str(sf), "orders", "evicttest")
+        checkpoint.publish_dir(old, fill)
+        in_progress = old + ".tmp-0123456789abcdef"
+        os.makedirs(in_progress)
+        assert _fingerprint_cache_dir(str(sf), "orders", "evicttest") == old
+        assert os.path.isdir(old)    # same input: the build is reused
+        touch()
+        new = _fingerprint_cache_dir(str(sf), "orders", "evicttest")
+        assert new != old and not os.path.exists(old)
+        assert os.path.isdir(in_progress)
+        checkpoint.publish_dir(new, fill)
+        assert os.path.isdir(new)
+    finally:
+        for d in glob.glob(f"/tmp/prclz_ray_evicttest_{sf.name}_*"):
+            shutil.rmtree(d, ignore_errors=True)
+
+    root = str(tmp_path / "qcache")
+
+    def q(_):
+        return pd.DataFrame({"a": [1]})
+
+    cached_result("q", str(sf), q, cache_root=root)
+    cached_result("q_other", str(sf), q, cache_root=root)
+    first = sorted(os.listdir(root))
+    assert len(first) == 2
+    touch()
+    cached_result("q", str(sf), q, cache_root=root)
+    now = sorted(os.listdir(root))
+    q_dirs = [d for d in now if not d.startswith("q_other_")]
+    assert len(now) == 2 and len(q_dirs) == 1 and q_dirs[0] not in first
+    assert [d for d in now if d.startswith("q_other_")] \
+        == [d for d in first if d.startswith("q_other_")]
+
 def test_manifest_wall_sec_times_the_write():
     """A fresh write's records carry the measured parquet-write time
     (not a ~0 taken before it) and the row count of the file on disk."""

@@ -337,6 +337,62 @@ def test_osm_pbf_unsupported_blob_compression_raises(tmp_path, fno, codec):
         osmpbf.parse_pbf_lines(p)
 
 
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_osm_pbf_truncated_file_raises_with_offset(tmp_path, compress):
+    """A file cut anywhere inside a frame fails loudly with the frame's
+    byte offset, instead of an IndexError, a zlib error or a silently
+    shorter table.  A cut exactly between the two frames leaves a valid
+    header-only file, so that offset is skipped."""
+    import struct
+
+    from prclz_ray.io import osmpbf
+
+    nodes = {1: (43.10, 11.50), 2: (43.11, 11.51), 3: (43.12, 11.52)}
+    ways = [(100, {"highway": "primary", "name": "Main St"}, [1, 2, 3])]
+    p = str(tmp_path / "full.osm.pbf")
+    osmpbf.write_osm_pbf(p, nodes, ways, compress=compress)
+    raw = open(p, "rb").read()
+    assert osmpbf.parse_pbf_lines(p).num_rows == 1
+    (hlen,) = struct.unpack_from(">i", raw, 0)
+    _, dsize = next((f, v) for f, _, v in
+                    osmpbf._fields(raw[4:4 + hlen]) if f == 3)
+    boundary = 4 + hlen + dsize
+    cut_p = str(tmp_path / "cut.osm.pbf")
+    for cut in range(1, len(raw)):
+        if cut == boundary:
+            continue
+        with open(cut_p, "wb") as f:
+            f.write(raw[:cut])
+        with pytest.raises(ValueError, match=r"PBF frame at byte \d+"):
+            osmpbf.parse_pbf_lines(cut_p)
+
+
+def test_osm_pbf_bad_varint_and_overlong_field_raise(tmp_path):
+    """A varint longer than 10 bytes, and a length-delimited field that
+    runs past its message, each raise ValueError naming the offset."""
+    import struct
+
+    from prclz_ray.io import osmpbf
+
+    def write(hdr: bytes, blob: bytes) -> str:
+        p = str(tmp_path / "bad.osm.pbf")
+        with open(p, "wb") as f:
+            f.write(struct.pack(">i", len(hdr)) + hdr + blob)
+        return p
+
+    blob = osmpbf._ld(1, b"")
+    hdr = osmpbf._tag(1, 2) + b"\xff" * 11 + b"\x01" + b"OSMHeader"
+    with pytest.raises(ValueError, match="bad varint at byte 1"):
+        osmpbf.parse_pbf_lines(write(hdr, blob))
+
+    blob = osmpbf._tag(1, 2) + osmpbf._ev(100) + b"abc"
+    hdr = osmpbf._ld(1, b"OSMHeader") + osmpbf._tag(3, 0) \
+        + osmpbf._ev(len(blob))
+    with pytest.raises(ValueError,
+                       match="field 1 at byte 0 runs past the end"):
+        osmpbf.parse_pbf_lines(write(hdr, blob))
+
 def test_shapefile_deleted_dbf_rows_drop_their_shapes(tmp_path):
     """A .dbf row flagged deleted takes its .shp record with it, so the
     remaining attributes stay aligned with their geometries."""

@@ -11,6 +11,7 @@ from prclz_ray.index import s2
 from prclz_ray.io import synth
 from prclz_ray.pipelines.flagship import (PageParser, assign_cells,
                                           dedup_latest_by_url, run_flagship)
+from prclz_ray.stages import util
 
 N_PAGES = 1200
 
@@ -66,14 +67,15 @@ def test_cell_assignment_matches_scalar_encoder(pages_tbl):
     assert vc.iloc[0] > 10 * vc.median()
 
 
-def test_dedup_broadcast_size_guard(pages_tbl):
+def test_dedup_broadcast_size_guard(pages_tbl, monkeypatch):
     """A dup-map budget too small for even one entry must reroute
     run_flagship onto the grouped (one-shuffle) dedup path — and the
     result must be identical to the broadcast path's."""
     ds = rd.from_arrow(pages_tbl).repartition(4)
     regions = synth.regions_table()
-    j_guard, info_guard = run_flagship(ds, regions,
-                                       dedup_broadcast_limit_bytes=1)
+    with monkeypatch.context() as m:
+        m.setattr(util, "BROADCAST_LIMIT_BYTES", 1)
+        j_guard, info_guard = run_flagship(ds, regions)
     assert info_guard["dedup_path"] == "grouped"
     j_bcast, info_bcast = run_flagship(ds, regions)
     assert info_bcast["dedup_path"] == "broadcast"

@@ -13,7 +13,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from prclz_ray.geom import wkb
-from prclz_ray.stages import joins
+from prclz_ray.stages import joins, util
 
 RNG = np.random.default_rng(11)
 
@@ -271,8 +271,8 @@ def test_deterministic_sample():
     assert set(out3["k"]) != set(out["k"])
 
 
-def test_pip_auto_tiled_matches_broadcast_in_geo_pipelines():
-    """100x guard e2e: forcing broadcast_limit_bytes=0 routes the
+def test_pip_auto_tiled_matches_broadcast_in_geo_pipelines(monkeypatch):
+    """100x guard e2e: forcing BROADCAST_LIMIT_BYTES=0 routes the
     complexity/parcels pipelines through the tiled PIP join; outputs must
     match the broadcast path exactly."""
     import pyarrow as _pa
@@ -292,14 +292,16 @@ def test_pip_auto_tiled_matches_broadcast_in_geo_pipelines():
 
     cols_c = ["block_id", "complexity"]
     a = norm(complexity_pipeline(blocks, rd.from_arrow(bldgs)), cols_c)
-    b = norm(complexity_pipeline(blocks, rd.from_arrow(bldgs),
-                                 pip_broadcast_limit_bytes=0), cols_c)
+    with monkeypatch.context() as m:
+        m.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+        b = norm(complexity_pipeline(blocks, rd.from_arrow(bldgs)), cols_c)
     pd.testing.assert_frame_equal(a, b)
 
     cols_p = ["block_id", "parcel_id", "bldg_id"]
     a = norm(parcels_pipeline(blocks, rd.from_arrow(bldgs)), cols_p)
-    b = norm(parcels_pipeline(blocks, rd.from_arrow(bldgs),
-                              pip_broadcast_limit_bytes=0), cols_p)
+    with monkeypatch.context() as m:
+        m.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+        b = norm(parcels_pipeline(blocks, rd.from_arrow(bldgs)), cols_p)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -326,7 +328,7 @@ def test_pip_tiled_left_matches_broadcast_left():
     assert b["poly_id"].isna().sum() >= 10
 
 
-def test_pip_tiled_semi_anti_match_broadcast():
+def test_pip_tiled_semi_anti_match_broadcast(monkeypatch):
     """Tiled semi/anti joins (VERDICT r3 item #3): each point lives in
     exactly one tile, so per-tile match flags are globally exact. The
     tiled result must equal the broadcast PIPJoiner's semi/anti filter,
@@ -338,9 +340,11 @@ def test_pip_tiled_semi_anti_match_broadcast():
         tiled = joins.pip_join_tiled(rd.from_arrow(pts).repartition(3),
                                      rd.from_arrow(_polys()),
                                      id_col="poly_id", how=how).to_pandas()
-        auto = joins.pip_join_auto(rd.from_arrow(pts).repartition(3),
-                                   _polys(), id_col="poly_id", how=how,
-                                   broadcast_limit_bytes=0).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+            auto = joins.pip_join_auto(rd.from_arrow(pts).repartition(3),
+                                       _polys(), id_col="poly_id",
+                                       how=how).to_pandas()
         want = sorted(bc["pt_id"].tolist())
         assert sorted(tiled["pt_id"].tolist()) == want
         assert sorted(auto["pt_id"].tolist()) == want
@@ -468,18 +472,20 @@ def test_left_join_ids_keep_polygon_type_when_nothing_matches():
         assert out["poly_id"].null_count == out["g"].null_count == 5
 
 
-def test_pip_left_routes_give_same_columns_and_rows():
+def test_pip_left_routes_give_same_columns_and_rows(monkeypatch):
     """Broadcast, tiled and both ``pip_join_auto`` routes of a left join
     with ``attach_geom_col`` give the same columns (the tiled route adds
     its ``cell``) and the same rows, unmatched points included."""
     pts = _points(200)
     kw = dict(id_col="poly_id", how="left", attach_geom_col="poly_geom")
+    with monkeypatch.context() as m:
+        m.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+        auto_tiled = joins.pip_join_auto(rd.from_arrow(pts), _polys(), **kw)
     outs = {
         "broadcast": joins.pip_join(rd.from_arrow(pts), _polys(), **kw),
         "tiled": joins.pip_join_tiled(rd.from_arrow(pts),
                                       rd.from_arrow(_polys()), **kw),
-        "auto_tiled": joins.pip_join_auto(rd.from_arrow(pts), _polys(),
-                                          broadcast_limit_bytes=0, **kw),
+        "auto_tiled": auto_tiled,
         "auto": joins.pip_join_auto(rd.from_arrow(pts), _polys(), **kw),
     }
     frames = {}

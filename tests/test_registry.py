@@ -249,3 +249,66 @@ def test_one_fingerprint_and_one_publish():
                         hits.append((rel, owner, f"os.{node.func.attr}"))
     assert not hits, hits
     assert used == RENAME_EXCEPTIONS, RENAME_EXCEPTIONS - used
+
+
+#: every function that decides broadcast-or-shuffle (or single pass or
+#: rounds) by ``util.BROADCAST_LIMIT_BYTES``; a new decision point is
+#: added here on purpose
+BUDGET_READERS = {
+    ("pipelines/flagship.py", "duplicate_url_map"),
+    ("stages/dedup.py", "_flag_profile"),
+    ("stages/dedup.py", "connected_components"),
+    ("stages/dedup.py", "domain_boilerplate_stats"),
+    ("stages/dedup.py", "jaccard_verify_pairs"),
+    ("stages/dedup.py", "prefix_filter_candidates"),
+    ("stages/graph_ops.py", "bfs_hops"),
+    ("stages/graph_ops.py", "hits"),
+    ("stages/graph_ops.py", "k_core"),
+    ("stages/graph_ops.py", "label_propagation"),
+    ("stages/graph_ops.py", "local_clustering"),
+    ("stages/graph_ops.py", "pagerank"),
+    ("stages/graph_ops.py", "sssp_rounds"),
+    ("stages/graph_ops.py", "triangle_count"),
+    ("stages/joins.py", "pip_join_auto"),
+    ("stages/relational.py", "cohort_retention"),
+    ("stages/relational.py", "grouped_zscore"),
+    ("stages/text.py", "bigram_lm_scores"),
+    ("stages/text.py", "pmi_collocations"),
+    ("stages/text.py", "rare_word_stats"),
+    ("stages/text.py", "tfidf_top_terms"),
+    ("stages/text.py", "top_pmi_collocations"),
+}
+
+
+def test_one_broadcast_budget():
+    """No function takes a size-budget parameter (``*limit_bytes``,
+    ``single_task_*``): every broadcast-or-shuffle decision reads
+    ``util.BROADCAST_LIMIT_BYTES`` at call time, as a module attribute,
+    so that setting it reaches every decision.  A name import would
+    freeze the value at import time."""
+    hits, readers = [], set()
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+
+        def visit(node, fn):
+            for ch in ast.iter_child_nodes(node):
+                inner = fn
+                if isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = ch.name
+                    for a in (ch.args.posonlyargs + ch.args.args
+                              + ch.args.kwonlyargs):
+                        if (a.arg.endswith("limit_bytes")
+                                or a.arg.startswith("single_task_")):
+                            hits.append((rel, ch.name, a.arg))
+                elif (isinstance(ch, ast.ImportFrom) and any(
+                        a.name == "BROADCAST_LIMIT_BYTES" for a in ch.names)):
+                    hits.append((rel, fn, "import BROADCAST_LIMIT_BYTES"))
+                elif (isinstance(ch, ast.Attribute)
+                      and ch.attr == "BROADCAST_LIMIT_BYTES"):
+                    readers.add((rel, fn))
+                visit(ch, inner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert not hits, hits
+    assert readers == BUDGET_READERS, (readers - BUDGET_READERS,
+                                       BUDGET_READERS - readers)

@@ -1,9 +1,12 @@
 """Randomized reference-comparison tests for the round-3 relational /
 text operators: distributed results must equal a straightforward
 single-process pandas/numpy reference on arbitrary inputs."""
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from prclz_ray.stages import dedup as dd
@@ -352,7 +355,7 @@ def test_cube_aggregate_all_subsets():
     assert total["sum_value"].iloc[0] == 7 and total["n"].iloc[0] == 3
 
 
-def test_grouped_zscore_both_paths():
+def test_grouped_zscore_both_paths(monkeypatch):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -365,9 +368,9 @@ def test_grouped_zscore_both_paths():
     want = df.groupby("g").x.transform(
         lambda s: (s - s.mean()) / s.std(ddof=1)).round(4)
     for limit in (64 << 20, 0):  # broadcast path, then bucketed fallback
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", limit)
         out = relational.grouped_zscore(
-            rd.from_pandas(df).repartition(3), "g", "x", "id",
-            broadcast_limit_bytes=limit).to_pandas() \
+            rd.from_pandas(df).repartition(3), "g", "x", "id").to_pandas() \
             .sort_values("id").reset_index(drop=True)
         # group 1 has zero variance, group 2 a single row -> both NULL
         assert out.zscore.isna().tolist() == [False] * 5 + [True] * 5
@@ -398,7 +401,7 @@ def test_global_prefix_sum_matches_ordered_cumsum():
     assert list(out2.cum) == [1, 3, 7, 10]
 
 
-def test_pagerank_matches_dense_reference():
+def test_pagerank_matches_dense_reference(monkeypatch):
     import collections
 
     import numpy as np
@@ -422,8 +425,8 @@ def test_pagerank_matches_dense_reference():
         e_ds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"])) \
             .repartition(parts)
         n_ds = rd.from_pandas(pd.DataFrame({"v": nodes})).repartition(parts)
-        out = graph_ops.pagerank(e_ds, n_ds, iters=3,
-                                 broadcast_limit_bytes=limit).to_pandas() \
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", limit)
+        out = graph_ops.pagerank(e_ds, n_ds, iters=3).to_pandas() \
             .sort_values("v").reset_index(drop=True)
         assert list(out.v) == nodes
         assert np.allclose(out.pagerank, r, atol=0), (out.pagerank, r)
@@ -960,7 +963,7 @@ def test_triangle_count_known_graphs():
     assert count(c5 + [(0, 2)]) == 1
 
 
-def test_triangle_count_skewed_star_bounded():
+def test_triangle_count_skewed_star_bounded(monkeypatch):
     """A star graph (one high-degree hub) must complete with a bounded
     wedge table: degree-ordered orientation gives every leaf out-degree 1
     and the hub out-degree 0, so wedges = 0 — not C(deg, 2) ≈ 5·10⁶ as
@@ -982,7 +985,8 @@ def test_triangle_count_skewed_star_bounded():
     assert graph_ops.triangle_count(ds) == 2
 
     # V-scale fallback path (broadcast budget forced to 0) agrees
-    assert graph_ops.triangle_count(ds, broadcast_limit_bytes=0) == 2
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    assert graph_ops.triangle_count(ds) == 2
 
 
 def test_skyline_matches_bruteforce_with_frontier_ties():
@@ -1013,7 +1017,7 @@ def test_skyline_matches_bruteforce_with_frontier_ties():
     assert {0, 1} <= set(got)
 
 
-def test_hits_star_and_path_paths_agree():
+def test_hits_star_and_path_paths_agree(monkeypatch):
     """HITS on a directed star (hub → leaves): the hub is the unique
     max hub (score 1.0), leaves are the max authorities.  Broadcast and
     V-scale join legs must agree exactly (max-normalized + rounded)."""
@@ -1027,9 +1031,10 @@ def test_hits_star_and_path_paths_agree():
     nodes = pa.table({"v": pa.array(np.arange(6, dtype=np.int64))})
 
     def run(limit):
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", limit)
         out = graph_ops.hits(rd.from_arrow(edges).repartition(2),
                              rd.from_arrow(nodes).repartition(2),
-                             iters=2, broadcast_limit_bytes=limit) \
+                             iters=2) \
             .to_pandas().sort_values("v").reset_index(drop=True)
         return out
 
@@ -1043,7 +1048,7 @@ def test_hits_star_and_path_paths_agree():
     pd.testing.assert_frame_equal(bc, js[["v", "hub", "authority"]])
 
 
-def test_label_propagation_two_cliques_paths_agree():
+def test_label_propagation_two_cliques_paths_agree(monkeypatch):
     """Two triangles joined by one bridge edge: after 2 deterministic
     rounds every node carries its triangle's min label; broadcast and
     BSP join legs agree."""
@@ -1057,10 +1062,10 @@ def test_label_propagation_two_cliques_paths_agree():
     nodes = pa.table({"v": pa.array(np.arange(6, dtype=np.int64))})
 
     def run(limit):
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", limit)
         return graph_ops.label_propagation(
             rd.from_arrow(edges).repartition(3),
-            rd.from_arrow(nodes).repartition(2), iters=2,
-            broadcast_limit_bytes=limit) \
+            rd.from_arrow(nodes).repartition(2), iters=2) \
             .to_pandas().sort_values("v").reset_index(drop=True)
 
     bc = run(64 << 20)
@@ -1357,7 +1362,7 @@ def test_sssp_both_legs_match_bellman_ford_reference():
         assert got == want, (parts, approx_n)
 
 
-def test_k_core_both_legs_match_reference():
+def test_k_core_both_legs_match_reference(monkeypatch):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -1388,14 +1393,14 @@ def test_k_core_both_legs_match_reference():
     for parts, blim in ((1, 64 << 20), (4, 64 << 20), (4, 0)):
         e_ds = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst})) \
             .repartition(parts)
-        out = graph_ops.k_core(e_ds, k=K, rounds=R,
-                               broadcast_limit_bytes=blim).to_pandas() \
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", blim)
+        out = graph_ops.k_core(e_ds, k=K, rounds=R).to_pandas() \
             .sort_values("v").reset_index(drop=True)
         got = list(zip(out["v"].astype(int), out["deg"].astype(int)))
         assert got == want, (parts, blim)
 
 
-def test_local_clustering_matches_reference_both_legs():
+def test_local_clustering_matches_reference_both_legs(monkeypatch):
     import itertools
 
     import numpy as np
@@ -1428,8 +1433,8 @@ def test_local_clustering_matches_reference_both_legs():
     for parts, blim in ((1, 64 << 20), (4, 0)):
         e_ds = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst})) \
             .repartition(parts)
-        out = graph_ops.local_clustering(
-            e_ds, broadcast_limit_bytes=blim).to_pandas()
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", blim)
+        out = graph_ops.local_clustering(e_ds).to_pandas()
         got = {int(r.v): (int(r.tri), int(r.deg), int(r.cc_nano))
                for r in out.itertuples()}
         assert got == want, (parts, blim)
@@ -1611,3 +1616,114 @@ def test_stable_bucket_ignores_nulls_in_int_keys():
     ref = relational.stable_bucket(pa.array([1, 2, 3, 40]), 64)
     with_null = relational.stable_bucket(pa.array([1, 2, None, 3, 40]), 64)
     assert list(np.delete(with_null, 2)) == list(ref)
+
+
+def _budget_case_corpus() -> pd.DataFrame:
+    rng = np.random.default_rng(17)
+    return pd.DataFrame({
+        "doc_id": np.arange(40, dtype=np.int64),
+        "text": [" ".join(rng.choice(
+            ["alpha", "beta", "gamma", "delta", "repeat repeat"], 10))
+            for _ in range(40)],
+    })
+
+
+def _budget_case_graph(weighted: bool = False):
+    rng = np.random.default_rng(19)
+    cols = {"src": rng.integers(0, 40, 120), "dst": rng.integers(0, 40, 120)}
+    if weighted:
+        cols["w"] = rng.integers(1, 10, 120)
+    return (rd.from_pandas(pd.DataFrame(cols)).repartition(3),
+            rd.from_pandas(pd.DataFrame({"v": [0, 1]})))
+
+
+@functools.lru_cache(maxsize=1)
+def _reblock_inputs():
+    """(blocks, parcels, buildings) of the synthetic fixture, built once
+    at the default budget: only ``reblock_pipeline`` runs under both."""
+    from prclz_ray.io import synth
+    from prclz_ray.stages.blocks import extract_blocks
+    from prclz_ray.stages.parcels import parcels_pipeline
+
+    blocks = pa.Table.from_pylist(
+        extract_blocks(rd.from_arrow(synth.regions_table()),
+                       rd.from_arrow(synth.lines_table())).take_all())
+    bldgs = synth.buildings_table()
+    parcels = pa.Table.from_pylist(parcels_pipeline(
+        blocks, rd.from_arrow(bldgs)).take_all())
+    return blocks, parcels, bldgs
+
+
+def _budget_reblock():
+    from prclz_ray.stages.reblock import reblock_pipeline
+
+    blocks, parcels, bldgs = _reblock_inputs()
+    return reblock_pipeline(blocks, rd.from_arrow(parcels),
+                            rd.from_arrow(bldgs)).select_columns(
+        ["block_id", "road_type", "geometry", "bldg_count"])
+
+
+def _budget_cases():
+    from prclz_ray.stages import graph_ops, text
+
+    def docs(parts=3):
+        return rd.from_pandas(_budget_case_corpus()).repartition(parts)
+
+    def pairs():
+        return rd.from_pandas(pd.DataFrame({
+            "a": np.arange(0, 20, dtype=np.int64),
+            "b": np.arange(20, 40, dtype=np.int64)}))
+
+    def events():
+        rng = np.random.default_rng(23)
+        return rd.from_pandas(pd.DataFrame({
+            "user_id": rng.integers(0, 30, 300).astype(np.int64),
+            "ts": pd.to_datetime(rng.integers(0, 6 * 604800, 300),
+                                 unit="s")})).repartition(3)
+
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    truss_edges = rd.from_pandas(pd.DataFrame(
+        k4 + [(3, 9), (9, 10)], columns=["src", "dst"]))
+    return {
+        "bfs_hops": lambda: graph_ops.bfs_hops(*_budget_case_graph(),
+                                               rounds=3),
+        "sssp_rounds": lambda: graph_ops.sssp_rounds(
+            *_budget_case_graph(weighted=True), rounds=3),
+        "k_truss": lambda: graph_ops.k_truss(truss_edges, k=4),
+        "cohort_retention": lambda: relational.cohort_retention(
+            events(), "user_id", "ts"),
+        "domain_boilerplate_stats": lambda: dd.domain_boilerplate_stats(
+            rd.from_pandas(_budget_case_corpus().assign(
+                source=lambda d: (d.doc_id % 4).map("s{}".format))),
+            sep=" ", min_frac=0.2),
+        "decontaminate_ngrams": lambda: dd.decontaminate_ngrams(
+            docs(), docs(2).filter(expr="doc_id < 5"), n=3),
+        "duplicate_span_stats": lambda: dd.duplicate_span_stats(
+            docs(), k=10, stride=3),
+        "jaccard_verify_pairs": lambda: dd.jaccard_verify_pairs(
+            pairs(), docs(), jaccard_threshold=0.3, shingle_k=2,
+            emit_score=True),
+        "prefix_filter_candidates": lambda: dd.prefix_filter_candidates(
+            docs(), jaccard_threshold=0.5, shingle_k=2),
+        "tfidf_top_terms": lambda: text.tfidf_top_terms(docs(), top_n=2),
+        "pmi_collocations": lambda: text.pmi_collocations(
+            docs(), min_count=2, k=10),
+        "reblock_pipeline": _budget_reblock,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_budget_cases()))
+def test_budget_zero_and_default_give_same_rows(name, monkeypatch):
+    """Each guarded function with no path-forcing test of its own gives
+    the same rows on its broadcast/single-pass path (the default budget)
+    and on its shuffled fallback (budget 0)."""
+    def rows():
+        out = _budget_cases()[name]()
+        df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    small = rows()
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    shuffled = rows()
+    assert len(small) > 0, name
+    pd.testing.assert_frame_equal(small, shuffled)

@@ -6,7 +6,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from prclz_ray.stages import dedup as dd
-from prclz_ray.stages import multimodal, similarity, text
+from prclz_ray.stages import multimodal, similarity, text, util
 
 
 def _docs():
@@ -130,20 +130,37 @@ def test_minhash_dedup_deterministic_across_parallelism():
     assert ids[0] == ids[1]
 
 
-def test_connected_components_min_label_matches_union_find():
-    """The sharded min-label path and the single-task union-find path agree
-    (chain, pair, self-loop singleton)."""
+def _union_find_labels(edges) -> dict:
+    """Reference connected components: {node: min node of its
+    component}, by union-find with path halving."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        rx, ry = find(e["a"]), find(e["b"])
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return {k: find(k) for k in list(parent)}
+
+
+def test_connected_components_min_label_matches_union_find(monkeypatch):
+    """The single-pass path, the sharded min-label path (budget 0) and a
+    union-find reference agree (chain, pair, self-loop singleton)."""
     edges = [{"a": 1, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 4},
              {"a": 10, "b": 11}, {"a": 20, "b": 20}]
     eds = rd.from_items(edges).repartition(3).map_batches(
         lambda t: t, batch_format="pyarrow")
-    lab_prop = dd.connected_components_min_label(eds).to_pandas()
-    lab_uf = dd.connected_components(eds, single_task_edges=10**9).to_pandas()
+    lab_prop = dd.connected_components(eds).to_pandas()
     # force the past-guard BSP join leg too (limit 0 -> no single pass)
-    lab_bsp = dd.connected_components_min_label(
-        eds, broadcast_limit_bytes=0).to_pandas()
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    lab_bsp = dd.connected_components(eds).to_pandas()
     a = {int(r.node): int(r.label) for r in lab_prop.itertuples()}
-    b = {int(r.node): int(r.label) for r in lab_uf.itertuples()}
+    b = _union_find_labels(edges)
     c = {int(r.node): int(r.label) for r in lab_bsp.itertuples()}
     assert a == b == c
     assert a[4] == 1 and a[11] == 10 and a[20] == 20
@@ -531,16 +548,16 @@ def test_normalize_and_top_words():
     assert list(top.word) == ["a", "b"] and list(top.n) == [9, 6]
 
 
-def test_paragraph_dedup_bucketed_fallback_path():
-    """broadcast_limit_bytes=0 forces the bucketed-join marking path; it
+def test_paragraph_dedup_bucketed_fallback_path(monkeypatch):
+    """BROADCAST_LIMIT_BYTES=0 forces the bucketed-join marking path; it
     must agree with the broadcast path exactly."""
     rows = [
         {"doc_id": 0, "text": "unique zero\n\nBOILER\n\nBOILER"},
         {"doc_id": 1, "text": "unique one\n\nBOILER"},
         {"doc_id": 2, "text": "unique two"},
     ]
-    out = dd.paragraph_dedup_stats(rd.from_items(rows).repartition(2),
-                                   broadcast_limit_bytes=0) \
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    out = dd.paragraph_dedup_stats(rd.from_items(rows).repartition(2)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert list(out.n_paras) == [3, 2, 1]
     assert list(out.n_dup_paras) == [2, 1, 0]
@@ -568,7 +585,7 @@ def test_hll_approx_distinct_error_and_determinism():
     assert abs(est - 150) <= 2
 
 
-def test_rare_word_stats_both_paths():
+def test_rare_word_stats_both_paths(monkeypatch):
     rows = [
         {"doc_id": 0, "text": "common common unique0"},
         {"doc_id": 1, "text": "common unique1 unique1"},  # types: common, unique1
@@ -577,8 +594,9 @@ def test_rare_word_stats_both_paths():
     ]
     # df: common=4 (>2 common-head), unique0=1, unique1=1, shared=2
     for limit in (64 << 20, 0):  # broadcast path, then bucketed fallback
+        monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", limit)
         out = text.rare_word_stats(rd.from_items(rows).repartition(2),
-                                   max_df=2, broadcast_limit_bytes=limit) \
+                                   max_df=2) \
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         assert list(out.n_types) == [2, 2, 2, 2]
         assert list(out.n_rare_types) == [1, 1, 1, 1]
@@ -815,8 +833,8 @@ def test_nb_predict_recovers_class_vocabulary():
             [len(t.split(" ")) for t in df.text]
 
 
-def test_bigram_lm_broadcast_and_join_paths_agree():
-    """Forcing broadcast_limit_bytes=0 must take the bucketed-join
+def test_bigram_lm_broadcast_and_join_paths_agree(monkeypatch):
+    """Forcing BROADCAST_LIMIT_BYTES=0 must take the bucketed-join
     fallback and produce identical scores, including <2-token docs."""
     import pandas as pd
     import ray.data as rd
@@ -833,7 +851,8 @@ def test_bigram_lm_broadcast_and_join_paths_agree():
     ds = rd.from_pandas(docs).repartition(4)
     a = tx.bigram_lm_scores(ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    b = tx.bigram_lm_scores(ds, broadcast_limit_bytes=0).to_pandas() \
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    b = tx.bigram_lm_scores(ds).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert a.doc_id.tolist() == b.doc_id.tolist()
     assert a.n_bigrams.tolist() == b.n_bigrams.tolist()
@@ -1013,7 +1032,7 @@ def test_bpe_encode_matches_sequential_reference():
             [len(t.split(" ")) for t in texts]
 
 
-def test_scale_guards_nb_pmi_cooccurrence():
+def test_scale_guards_nb_pmi_cooccurrence(monkeypatch):
     """The three round-3 driver-side size hazards are guarded: NB prunes
     the Zipf tail distributedly and refuses past its byte budget; PMI's
     margin attach falls back to bucketed joins under a forced
@@ -1044,8 +1063,8 @@ def test_scale_guards_nb_pmi_cooccurrence():
 
     # PMI: zero budget forces the bucketed margin joins; same top-k
     a = tx.top_pmi_collocations(ds, k=5, min_count=3)
-    b = tx.top_pmi_collocations(ds, k=5, min_count=3,
-                                broadcast_limit_bytes=0)
+    monkeypatch.setattr(util, "BROADCAST_LIMIT_BYTES", 0)
+    b = tx.top_pmi_collocations(ds, k=5, min_count=3)
     assert a[["w1", "w2", "c12", "pmi"]].values.tolist() == \
         b[["w1", "w2", "c12", "pmi"]].values.tolist()
 
