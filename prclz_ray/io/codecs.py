@@ -531,7 +531,9 @@ def read_shapefile(paths):
     with a ``geometry: binary`` (WKB) column.  A ``.zip`` path is the
     reference's shapefile-in-zip input
     (``scripts/split-buildings/split_buildings.py:85-161``): every
-    ``.shp`` member inside is parsed with its in-archive siblings."""
+    ``.shp`` member inside is parsed with its in-archive siblings, and a
+    member with no ``.dbf`` sibling raises ``ValueError`` naming the
+    archive and the member (its rows would carry no attributes)."""
     import ray.data as rd
 
     if isinstance(paths, str):
@@ -561,9 +563,13 @@ def read_shapefile(paths):
                     for low in sorted(names):
                         if low.endswith(".shp"):
                             stem = low[:-4]
+                            dbf = sibling(stem, ".dbf")
+                            if dbf is None:
+                                raise ValueError(
+                                    f"{base}: shapefile member "
+                                    f"{names[low]!r} has no .dbf sibling")
                             out.append(_shp_table(
-                                zf.read(names[low]),
-                                sibling(stem, ".dbf"),
+                                zf.read(names[low]), dbf,
                                 sibling(stem, ".names.json")))
             else:
                 out.append(_shp_table(

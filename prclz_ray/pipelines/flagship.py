@@ -72,14 +72,16 @@ class PageParser:
 
 def dedup_latest_by_url(ds, num_buckets: int = 64):
     """Exact url dedup, latest ``warc_ts`` wins (SURVEY §2.7 D6; the
-    ``warc_ts`` tie-break rule of §2.10). Hash-partition groupby on the
+    ``warc_ts`` tie-break rule of §2.10). Hash-partitioned shuffle on the
     narrow post-extraction table.
 
-    Scale note: grouping by raw ``url`` would cost one Python call per
-    distinct url; instead urls hash into ``num_buckets`` coarse buckets
-    (all rows of a url land in one bucket), and each bucket dedups
-    vectorized (stable sort + drop_duplicates). At cluster scale raise
-    ``num_buckets`` ≈ total cores so the shuffle stays balanced."""
+    Scale note: sorting on raw ``url`` would shuffle strings; instead
+    urls hash into ``num_buckets`` coarse buckets (all rows of a url land
+    in one bucket), one ``sort("_bucket")`` puts every row of a bucket in
+    one block, and each shuffled block dedups vectorized (stable sort +
+    drop_duplicates) in one call, whatever number of buckets it holds.
+    At cluster scale raise ``num_buckets`` ≈ total cores so the shuffle
+    stays balanced."""
     import pandas as pd
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -95,8 +97,8 @@ def dedup_latest_by_url(ds, num_buckets: int = 64):
 
     bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed.groupby("_bucket").map_groups(
-        dedup_bucket, batch_format="pandas")
+    return bucketed.sort("_bucket").map_batches(
+        dedup_bucket, batch_format="pandas", batch_size=None)
 
 
 _HASH_KEY_1 = "0123456789abcdef"
@@ -121,11 +123,11 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
 
     Scale rationale: exact dedup needs one shuffle keyed by url, but it only
     ever needs the KEY columns — and not even the strings: urls become a
-    128-bit hash pair, so the shuffle moves fixed-width ints. The groupby
-    key is a COARSE bucket (all rows of a url share a bucket), because Ray's
-    per-group machinery is pathological at per-url cardinality; inside each
-    bucket one vectorized pandas groupby finds dup urls, their max warc_ts
-    and whether that max is tied. The dup map (dup_rate × n rows) is
+    128-bit hash pair, so the shuffle moves fixed-width ints. The sort
+    key is a COARSE bucket (all rows of a url share a bucket, and the
+    sort puts every row of a bucket in one block); per shuffled block one
+    vectorized pandas groupby finds dup urls, their max warc_ts and
+    whether that max is tied. The dup map (dup_rate × n rows) is
     broadcast via ray.put; at cluster scale raise num_buckets ≈ total
     cores.
 
@@ -166,7 +168,8 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
 
     grouped = pages_ds.select_columns(["url", "warc_ts"]) \
         .map_batches(partial, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(combine, batch_format="pandas")
+        .sort("_bucket").map_batches(combine, batch_format="pandas",
+                                     batch_size=None)
     grouped = grouped.materialize()   # dup-key-sized, spillable
     # ~200 B per python dict entry (tuple key of two u64 + int value)
     if grouped.count() * 200 > util.BROADCAST_LIMIT_BYTES:
@@ -217,8 +220,8 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
                                      num_buckets: int = 64):
     """Single-execution flagship: ONE fused read→parse→tile→PIP operator
     emitting only narrow columns (url-hash pair, warc_ts, cell, gadm_code),
-    then url dedup + counting in a bucketed groupby over that narrow
-    stream.
+    then url dedup + counting per block of a url-bucket sort over that
+    narrow stream.
 
     Dedup AFTER the join is exact for latest-wins semantics: every row
     carries its own join result, so keeping the max-warc_ts row per url
@@ -251,7 +254,7 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
 
     narrow = pages_ds.map_batches(fused, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    # checkpoint the narrow stream before the groupby: when a trailing
+    # checkpoint the narrow stream before the shuffle: when a trailing
     # all-to-all op shares an execution with the heavy map, Ray's operator
     # resource reservation parks ~half the CPUs on the (mostly idle)
     # shuffle — measured 2.9/8 busy cores. Materializing ~40 B/row splits
@@ -269,11 +272,12 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
         return pd.DataFrame({"gadm_code": pd.array(keys, dtype="string"),
                              "n_pages": vc.values.astype(np.int64)})
 
-    # cross-bucket combine: the grouped stage emits ≤ num_buckets × regions
-    # rows (64 × |regions| here) — bounded by construction, NOT by input
-    # size, so the driver-side sum stays O(regions) at any corpus scale
-    parts = narrow.groupby("_bucket").map_groups(
-        dedup_count, batch_format="pandas").to_pandas()
+    # cross-block combine: the sort puts every row of a url bucket in one
+    # block, and each block emits ≤ |regions| rows, so the driver sums
+    # ≤ min(num_buckets, blocks) × |regions| rows — bounded by
+    # construction, NOT by input size: O(regions) at any corpus scale
+    parts = narrow.sort("_bucket").map_batches(
+        dedup_count, batch_format="pandas", batch_size=None).to_pandas()
     out = parts.groupby("gadm_code", dropna=False, as_index=False)[
         "n_pages"].sum()
     out["gadm_code"] = out["gadm_code"].astype(object)

@@ -13,7 +13,7 @@ import ray.data as rd
 
 from ...runtime.checkpoint import publish_dir
 from ...stages import dedup as dd
-from ...stages import relational
+from ...stages import relational, util
 from ...stages.util import worker_cached
 from .common import (
     SQL_CP_COUNTS_CTE, _click_purchase_value_counts, _daily_revenue_cents,
@@ -2844,11 +2844,12 @@ def q_join_discovery_scan(sf_dir: str):
         return pd.DataFrame({"mask": nz.astype(np.int64),
                              "cnt": cnt[nz].astype(np.int64)})
 
-    # size-guarded two-path (the connected_components pattern): a small
-    # pair set collapses in ONE worker task — an all-to-all over
-    # hundreds of tiny blocks is pure scheduling overhead — while the
-    # scale path hash-buckets v so no task ever sees the full domain
-    if un.count() <= 50_000_000:
+    # size-guarded two-path (the connected_components pattern): a pair
+    # set within the engine's budget collapses in ONE worker task — an
+    # all-to-all over hundreds of tiny blocks is pure scheduling
+    # overhead — while the scale path hash-buckets v so no task ever
+    # sees the full domain
+    if (un.size_bytes() or 0) <= util.BROADCAST_LIMIT_BYTES:
         masked = un.repartition(1).map_batches(
             lambda t: pa.Table.from_pandas(combine(t.to_pandas()),
                                            preserve_index=False),

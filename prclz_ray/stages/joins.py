@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..geom import wkb
@@ -82,11 +83,18 @@ class PIPJoiner:
     vectorized PIP per batch.  The one PIP row assembler: inner emits one
     row per (point, matching polygon); left adds each unmatched point once
     with a null polygon id (and geometry); semi/anti keep each point at
-    most once with its own columns only."""
+    most once with its own columns only.
+
+    With ``key_col``, a (point, polygon) pair counts only where the
+    point's ``key_col`` equals the polygon's entry of ``poly_keys``: the
+    tiled join packs the polygon replicas of several tiles into one
+    joiner, and a point must meet only its own tile's replicas."""
 
     def __init__(self, packed_ref, x_col: str, y_col: str, id_col: str,
                  how: str = "inner", out_id_col: Optional[str] = None,
-                 attach_geom_col: Optional[str] = None):
+                 attach_geom_col: Optional[str] = None,
+                 key_col: Optional[str] = None,
+                 poly_keys: Optional[np.ndarray] = None):
         packed = ray.get(packed_ref) if isinstance(
             packed_ref, ray.ObjectRef) else packed_ref
         ids, rings, boxes, wkbs = packed
@@ -100,10 +108,16 @@ class PIPJoiner:
         self.how = how
         self.out_id = out_id_col or id_col
         self.attach_geom_col = attach_geom_col
+        self.key_col, self.poly_keys = key_col, poly_keys
 
-    def match(self, px: np.ndarray, py: np.ndarray):
-        """Returns (point_idx, poly_idx) match pairs."""
+    def match(self, px: np.ndarray, py: np.ndarray,
+              keys: Optional[np.ndarray] = None):
+        """Returns (point_idx, poly_idx) match pairs; with ``keys`` (the
+        points' ``key_col``) only pairs of equal keys."""
         cand_p, cand_g = self.tree.query_points(px, py)
+        if keys is not None and len(cand_p):
+            same = keys[cand_p] == self.poly_keys[cand_g]
+            cand_p, cand_g = cand_p[same], cand_g[same]
         if len(cand_p) == 0:
             return cand_p, cand_g
         keep = np.zeros(len(cand_p), dtype=bool)
@@ -123,7 +137,9 @@ class PIPJoiner:
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch[self.x_col].to_numpy(zero_copy_only=False)
         py = batch[self.y_col].to_numpy(zero_copy_only=False)
-        pi, gi = self.match(px, py)
+        keys = None if self.key_col is None else \
+            batch[self.key_col].to_numpy(zero_copy_only=False)
+        pi, gi = self.match(px, py, keys)
         matched = np.zeros(batch.num_rows, dtype=bool)
         matched[pi] = True
         if self.how in ("semi", "anti"):
@@ -176,14 +192,15 @@ def pip_join_tiled(points_ds, polygons_ds, id_col: str, x_col: str = "lng",
     (``relational.cogroup``).
 
     polygons are replicated to every level-``level`` cell their bbox covers,
-    points carry their own cell; one groupby(cell) shuffle, then each tile
-    packs its polygons and joins its points with ``PIPJoiner``. The output
-    keeps every point column plus ``cell``. Left/semi/anti semantics are
-    exact per-tile: a point lives in exactly one cell group, so "unmatched
-    in my tile" == "unmatched globally" (and no polygon replica can match
-    a point twice). Partitioning assumption: polygon bboxes are small
-    relative to the tile size (documented per SURVEY custom-operator
-    rule)."""
+    points carry their own cell; one sort(cell) shuffle, then each
+    shuffled block (one or more whole tiles) packs its polygon replicas
+    once and joins its points with ``PIPJoiner``, which pairs a point
+    only with the replicas of its own cell. The output keeps every point
+    column plus ``cell``. Left/semi/anti semantics are exact per tile: a
+    point lives in exactly one cell, so "unmatched in my tile" ==
+    "unmatched globally" (and no polygon replica can match a point
+    twice). Partitioning assumption: polygon bboxes are small relative
+    to the tile size (documented per SURVEY custom-operator rule)."""
     from ..index import s2
 
     if how not in ("inner", "left", "semi", "anti"):
@@ -210,25 +227,18 @@ def pip_join_tiled(points_ds, polygons_ds, id_col: str, x_col: str = "lng",
     gsch = pa.schema([_arrow_schema(gsch).field(c)
                       for c in (id_col, "geometry")])
 
-    def joiner(polys: pa.Table) -> PIPJoiner:
+    def join_tiles(pts: pa.Table, polys: pa.Table) -> pa.Table:
+        # most tiles hold one side only (a polygon's cover reaches cells
+        # with no point): pack only the replicas of cells with a point
+        polys = polys.filter(pc.is_in(polys["cell"], value_set=pts["cell"]))
         return PIPJoiner(_polygon_pack(polys, id_col,
                                        keep_wkb=attach_geom_col is not None),
                          x_col, y_col, id_col, how, out_id_col,
-                         attach_geom_col)
-
-    none = []   # the joiner over no polygons, built once per task
-
-    def join_tile(pts: pa.Table, polys: pa.Table) -> pa.Table:
-        if pts.num_rows and polys.num_rows:
-            return joiner(polys)(pts)
-        # most tiles hold one side only (a polygon's cover reaches cells
-        # with no point): no point can match there
-        if not none:
-            none.append(joiner(polys.slice(0, 0)))
-        return none[0](pts)
+                         attach_geom_col, "cell",
+                         polys["cell"].to_numpy())(pts)
 
     return cogroup(points_ds, polygons_ds, "cell", pa.uint64(), point_cells,
-                   poly_cells, join_tile, psch, gsch)
+                   poly_cells, join_tiles, psch, gsch)
 
 
 def pip_join_auto(points_ds, polygons, id_col: str, x_col: str = "lng",

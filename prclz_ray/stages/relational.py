@@ -9,10 +9,11 @@ large-large joins.
 Every two-sided shuffle join (``bucketed_semi_join``, ``bucketed_hash_join``,
 ``salted_join``, ``asof_join``, ``band_join`` and ``joins.pip_join_tiled``)
 co-partitions through ``cogroup``; each supplies only its tagger and its
-per-group kernel.  Every one-sided keyed operator (sessions, LAG/LEAD,
-ranks, running and moving windows, funnels, modes, dedup, posting lists)
+kernel.  Every one-sided keyed operator (sessions, LAG/LEAD, ranks,
+running and moving windows, funnels, modes, dedup, posting lists)
 hash-partitions through ``bucket_shuffle``; each supplies only its
-per-batch ``prepare`` and its per-bucket kernel.
+per-batch ``prepare`` and its kernel.  Both helpers run the kernel once
+per sorted block, which holds one or more whole keys.
 """
 from __future__ import annotations
 
@@ -84,17 +85,17 @@ def _arrow_schema(schema) -> pa.Schema:
 def filter_rows(t: pa.Table, mask: np.ndarray) -> pa.Table:
     """``t.filter(mask)`` with no compute call when the mask keeps every
     row or none: in a Ray worker each Table-level compute call costs
-    ~0.1 ms, and most groups of a co-partition hold one side only."""
+    ~0.1 ms, and a co-partitioned block can hold one side only."""
     if mask.all():
         return t
     return t.filter(pa.array(mask)) if mask.any() else t.slice(0, 0)
 
 
 def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
-            tag_right, per_group, lschema, rschema):
+            tag_right, per_block, lschema, rschema):
     """Co-partition two Datasets on a tag key and run
-    ``per_group(lpart, rpart) -> pa.Table`` once per key group: the one
-    shape behind every two-sided shuffle join (hash buckets, salted
+    ``per_block(lpart, rpart) -> pa.Table`` once per shuffled block: the
+    one shape behind every two-sided shuffle join (hash buckets, salted
     sub-buckets, band replicas, S2 tiles).
 
     ``tag_left``/``tag_right`` map a side's Arrow batch to its rows with
@@ -104,11 +105,20 @@ def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
     (a join declares its unified key types there, see ``_unify_keys``),
     tags, pads the columns it lacks with typed nulls and adds the side
     flag; the union schema comes from the two given schemas, so planning
-    probes nothing.  After the one ``groupby(key)`` shuffle a
-    group splits back into two Arrow parts holding only their own side's
-    columns, cast back to that side's schema: the null padding can round
-    trip through a pandas block in the shuffle, which promotes int64 with
-    nulls to float64 (the values are integral, so the cast is lossless)."""
+    probes nothing.
+
+    One ``sort(key)`` shuffle follows, and ``per_block`` runs once per
+    sorted block (``map_batches(batch_size=None)``), not once per key:
+    the sort range-partitions on ``key`` and each reducer merges its
+    input into one block, so a block holds one or more WHOLE keys.  A
+    block splits back into two Arrow parts holding their own side's
+    columns plus ``key``, cast back to that side's schema: the null
+    padding can round trip through a pandas block in the shuffle, which
+    promotes int64 with nulls to float64 (the values are integral, so
+    the cast is lossless).  A kernel whose tagger replicates rows over
+    several keys (salted sub-buckets, band replicas, S2 tiles) must pair
+    rows only within equal ``key``; one whose pairs already imply equal
+    keys (a join on the column the key hashes) may ignore it."""
     lschema, rschema = _arrow_schema(lschema), _arrow_schema(rschema)
     types: dict[str, pa.DataType] = {}
     for sch in (lschema, rschema):
@@ -135,18 +145,23 @@ def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
                 names=names)
         return f
 
-    def split(group: pa.Table) -> pa.Table:
-        left = group["_side"].to_numpy() == 0
+    keyed = [sch if key in sch.names
+             else sch.append(pa.field(key, types[key]))
+             for sch in (lschema, rschema)]
+
+    def split(block: pa.Table) -> pa.Table:
+        left = block["_side"].to_numpy() == 0
         parts = []
-        for mask, sch in ((left, lschema), (~left, rschema)):
-            p = filter_rows(group, mask).select(sch.names)
+        for mask, sch in zip((left, ~left), keyed):
+            p = filter_rows(block, mask).select(sch.names)
             parts.append(p if p.schema == sch else p.cast(sch))
-        return per_group(*parts)
+        return per_block(*parts)
 
     l = left.map_batches(tagged(tag_left, 0, lschema), batch_format="pyarrow")
     r = right.map_batches(tagged(tag_right, 1, rschema),
                           batch_format="pyarrow")
-    return l.union(r).groupby(key).map_groups(split, batch_format="pyarrow")
+    return l.union(r).sort(key).map_batches(split, batch_format="pyarrow",
+                                            batch_size=None)
 
 
 def stable_bucket(col, num_buckets: int) -> np.ndarray:
@@ -178,19 +193,21 @@ def stable_bucket(col, num_buckets: int) -> np.ndarray:
 
 def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
                    prepare=None, batch_format: str = "pandas"):
-    """Hash-partition ``ds`` on ``key`` into ``num_buckets`` coarse groups
-    and run ``per_bucket(group)`` once per bucket: the one shape behind
-    every one-sided keyed operator.  A bucket holds every row of each key
-    hashed into it, so a per-key kernel sees whole keys, and the shuffle
-    sorts ``num_buckets`` groups instead of one per key.
+    """Hash-partition ``ds`` on ``key`` into ``num_buckets`` coarse buckets
+    and run ``per_bucket(part)`` once per shuffled block: the one shape
+    behind every one-sided keyed operator.  A bucket holds every row of
+    each key hashed into it, and a block one or more whole buckets, so a
+    per-key kernel sees whole keys; ``num_buckets`` caps the distinct
+    sort keys, so the shuffle sorts small ints instead of raw keys.
 
     One map tags each Arrow batch: the optional ``prepare(batch)`` runs
     first (column pruning with ``select``, a filter, a per-batch partial
     aggregate; it may return a pandas DataFrame), then
     ``stable_bucket(key)`` is appended as ``_bucket``.  One
-    ``groupby("_bucket").map_groups`` follows; ``per_bucket`` gets its
-    group in ``batch_format`` with the bucket column dropped, and its
-    name stays the Ray operator's name."""
+    ``sort("_bucket")`` follows, and ``per_bucket`` runs once per sorted
+    block (``map_batches(batch_size=None)``; the sort puts every row of a
+    bucket in one block), with the block in ``batch_format`` and the
+    bucket column dropped; its name stays the Ray operator's name."""
     def tag(batch: pa.Table) -> pa.Table:
         t = batch if prepare is None else prepare(batch)
         if isinstance(t, pd.DataFrame):
@@ -201,13 +218,13 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
             "_bucket", pa.array(stable_bucket(t[key], num_buckets)))
 
     @functools.wraps(per_bucket)
-    def run(group):
-        if isinstance(group, pd.DataFrame):
-            return per_bucket(group.drop(columns=["_bucket"]))
-        return per_bucket(group.drop_columns(["_bucket"]))
+    def run(part):
+        if isinstance(part, pd.DataFrame):
+            return per_bucket(part.drop(columns=["_bucket"]))
+        return per_bucket(part.drop_columns(["_bucket"]))
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(run, batch_format=batch_format)
+    return ds.map_batches(tag, batch_format="pyarrow").sort("_bucket") \
+        .map_batches(run, batch_format=batch_format, batch_size=None)
 
 
 def broadcast_join(big_ds, small, on: str, how: str = "inner",
@@ -281,8 +298,9 @@ def semi_join(big_ds, keys, on: str, anti: bool = False):
 def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
                        num_buckets: int = 32):
     """Shuffle semi/anti join for a key side too large to broadcast: both
-    sides bucket on a stable key hash, co-group per bucket, vectorized
-    isin within the bucket.  One all-to-all exchange on narrow columns.
+    sides bucket on a stable key hash and co-group, then one vectorized
+    isin per shuffled block of whole buckets.  One all-to-all exchange on
+    narrow columns.
     Both sides bucket and probe at the permissive union of their key
     types (the hash is dtype-sensitive: int64 3 and float64 3.0 land in
     different buckets); the output keeps the big side's key type."""
@@ -310,7 +328,7 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
         mask = pc.is_in(lg[on], value_set=pc.unique(kg[on].combine_chunks()))
         if anti:
             mask = pc.invert(mask)
-        out = lg.filter(pc.fill_null(mask, False))
+        out = lg.filter(pc.fill_null(mask, False)).drop_columns(["_bucket"])
         return out if out.schema == out_sch else out.cast(out_sch)
 
     return cogroup(big_ds, keys_only, "_bucket", pa.int32(), tag, tag, probe,
@@ -340,10 +358,13 @@ def _unify_keys(lsch, rsch, keys: list[str]):
 
 def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
                  combine=None):
-    """The per-bucket Arrow (Acero) hash join under ``cogroup`` that
+    """The per-block Arrow (Acero) hash join under ``cogroup`` that
     ``bucketed_hash_join`` and ``salted_join`` share, over key types
-    unified across the sides.  Null keys never match (SQL semantics,
-    unlike a pandas merge, which pairs NaN keys)."""
+    unified across the sides.  It joins on ``(on, _bucket)``: a block
+    holds several buckets, and a salted hot right row replicates into
+    every sub-bucket, so a left row pairs only with the replica tagged
+    with its own bucket.  Null keys never match (SQL semantics, unlike a
+    pandas merge, which pairs NaN keys)."""
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
     lsch, rsch = _unify_keys(lsch, rsch, [on])
@@ -351,9 +372,9 @@ def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
 
     def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
         # the Acero join wants flat input
-        merged = lg.combine_chunks().join(rg.combine_chunks(), keys=on,
-                                          join_type=join_type,
-                                          right_suffix="_r")
+        merged = lg.combine_chunks().join(
+            rg.combine_chunks(), keys=[on, "_bucket"], join_type=join_type,
+            right_suffix="_r").drop_columns(["_bucket"])
         return merged if combine is None else combine(merged)
 
     return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag_left,
@@ -363,18 +384,18 @@ def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
 def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
                        how: str = "inner", combine=None):
     """Large×large partitioned hash join: both sides get
-    bucket = hash(key) % B, co-grouped by bucket, pairwise Arrow (Acero)
-    hash join per bucket (guide's portable pattern; salt hot keys upstream
-    if skewed).  Null keys never match — SQL semantics, unlike a pandas
+    bucket = hash(key) % B, co-grouped by bucket, one Arrow (Acero) hash
+    join per shuffled block of whole buckets (guide's portable pattern;
+    salt hot keys upstream if skewed).  Null keys never match — SQL semantics, unlike a pandas
     merge which pairs NaN keys with each other.
 
-    ``combine``: optional per-bucket post-join hook ``fn(pa.Table) ->
-    pa.Table`` run INSIDE the bucket task on the merged table.  Because
-    every occurrence of a join key lands in exactly one bucket, a groupby
-    on the JOIN key inside ``combine`` is a FULL aggregation — fusing the
-    downstream ``groupby(join_key)`` deletes its whole shuffle; grouping
-    any other key yields bucket-local partials that shrink the next
-    exchange to ≤ num_buckets × |groups| rows.  At 100 TB this is the
+    ``combine``: optional post-join hook ``fn(pa.Table) -> pa.Table``
+    run INSIDE the join task on each shuffled block's merged table.
+    Because every occurrence of a join key lands in exactly one block, a
+    groupby on the JOIN key inside ``combine`` is a FULL aggregation —
+    fusing the downstream ``groupby(join_key)`` deletes its whole
+    shuffle; grouping any other key yields block-local partials that
+    shrink the next exchange to ≤ blocks × |groups| rows.  At 100 TB this is the
     difference between re-shuffling every joined row and moving a few
     thousand aggregate rows."""
     def tag(batch: pa.Table) -> pa.Table:
@@ -432,19 +453,19 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     pd.Timedelta / int matching `on`'s dtype) bounds the match window —
     the windowed-attribution variant; ``right_order_cols`` appends
     tie-break columns to the right side's sort so equal-`on` matches are
-    deterministic — without it the winner is whatever order the bucket
-    group arrived in.  Direction matters for WHICH tie wins: among
+    deterministic — without it the winner is whatever order the shuffled
+    rows arrived in.  Direction matters for WHICH tie wins: among
     equal-`on` right rows merge_asof takes the first in sort order for
     direction='forward' but the LAST for 'backward' (largest
     right_order_cols value).
 
     Scale shape: both sides hash-bucket on `by` (process-stable hash),
-    co-group per bucket through ONE sort shuffle, pandas merge_asof per
-    bucket group (sides sorted by `on` inside the task).  Partitioning
-    assumption: a `by` key's full history fits one bucket group — at 100 TB
-    salt the time axis instead (bucket by (key, time-range) and replicate
-    right-side boundary rows one range forward).  Unmatched left rows are
-    dropped (inner semantics, mirrors DuckDB ASOF JOIN).
+    co-group through ONE sort shuffle, pandas merge_asof per shuffled
+    block of whole buckets (sides sorted by `on` inside the task).
+    Partitioning assumption: a `by` key's full history fits one task — at
+    100 TB salt the time axis instead (bucket by (key, time-range) and
+    replicate right-side boundary rows one range forward).  Unmatched left
+    rows are dropped (inner semantics, mirrors DuckDB ASOF JOIN).
     """
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
@@ -465,9 +486,10 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
         if not lg.num_rows or not rg.num_rows:
             return out_schema.empty_table()
+        # a block holds several buckets; `by` already keeps them apart
         ldf = lg.to_pandas().sort_values(on, kind="stable")
-        rdf = rg.to_pandas().sort_values([on] + (right_order_cols or []),
-                                         kind="stable")
+        rdf = rg.drop_columns(["_bucket"]).to_pandas().sort_values(
+            [on] + (right_order_cols or []), kind="stable")
         # sentinel marks matched rows (a right VALUE column may be null
         # legitimately); NaN-promoted int columns cast back via the schema
         rdf = rdf.assign(_rmatch=np.int8(1))
@@ -491,8 +513,11 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     differ by at most 1.  Left rows go to their own bucket; right rows
     REPLICATE to bucket-1/bucket/bucket+1 (3× the narrow right columns,
     no dedup needed: each pair meets exactly once, in the left row's
-    bucket).  Per bucket group the right side sorts once and pairs
-    enumerate via searchsorted + a ragged arange — no O(n²) scan.  Skew
+    bucket).  Per shuffled block the right side sorts once and pairs
+    enumerate via searchsorted + a ragged arange — no O(n²) scan; a block
+    holds several buckets, and with them up to all three replicas of a
+    right row, so a pair is kept only where the right replica's bucket
+    is the left row's.  Skew
     guard: a hot value range can be sharded further upstream by salting
     `on` buckets; output is a stream, never a driver list.
     """
@@ -522,8 +547,11 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
         lo = np.searchsorted(rv, lv - radius, side="left")
         counts = np.searchsorted(rv, lv + radius, side="right") - lo
         # right indices: for each left row, the run lo[i]..hi[i)
-        ri = pa.array(np.repeat(lo, counts) + _ragged_arange(counts))
-        out = lg.take(pa.array(np.repeat(np.arange(len(lv)), counts)))
+        li = np.repeat(np.arange(len(lv)), counts)
+        ri = np.repeat(lo, counts) + _ragged_arange(counts)
+        same = lg["_bucket"].to_numpy()[li] == rg["_bucket"].to_numpy()[ri]
+        out = lg.drop_columns(["_bucket"]).take(pa.array(li[same]))
+        ri = pa.array(ri[same])
         for c, name in zip(rsch.names, out_rcols):
             out = out.append_column(name, rg[c].take(ri))
         return out
@@ -1414,7 +1442,8 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
     over ``salt`` tasks instead of melting a single reducer.  Non-hot
     keys take the plain one-sub-bucket path; results are identical to
     ``bucketed_hash_join`` (asserted in tests), which shares its
-    per-bucket join and key-type unification.
+    join kernel (on the key and the sub-bucket) and key-type
+    unification.
 
     The left row's sub-bucket is its position hash — any assignment
     works, the replicated right side meets it everywhere; output is

@@ -441,6 +441,27 @@ def test_shapefile_in_zip_matches_siblings_ignoring_case(tmp_path):
     assert list(df["id"]) == [4, 5]
 
 
+def test_shapefile_in_zip_without_dbf_raises(tmp_path):
+    """A .shp member with no .dbf sibling in the archive fails loudly,
+    naming the archive and the member, instead of reading as
+    attribute-less rows."""
+    import zipfile
+
+    base = str(tmp_path / "pts")
+    codecs.write_shapefile(pa.table({
+        "id": pa.array([4, 5], type=pa.int64()),
+        "geometry": pa.array([wkb.point(1.0, 2.0), wkb.point(3.0, 4.0)],
+                             type=pa.binary())}), base)
+    zp = str(tmp_path / "nodbf.zip")
+    with zipfile.ZipFile(zp, "w") as zf:
+        zf.write(base + ".shp", "sub/pts.shp")
+        zf.write(base + ".shx", "sub/pts.shx")
+    # the reader's ValueError reaches the caller inside Ray's task error
+    with pytest.raises(Exception,
+                       match=r"ValueError: .*nodbf\.zip.*sub/pts\.shp.*\.dbf"):
+        codecs.read_shapefile(zp).materialize()
+
+
 @pytest.mark.parametrize("cut, offset", [
     ("magic", 0),          # file code zeroed
     ("body", 156),         # last record loses its y coordinate

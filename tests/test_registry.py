@@ -116,7 +116,9 @@ def test_two_sided_shuffle_joins_go_through_cogroup():
 # ``length_bucket_batches`` and ``checkpoint.write_clustered``, hash no key
 # and are not matched)
 BUCKET_SHUFFLE_EXCEPTIONS = {
-    # bucket on the (_h1, _h2) url-hash pair; perfbench's per-layer trace
+    # sort on a bucket of the url hash (pandas' hash_array, or _h1 of the
+    # (_h1, _h2) pair) and dedup once per sorted block; perfbench's
+    # per-layer trace wraps duplicate_url_map by module attribute and
     # matches these operators by name (MapBatches(fused), (partial))
     ("pipelines/flagship.py", "dedup_latest_by_url"),
     ("pipelines/flagship.py", "duplicate_url_map"),
@@ -135,7 +137,8 @@ def _hash_bucket_shuffles(tree):
     """``(owner, column)`` for every top-level definition that builds a
     column from a key hash (``stable_bucket``, ``hash_array``,
     ``hash_pandas_object`` or a ``%``, directly or through a local name)
-    and runs ``groupby(<that column>).map_groups``."""
+    and runs ``groupby(<that column>).map_groups`` or shuffles on it with
+    ``sort(<that column>)``."""
     hashes = {"stable_bucket", "hash_array", "hash_pandas_object"}
 
     def hashed(expr, names):
@@ -175,6 +178,9 @@ def _hash_bucket_shuffles(tree):
                         and isinstance(node.func.value.args[0],
                                        ast.Constant)):
                     grouped.add(node.func.value.args[0].value)
+                if (fn == "sort" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    grouped.add(node.args[0].value)
             elif isinstance(node, ast.Dict):
                 made |= {k.value for k, v in zip(node.keys, node.values)
                          if isinstance(k, ast.Constant)
@@ -190,7 +196,8 @@ def _hash_bucket_shuffles(tree):
 
 def test_one_sided_keyed_shuffles_go_through_bucket_shuffle():
     """Every one-sided shuffle that hashes a key column into coarse
-    buckets and runs ``groupby(<bucket>).map_groups`` does so through
+    buckets and runs ``groupby(<bucket>).map_groups`` or ``sort(<bucket>)``
+    does so through
     ``relational.bucket_shuffle``, which owns the tagging map, the bucket
     column and its drop.  The exceptions are listed above with their
     reasons; an exception that no longer matches must leave the list."""
@@ -207,6 +214,24 @@ def test_one_sided_keyed_shuffles_go_through_bucket_shuffle():
     assert not hits, hits
     assert used == BUCKET_SHUFFLE_EXCEPTIONS, \
         BUCKET_SHUFFLE_EXCEPTIONS - used
+
+
+def test_shuffle_helpers_call_their_kernel_once_per_block():
+    """``cogroup``, ``bucket_shuffle`` and the flagship sort on their key
+    and call the kernel once per sorted block
+    (``map_batches(batch_size=None)``): none of them runs Ray's per-group
+    loop, ``map_groups``, which calls the kernel once per distinct key."""
+    def map_groups_calls(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "map_groups"]
+
+    rel = ast.parse((PKG / "stages" / "relational.py").read_text())
+    tops = {t.name: t for t in rel.body if isinstance(t, ast.FunctionDef)}
+    hits = {name: map_groups_calls(tops[name])
+            for name in ("cogroup", "bucket_shuffle")}
+    hits["pipelines/flagship.py"] = map_groups_calls(
+        ast.parse((PKG / "pipelines" / "flagship.py").read_text()))
+    assert not any(hits.values()), hits
 
 
 # file renames left outside ``runtime/checkpoint.py``, with their reasons
@@ -256,6 +281,7 @@ def test_one_fingerprint_and_one_publish():
 #: added here on purpose
 BUDGET_READERS = {
     ("pipelines/flagship.py", "duplicate_url_map"),
+    ("pipelines/queries/relational.py", "q_join_discovery_scan"),
     ("stages/dedup.py", "_flag_profile"),
     ("stages/dedup.py", "connected_components"),
     ("stages/dedup.py", "domain_boilerplate_stats"),

@@ -1663,7 +1663,31 @@ def _budget_reblock():
         ["block_id", "road_type", "geometry", "bldg_count"])
 
 
+@functools.lru_cache(maxsize=1)
+def _budget_case_catalog() -> str:
+    """A directory of tiny parquet tables holding the integer key columns
+    ``q_join_discovery_scan`` reads, with overlapping value ranges."""
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    root = tempfile.mkdtemp(prefix="join_discovery_")
+    rng = np.random.default_rng(29)
+    cols = {"orders": {"o_custkey": (1, 40)},
+            "customer": {"c_custkey": (1, 50)},
+            "lineitem": {"l_partkey": (1, 30), "l_suppkey": (1, 10)},
+            "part": {"p_partkey": (1, 30)},
+            "supplier": {"s_suppkey": (1, 12)},
+            "events": {"user_id": (20, 70)}}
+    for tbl, spec in cols.items():
+        pq.write_table(pa.table({
+            c: rng.integers(lo, hi + 1, 60).astype(np.int64)
+            for c, (lo, hi) in spec.items()}), f"{root}/{tbl}.parquet")
+    return root
+
+
 def _budget_cases():
+    from prclz_ray.pipelines.queries import q_join_discovery_scan
     from prclz_ray.stages import graph_ops, text
 
     def docs(parts=3):
@@ -1709,6 +1733,8 @@ def _budget_cases():
         "pmi_collocations": lambda: text.pmi_collocations(
             docs(), min_count=2, k=10),
         "reblock_pipeline": _budget_reblock,
+        "q_join_discovery_scan": lambda: q_join_discovery_scan(
+            _budget_case_catalog()),
     }
 
 
@@ -1727,3 +1753,231 @@ def test_budget_zero_and_default_give_same_rows(name, monkeypatch):
     shuffled = rows()
     assert len(small) > 0, name
     pd.testing.assert_frame_equal(small, shuffled)
+
+
+# ---- several keys per kernel call ----------------------------------------
+#
+# ``cogroup`` and ``bucket_shuffle`` run their kernel once per sorted
+# block, and a block holds several whole keys.  Each case below builds its
+# inputs as ONE block, so every bucket, salt sub-bucket, band replica and
+# S2 cell replica lands in the same few kernel calls, and compares the
+# helper's rows with the same helper run per key group: the reference
+# hands the kernel one key at a time, the shape of a per-group shuffle.
+
+def _per_key_cogroup(real):
+    def cogroup(left, right, key, key_type, tag_left, tag_right, per_block,
+                lschema, rschema):
+        def one_key_at_a_time(lp: pa.Table, rp: pa.Table) -> pa.Table:
+            keys = np.unique(np.concatenate([lp[key].to_numpy(),
+                                             rp[key].to_numpy()]))
+            return pa.concat_tables(
+                [per_block(lp.filter(pa.array(lp[key].to_numpy() == k)),
+                           rp.filter(pa.array(rp[key].to_numpy() == k)))
+                 for k in keys], promote_options="default")
+        return real(left, right, key, key_type, tag_left, tag_right,
+                    one_key_at_a_time, lschema, rschema)
+    return cogroup
+
+
+def _per_key_bucket_shuffle(real):
+    def bucket_shuffle(ds, key, per_bucket, num_buckets=64, prepare=None,
+                       batch_format="pandas"):
+        def one_key_at_a_time(part):
+            df = part if isinstance(part, pd.DataFrame) else part.to_pandas()
+            outs = [per_bucket(g if isinstance(part, pd.DataFrame)
+                               else pa.Table.from_pandas(
+                                   g, schema=part.schema,
+                                   preserve_index=False))
+                    for _, g in df.groupby(key, dropna=False, sort=False)]
+            if all(isinstance(o, pd.DataFrame) for o in outs):
+                return pd.concat(outs, ignore_index=True)
+            return pa.concat_tables(
+                [o if isinstance(o, pa.Table)
+                 else pa.Table.from_pandas(o, preserve_index=False)
+                 for o in outs], promote_options="permissive")
+        return real(ds, key, one_key_at_a_time, num_buckets, prepare,
+                    batch_format)
+    return bucket_shuffle
+
+
+def _row_multiset(out) -> dict:
+    import collections
+    t = out if isinstance(out, pa.Table) else (
+        pa.Table.from_pandas(out, preserve_index=False)
+        if isinstance(out, pd.DataFrame) else relational.ds_to_table(out))
+    t = t.select(sorted(t.column_names))
+    return collections.Counter(map(repr, t.to_pylist()))
+
+
+def _same_rows_per_block_and_per_key(run, monkeypatch):
+    """``run()``'s rows with several keys per kernel call, and with one
+    key per call; asserts they are equal and non-empty."""
+    from prclz_ray.stages import joins
+
+    per_block = _row_multiset(run())
+    with monkeypatch.context() as m:
+        m.setattr(relational, "cogroup",
+                  _per_key_cogroup(relational.cogroup))
+        m.setattr(joins, "cogroup", _per_key_cogroup(joins.cogroup))
+        m.setattr(relational, "bucket_shuffle",
+                  _per_key_bucket_shuffle(relational.bucket_shuffle))
+        per_key = _row_multiset(run())
+    assert sum(per_key.values()) > 0
+    assert per_block == per_key
+
+
+def _keyed(kind: str, n: int, seed: int, nulls: bool = True) -> pa.Array:
+    """``n`` keys of ``kind`` over 8 values (a few null when ``nulls``)."""
+    v = np.random.default_rng(seed).integers(0, 8, n)
+    mask = (v == 7) if nulls else None
+    if kind == "int":
+        return pa.array(v.astype(np.int64), mask=mask)
+    if kind == "float":
+        return pa.array(v * 0.5, mask=mask)
+    return pa.array([f"k{x}" for x in v], mask=mask)
+
+
+_KINDS = ["int", "float", "str"]
+
+
+def _one_block(**cols) -> "rd.Dataset":
+    return rd.from_arrow(pa.table(cols))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_bucket_shuffle_several_keys_per_call(kind, monkeypatch):
+    n = 300
+    rng = np.random.default_rng(5)
+    base = np.datetime64("2024-03-01T00:00:00", "us")
+    tbl = pa.table({
+        "k": _keyed(kind, n, 1),
+        "ts": pa.array(base + rng.integers(0, 86_400_000_000, n)
+                       .astype("timedelta64[us]")),
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "v": pa.array(rng.integers(0, 5, n).astype(np.int64))})
+
+    def events():
+        return rd.from_arrow(tbl)
+
+    for run in (
+            lambda: relational.sessionize(events(), "k", "ts",
+                                          gap_sec=3600, num_buckets=4),
+            lambda: relational.grouped_ranks(events(), "k", "ts", "id",
+                                             num_buckets=4),
+            lambda: relational.running_aggregate(events(), "k", "ts", "id",
+                                                 "v", num_buckets=4),
+            lambda: relational.grouped_mode(events(), "k", "v",
+                                            num_buckets=4)):
+        _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_bucketed_hash_join_several_keys_per_call(kind, how, monkeypatch):
+    def run():
+        return relational.bucketed_hash_join(
+            _one_block(k=_keyed(kind, 200, 2),
+                       lid=pa.array(np.arange(200, dtype=np.int64))),
+            _one_block(k=_keyed(kind, 40, 3),
+                       rid=pa.array(np.arange(40, dtype=np.int64))),
+            on="k", num_buckets=4, how=how)
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("anti", [False, True])
+def test_bucketed_semi_join_several_keys_per_call(kind, anti, monkeypatch):
+    def run():
+        return relational.bucketed_semi_join(
+            _one_block(k=_keyed(kind, 200, 2),
+                       lid=pa.array(np.arange(200, dtype=np.int64))),
+            _one_block(k=_keyed(kind, 6, 4)), on="k", anti=anti,
+            num_buckets=4)
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_salted_join_several_keys_per_call(kind, how, monkeypatch):
+    """A hot key's right rows replicate into every salt sub-bucket, and
+    one block holds them all: each left row still meets one replica."""
+    keys = _keyed(kind, 200, 2)
+    hot = keys.drop_null()[0].as_py()
+
+    def run():
+        return relational.salted_join(
+            _one_block(k=keys, lid=pa.array(np.arange(200, dtype=np.int64))),
+            _one_block(k=_keyed(kind, 40, 3),
+                       rid=pa.array(np.arange(40, dtype=np.int64))),
+            on="k", hot_keys=[hot], num_buckets=4, salt=4, how=how)
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_asof_join_several_keys_per_call(kind, monkeypatch):
+    rng = np.random.default_rng(6)
+    lt, rt = rng.integers(0, 1000, 150), rng.integers(0, 1000, 60)
+
+    def run():
+        return relational.asof_join(
+            _one_block(k=_keyed(kind, 150, 2, nulls=False), t=pa.array(lt),
+                       lid=pa.array(np.arange(150, dtype=np.int64))),
+            _one_block(k=_keyed(kind, 60, 3, nulls=False), t=pa.array(rt),
+                       rid=pa.array(np.arange(60, dtype=np.int64))),
+            on="t", by="k", num_buckets=4, right_order_cols=["rid"])
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_band_join_several_keys_per_call(kind, monkeypatch):
+    """Every right row replicates to three neighbouring buckets, and one
+    block holds all three: each pair must still come out once."""
+    rng = np.random.default_rng(7)
+    lv, rv = (rng.integers(0, 60, n) * (1 if kind == "int" else 0.5)
+              for n in (80, 50))
+
+    def run():
+        return relational.band_join(
+            _one_block(v=pa.array(lv),
+                       lid=pa.array(np.arange(80, dtype=np.int64))),
+            _one_block(v=pa.array(rv),
+                       rid=pa.array(np.arange(50, dtype=np.int64))),
+            on="v", radius=4)
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+
+
+def _square(x0: float, y0: float, w: float) -> bytes:
+    from prclz_ray.geom import wkb
+    return wkb.polygon(np.array([(x0, y0), (x0 + w, y0), (x0 + w, y0 + w),
+                                 (x0, y0 + w), (x0, y0)]))
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_pip_join_tiled_several_cells_per_call(how, monkeypatch):
+    """A polygon covering many S2 cells replicates into each, and one
+    block holds every replica: a point inside it must still match it
+    once per polygon row (a duplicated row matches twice)."""
+    from prclz_ray.stages import joins
+
+    rng = np.random.default_rng(8)
+    ids = ["big", "a", "b", "c", "a"]            # "a" is a duplicate row
+    geoms = [_square(0.01, 0.01, 0.05), _square(0.07, 0.02, 0.01),
+             _square(0.02, 0.07, 0.015), _square(0.04, 0.04, 0.03),
+             _square(0.07, 0.02, 0.01)]
+    polys = pa.table({"pid": ids, "geometry": pa.array(geoms,
+                                                       type=pa.binary())})
+    n = 400
+    pts = pa.table({"pt": np.arange(n, dtype=np.int64),
+                    "lng": rng.uniform(0.0, 0.1, n),
+                    "lat": rng.uniform(0.0, 0.1, n)})
+
+    def run():
+        return joins.pip_join_tiled(rd.from_arrow(pts), rd.from_arrow(polys),
+                                    id_col="pid", level=12, how=how)
+    _same_rows_per_block_and_per_key(run, monkeypatch)
+    if how == "inner":
+        # and the rows are the broadcast join's
+        tiled = _row_multiset(relational.ds_to_table(run()).drop_columns(
+            ["cell"]))
+        assert tiled == _row_multiset(joins.pip_join(
+            rd.from_arrow(pts), polys, id_col="pid", how="inner"))
