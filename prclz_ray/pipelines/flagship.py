@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 from ..geom import wkb
 from ..index import s2, tiling
-from ..stages import util
+from ..stages import relational, util
 from ..stages.extract_text import extract_text_bytes
 from ..stages.util import worker_cached
 
@@ -76,29 +76,18 @@ def dedup_latest_by_url(ds, num_buckets: int = 64):
     narrow post-extraction table.
 
     Scale note: sorting on raw ``url`` would shuffle strings; instead
-    urls hash into ``num_buckets`` coarse buckets (all rows of a url land
-    in one bucket), one ``sort("_bucket")`` puts every row of a bucket in
-    one block, and each shuffled block dedups vectorized (stable sort +
-    drop_duplicates) in one call, whatever number of buckets it holds.
-    At cluster scale raise ``num_buckets`` ≈ total cores so the shuffle
-    stays balanced."""
-    import pandas as pd
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(t["url"].to_numpy(zero_copy_only=False))
-        return t.append_column(
-            "_bucket", pa.array((h % num_buckets).astype(np.int32)))
-
+    ``relational.bucket_shuffle`` hashes urls into ``num_buckets`` coarse
+    buckets (all rows of a url land in one bucket, and every row of a
+    bucket in one block), and each shuffled block dedups vectorized
+    (stable sort + drop_duplicates) in one call, whatever number of
+    buckets it holds.  The exchange has min(num_buckets, max(2, CPUs))
+    reducers, each merging about 1/R of the rows into one block."""
     def dedup_bucket(df):
         df = df.sort_values(["url", "warc_ts"], ascending=[True, False],
                             kind="stable")
-        return df.drop_duplicates("url", keep="first").drop(
-            columns=["_bucket"])
+        return df.drop_duplicates("url", keep="first")
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed.sort("_bucket").map_batches(
-        dedup_bucket, batch_format="pandas", batch_size=None)
+    return relational.bucket_shuffle(ds, "url", dedup_bucket, num_buckets)
 
 
 _HASH_KEY_1 = "0123456789abcdef"
@@ -127,9 +116,10 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
     key is a COARSE bucket (all rows of a url share a bucket, and the
     sort puts every row of a bucket in one block); per shuffled block one
     vectorized pandas groupby finds dup urls, their max warc_ts and
-    whether that max is tied. The dup map (dup_rate × n rows) is
-    broadcast via ray.put; at cluster scale raise num_buckets ≈ total
-    cores.
+    whether that max is tied. The bucket sort (``relational.sort_buckets``)
+    has R = min(num_buckets, max(2, CPUs)) reducers, each merging about
+    1/R of the hashed rows into one block. The dup map (dup_rate × n
+    rows) is broadcast via ray.put.
 
     ``util.BROADCAST_LIMIT_BYTES`` guards the DRIVER-side dict: the grouped
     dup table is counted distributed (object-store materialize, spillable)
@@ -166,10 +156,10 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
         out = g.merge(nm.reset_index(), on=["_h1", "_h2"])
         return out[["_h1", "_h2", "max_ts", "n_at_max"]]
 
-    grouped = pages_ds.select_columns(["url", "warc_ts"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .sort("_bucket").map_batches(combine, batch_format="pandas",
-                                     batch_size=None)
+    hashed = pages_ds.select_columns(["url", "warc_ts"]) \
+        .map_batches(partial, batch_format="pyarrow")
+    grouped = relational.sort_buckets(hashed, "_bucket", num_buckets) \
+        .map_batches(combine, batch_format="pandas", batch_size=None)
     grouped = grouped.materialize()   # dup-key-sized, spillable
     # ~200 B per python dict entry (tuple key of two u64 + int value)
     if grouped.count() * 200 > util.BROADCAST_LIMIT_BYTES:
@@ -221,7 +211,10 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     """Single-execution flagship: ONE fused read→parse→tile→PIP operator
     emitting only narrow columns (url-hash pair, warc_ts, cell, gadm_code),
     then url dedup + counting per block of a url-bucket sort over that
-    narrow stream.
+    narrow stream.  The sort (``relational.sort_buckets``) has R =
+    min(num_buckets, max(2, CPUs)) reducers over known bucket ranges, each
+    merging about 1/R of the narrow rows into one block: the fan-out
+    follows the cluster, not the html read's block count.
 
     Dedup AFTER the join is exact for latest-wins semantics: every row
     carries its own join result, so keeping the max-warc_ts row per url
@@ -274,10 +267,11 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
 
     # cross-block combine: the sort puts every row of a url bucket in one
     # block, and each block emits ≤ |regions| rows, so the driver sums
-    # ≤ min(num_buckets, blocks) × |regions| rows — bounded by
-    # construction, NOT by input size: O(regions) at any corpus scale
-    parts = narrow.sort("_bucket").map_batches(
-        dedup_count, batch_format="pandas", batch_size=None).to_pandas()
+    # ≤ R × |regions| rows — bounded by construction, NOT by input size:
+    # O(regions) at any corpus scale
+    parts = relational.sort_buckets(narrow, "_bucket", num_buckets) \
+        .map_batches(dedup_count, batch_format="pandas",
+                     batch_size=None).to_pandas()
     out = parts.groupby("gadm_code", dropna=False, as_index=False)[
         "n_pages"].sum()
     out["gadm_code"] = out["gadm_code"].astype(object)

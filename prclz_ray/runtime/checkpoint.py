@@ -234,8 +234,12 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     also those whose rows an input filter (``filter_uncommitted``) removed
     before they reached the write.
 
-    The groupby is the one shuffle; each group writes + commits itself on
-    the worker, so a kill between groups loses only in-flight partitions.
+    ``relational.bucket_shuffle`` on ``key_col`` is the one shuffle: R =
+    min(64, max(2, CPUs)) reducers over known bucket ranges, each merging
+    about 1/R of the rows into one block.  The kernel walks the whole keys
+    of its block, and each key writes + commits itself on the worker
+    (null keys are one partition, ``"None"``), so a kill between keys
+    loses only in-flight partitions.
 
     With ``count_col`` the result also holds ``"counts"``: the rows per
     distinct ``count_col`` value over every group, written or skipped, as
@@ -253,6 +257,8 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     """
     import pandas as pd
     import ray
+
+    from ..stages.relational import bucket_shuffle
 
     os.makedirs(out_dir, exist_ok=True)
     check_fingerprint(out_dir, fingerprint)
@@ -275,7 +281,26 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
                                                      vc.field("counts"))
         return pa.table(out)
 
-    res = ds.groupby(key_col).map_groups(write_group, batch_format="pyarrow").to_pandas()
+    def write_block(block: pa.Table) -> pa.Table:
+        # sorted on the key, a block's keys are runs; value_counts lists
+        # them (null as one value) in that order
+        block = block.take(pc.sort_indices(
+            block, [(key_col, "ascending")], null_placement="at_end"))
+        ends = np.cumsum(pc.value_counts(block[key_col])
+                         .field("counts").to_numpy())
+        if len(ends):
+            return pa.concat_tables(
+                [write_group(block.slice(lo, hi - lo))
+                 for lo, hi in zip(np.r_[0, ends[:-1]], ends)])
+        out = {"key": pa.string(), "rows": pa.int64(),
+               "skipped": pa.bool_()}
+        if count_col is not None:
+            out["values"] = pa.list_(block.schema.field(count_col).type)
+            out["counts"] = pa.list_(pa.int64())
+        return pa.schema(out).empty_table()
+
+    res = bucket_shuffle(ds, key_col, write_block,
+                         batch_format="pyarrow").to_pandas()
     ran = not res.empty  # empty input: no group ran
     summary = {"written": int((~res.skipped).sum()) if ran else 0,
                "skipped": len(done),

@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray.data.block import BlockAccessor
 
 from . import util
 from .util import worker_cached
@@ -92,7 +93,8 @@ def filter_rows(t: pa.Table, mask: np.ndarray) -> pa.Table:
 
 
 def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
-            tag_right, per_block, lschema, rschema):
+            tag_right, per_block, lschema, rschema,
+            num_buckets: int | None = None):
     """Co-partition two Datasets on a tag key and run
     ``per_block(lpart, rpart) -> pa.Table`` once per shuffled block: the
     one shape behind every two-sided shuffle join (hash buckets, salted
@@ -107,10 +109,17 @@ def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
     flag; the union schema comes from the two given schemas, so planning
     probes nothing.
 
-    One ``sort(key)`` shuffle follows, and ``per_block`` runs once per
+    One sort shuffle on ``key`` follows, and ``per_block`` runs once per
     sorted block (``map_batches(batch_size=None)``), not once per key:
     the sort range-partitions on ``key`` and each reducer merges its
     input into one block, so a block holds one or more WHOLE keys.  A
+    ``key`` that is a bounded hash bucket in ``[0, num_buckets)`` (the
+    hash, semi and as-of joins pass their bucket count, the salted join
+    ``num_buckets * salt``) shuffles through ``sort_buckets``: R =
+    min(num_buckets, max(2, CPUs)) reducers over known bucket ranges,
+    each merging about 1/R of the tagged input into one block.  With
+    ``num_buckets=None`` (S2 cells, band buckets: unbounded keys) Ray
+    samples the ranges, one reducer per input block.  A
     block splits back into two Arrow parts holding their own side's
     columns plus ``key``, cast back to that side's schema: the null
     padding can round trip through a pandas block in the shuffle, which
@@ -160,8 +169,10 @@ def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
     l = left.map_batches(tagged(tag_left, 0, lschema), batch_format="pyarrow")
     r = right.map_batches(tagged(tag_right, 1, rschema),
                           batch_format="pyarrow")
-    return l.union(r).sort(key).map_batches(split, batch_format="pyarrow",
-                                            batch_size=None)
+    both = l.union(r)
+    both = both.sort(key) if num_buckets is None \
+        else sort_buckets(both, key, num_buckets)
+    return both.map_batches(split, batch_format="pyarrow", batch_size=None)
 
 
 def stable_bucket(col, num_buckets: int) -> np.ndarray:
@@ -191,6 +202,57 @@ def stable_bucket(col, num_buckets: int) -> np.ndarray:
     return (h % num_buckets).astype(np.int32)
 
 
+def _cluster_cpus() -> int:
+    """The cluster's CPU count, from Ray's resource metadata.  Unlike
+    ``ray.put``, ``ray.cluster_resources`` does not start Ray on first
+    use, so this does, as the Dataset's execution would."""
+    if not ray.is_initialized():
+        ray.init()
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def sort_buckets(ds, col: str, num_buckets: int):
+    """``ds.sort(col)`` for a bounded hash-bucket column (values in
+    ``[0, num_buckets)``): the one exchange of every hash-bucket shuffle.
+
+    Ray's sort samples its ranges and takes one reducer per INPUT block,
+    although a ``num_buckets`` key fills at most ``num_buckets`` of them,
+    and each reducer with its kernel task costs a fixed ~37 ms (one CPU,
+    a 1,010-row flagship input).  Here the ranges are known: explicit
+    ``boundaries`` split ``[0, num_buckets)`` into R = min(num_buckets,
+    max(2, CPUs)) equal bucket ranges, so the fan-out follows the
+    cluster, not the input's block count, and there is no sampling pass.
+    Each reducer merges about 1/R of the (uniformly hashed) input into
+    one block, so a bigger input needs more CPUs, not more buckets.
+    There are always at least 2 reducers: a one-bucket key gets
+    ``boundaries=[num_buckets]`` (Ray samples when given an empty list),
+    whose second range is empty."""
+    r = min(num_buckets, max(2, _cluster_cpus()))
+    bounds = [num_buckets * i // r for i in range(1, r)] if r >= 2 \
+        else [num_buckets]
+    return ds.sort(col, boundaries=bounds)
+
+
+def _restore_types(out, schema: pa.Schema) -> pa.Table:
+    """A kernel's output as Arrow, each column named like an input column
+    at the input's type where a pandas block changed it: an int column
+    holding nulls comes back as float (integral values, so the cast is
+    lossless), and an all-null one as null, float or object.  Otherwise a
+    key's type would depend on whether its block held a null."""
+    if isinstance(out, pd.DataFrame):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    want = dict(zip(schema.names, schema.types))
+    for i, (c, typ) in enumerate(zip(out.schema.names, out.schema.types)):
+        w = want.get(c, typ)
+        if typ == w:
+            continue
+        if out[c].null_count == out.num_rows:
+            out = out.set_column(i, c, pa.nulls(out.num_rows, w))
+        elif pa.types.is_floating(typ) and pa.types.is_integer(w):
+            out = out.set_column(i, c, out[c].cast(w))
+    return out
+
+
 def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
                    prepare=None, batch_format: str = "pandas"):
     """Hash-partition ``ds`` on ``key`` into ``num_buckets`` coarse buckets
@@ -204,10 +266,16 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
     first (column pruning with ``select``, a filter, a per-batch partial
     aggregate; it may return a pandas DataFrame), then
     ``stable_bucket(key)`` is appended as ``_bucket``.  One
-    ``sort("_bucket")`` follows, and ``per_bucket`` runs once per sorted
-    block (``map_batches(batch_size=None)``; the sort puts every row of a
-    bucket in one block), with the block in ``batch_format`` and the
-    bucket column dropped; its name stays the Ray operator's name."""
+    ``sort_buckets`` exchange follows: R = min(num_buckets, max(2, CPUs))
+    reducers over known bucket ranges, each merging about 1/R of the
+    tagged input into one block (the memory bound: grow the cluster, not
+    ``num_buckets``, for a bigger input).  ``per_bucket`` runs once per
+    sorted block (``map_batches(batch_size=None)``; every row of a bucket
+    is in one block), with the block in ``batch_format`` and the bucket
+    column dropped; its name stays the Ray operator's name.  Its output
+    comes back as Arrow, each input-named column at its input type
+    (``_restore_types``), so a column's type does not depend on the
+    block."""
     def tag(batch: pa.Table) -> pa.Table:
         t = batch if prepare is None else prepare(batch)
         if isinstance(t, pd.DataFrame):
@@ -218,13 +286,15 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
             "_bucket", pa.array(stable_bucket(t[key], num_buckets)))
 
     @functools.wraps(per_bucket)
-    def run(part):
-        if isinstance(part, pd.DataFrame):
-            return per_bucket(part.drop(columns=["_bucket"]))
-        return per_bucket(part.drop_columns(["_bucket"]))
+    def run(part: pa.Table) -> pa.Table:
+        part = part.drop_columns(["_bucket"])
+        out = per_bucket(BlockAccessor.for_block(part).to_pandas()
+                         if batch_format == "pandas" else part)
+        return _restore_types(out, part.schema)
 
-    return ds.map_batches(tag, batch_format="pyarrow").sort("_bucket") \
-        .map_batches(run, batch_format=batch_format, batch_size=None)
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    return sort_buckets(tagged, "_bucket", num_buckets).map_batches(
+        run, batch_format="pyarrow", batch_size=None)
 
 
 def broadcast_join(big_ds, small, on: str, how: str = "inner",
@@ -332,7 +402,8 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
         return out if out.schema == out_sch else out.cast(out_sch)
 
     return cogroup(big_ds, keys_only, "_bucket", pa.int32(), tag, tag, probe,
-                   *_unify_keys(big_sch, keys_sch, [on]))
+                   *_unify_keys(big_sch, keys_sch, [on]),
+                   num_buckets=num_buckets)
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
@@ -357,14 +428,14 @@ def _unify_keys(lsch, rsch, keys: list[str]):
 
 
 def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
-                 combine=None):
+                 num_buckets: int, combine=None):
     """The per-block Arrow (Acero) hash join under ``cogroup`` that
     ``bucketed_hash_join`` and ``salted_join`` share, over key types
     unified across the sides.  It joins on ``(on, _bucket)``: a block
     holds several buckets, and a salted hot right row replicates into
     every sub-bucket, so a left row pairs only with the replica tagged
-    with its own bucket.  Null keys never match (SQL semantics, unlike a
-    pandas merge, which pairs NaN keys)."""
+    with its own bucket, in ``[0, num_buckets)``.  Null keys never match
+    (SQL semantics, unlike a pandas merge, which pairs NaN keys)."""
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
     lsch, rsch = _unify_keys(lsch, rsch, [on])
@@ -378,7 +449,8 @@ def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
         return merged if combine is None else combine(merged)
 
     return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag_left,
-                   tag_right, join_bucket, lsch, rsch)
+                   tag_right, join_bucket, lsch, rsch,
+                   num_buckets=num_buckets)
 
 
 def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
@@ -402,7 +474,8 @@ def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
         return batch.append_column(
             "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
 
-    return _bucket_join(left_ds, right_ds, on, how, tag, tag, combine)
+    return _bucket_join(left_ds, right_ds, on, how, tag, tag, num_buckets,
+                        combine)
 
 
 def set_op(left_ds, right_ds, on: str, op: str = "intersect"):
@@ -500,7 +573,21 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
                                     preserve_index=False).cast(out_schema)
 
     return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag, tag,
-                   join_bucket, *_unify_keys(lsch, rsch, [on, by]))
+                   join_bucket, *_unify_keys(lsch, rsch, [on, by]),
+                   num_buckets=num_buckets)
+
+
+def _band_buckets(batch: pa.Table, on: str,
+                  radius: int | float) -> tuple[pa.Table, np.ndarray]:
+    """``band_join``'s bucket ``floor(on / radius)`` of each row of
+    ``batch``, with the rows it keeps: a null (or NaN) ``on`` is within no
+    radius of anything, so its row leaves here, before it could pair with
+    another null."""
+    v = batch[on].to_numpy(zero_copy_only=False).astype(np.float64)
+    keep = np.isfinite(v) & pc.is_valid(batch[on]).to_numpy(
+        zero_copy_only=False)
+    return filter_rows(batch, keep), \
+        np.floor(v[keep] / radius).astype(np.int64)
 
 
 def band_join(left_ds, right_ds, on: str, radius: int | float,
@@ -517,7 +604,7 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     enumerate via searchsorted + a ragged arange — no O(n²) scan; a block
     holds several buckets, and with them up to all three replicas of a
     right row, so a pair is kept only where the right replica's bucket
-    is the left row's.  Skew
+    is the left row's.  A null ``on`` matches nothing.  Skew
     guard: a hot value range can be sharded further upstream by salting
     `on` buckets; output is a stream, never a driver list.
     """
@@ -527,15 +614,12 @@ def band_join(left_ds, right_ds, on: str, radius: int | float,
     out_rcols = [c if c not in lsch.names else c + suffix
                  for c in rsch.names]
 
-    def bucket(batch: pa.Table) -> np.ndarray:
-        v = batch[on].to_numpy(zero_copy_only=False).astype(np.float64)
-        return np.floor(v / radius).astype(np.int64)
-
     def tag_left(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_bucket", pa.array(bucket(batch)))
+        batch, b = _band_buckets(batch, on, radius)
+        return batch.append_column("_bucket", pa.array(b))
 
     def tag_right(batch: pa.Table) -> pa.Table:
-        b = bucket(batch)
+        batch, b = _band_buckets(batch, on, radius)
         rep = batch.take(pa.array(np.repeat(np.arange(batch.num_rows), 3)))
         return rep.append_column("_bucket", pa.array(
             (b[:, None] + np.array([-1, 0, 1])).reshape(-1)))
@@ -572,8 +656,9 @@ def windowed_aggregate(events_ds, key_col: str, ts_col: str, value_col: str,
     bucket).  The shuffle moves batch-level partials, and the per-group
     machinery runs per BUCKET, not per (key, window) pair — Ray's
     full-sort aggregate over millions of fine-grained groups is ~2× slower
-    (measured 3.0 s vs 1.4 s at sf0.1/32 cpus).  At cluster scale raise
-    ``num_buckets`` ≈ total cores."""
+    (measured 3.0 s vs 1.4 s at sf0.1/32 cpus).  The exchange is
+    ``bucket_shuffle``'s: min(num_buckets, max(2, CPUs)) reducers, each
+    merging about 1/R of the partials."""
     def partial(batch: pa.Table) -> pa.Table:
         arr = batch[ts_col]
         fac = _TS_UNIT_FACTOR[arr.type.unit] * window_sec
@@ -891,15 +976,19 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
     that both assigns sessions and aggregates them (a user's rows are
     fully contained in its bucket, so no second exchange).  Equal
     timestamps within a user are order-independent (gap 0 either way), so
-    results are deterministic under any shuffle order.  At cluster scale
-    raise ``num_buckets`` ≈ total cores; salt only if one user dominates
-    a bucket (that user's rows still fit the sort)."""
+    results are deterministic under any shuffle order.  A null user is
+    one user.  The exchange is ``bucket_shuffle``'s: min(num_buckets,
+    max(2, CPUs)) reducers, each merging about 1/R of the events; salt
+    only if one user dominates a bucket (that user's rows still fit the
+    sort)."""
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([user_col, ts_col])
         u = df[user_col].to_numpy()
+        # codes, not values: a null user is one user (NaN != NaN)
+        code = pd.factorize(df[user_col], use_na_sentinel=False)[0]
         ts = df[ts_col].to_numpy()
         ts_i = ts.astype("datetime64[us]").astype(np.int64)
-        same_user = np.r_[False, u[1:] == u[:-1]]
+        same_user = np.r_[False, code[1:] == code[:-1]]
         gap = np.r_[0, np.diff(ts_i)]
         new_sess = (~same_user) | (gap > gap_sec * 1_000_000)
         g = np.cumsum(new_sess)  # global session id within bucket
@@ -909,12 +998,12 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
         n_events = ends - starts + 1
         sess_user = u[starts]
         # per-user ordinal: sessions of a user are contiguous in `starts`
-        first_of_user = np.r_[True, sess_user[1:] != sess_user[:-1]]
+        first_of_user = np.r_[True, code[starts][1:] != code[starts][:-1]]
         user_start = np.maximum.accumulate(
             np.where(first_of_user, np.arange(len(starts)), 0))
         session_idx = np.arange(len(starts)) - user_start + 1
         return pa.table({
-            user_col: pa.array(sess_user),
+            user_col: pa.array(sess_user, from_pandas=True),
             "session_idx": pa.array(session_idx.astype(np.int64)),
             "n_events": pa.array(n_events.astype(np.int64)),
             "start_ts": pa.array(ts_i[starts].astype("datetime64[us]")),
@@ -1013,13 +1102,14 @@ def running_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
     does a vectorized sort + per-key C cumsum (pandas groupby cumsum), no
     per-row Python.  (ts, order_col) is a total order when ``order_col``
     is unique, so the result is deterministic under any shuffle order.
+    A null key is one partition, as in SQL.
     Exactness: pass an INTEGER value column (e.g. cents) when the oracle
     must hash-match — integer running sums are accumulation-order-proof,
     float ones are only reproducible, not portable across engines.
     """
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         df = df.assign(
             running_n=g.cumcount().to_numpy() + 1,
             running_sum=g[value_col].cumsum().to_numpy(),
@@ -1181,10 +1271,11 @@ def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str,
     engines — no rounding step needed.
 
     Scale shape: identical to ``running_aggregate`` — ONE coarse-bucket
-    shuffle, per-bucket vectorized sort + C groupby rank kernels."""
+    shuffle, per-bucket vectorized sort + C groupby rank kernels.  A null
+    key is one partition, as in SQL."""
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, order_col, id_col])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         rank = g[order_col].rank(method="min").to_numpy(dtype=np.int64)
         rmax = g[order_col].rank(method="max").to_numpy(dtype=np.int64)
         dense = g[order_col].rank(method="dense").to_numpy(dtype=np.int64)
@@ -1478,7 +1569,8 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
         return batch.take(pa.array(idx)).append_column(
             "_bucket", pa.array(b.astype(np.int32)))
 
-    return _bucket_join(left_ds, right_ds, on, how, tag_left, tag_right)
+    return _bucket_join(left_ds, right_ds, on, how, tag_left, tag_right,
+                        num_buckets * salt)
 
 
 def funnel_conversion(events_ds, user_col: str, ts_col: str,
@@ -2061,30 +2153,27 @@ def mixture_sample(ds, key_col: str, strata_col: str, weights: dict,
 def grouped_mode(ds, key_col: str, val_col: str, num_buckets: int = 64):
     """Most frequent value per key (ties → smallest value) — the MODE()
     aggregate.  Per-batch arrow (key, val) count partials shrink the
-    exchange → one (key, val) groupby-sum → one coarse key-bucket
-    shuffle picks each key's argmax vectorized.  Emits (key, mode_value,
-    n_mode)."""
-    from ray.data.aggregate import Sum
-
+    exchange → one coarse key-bucket shuffle, whose kernel sums the
+    partials of its keys and picks each key's argmax vectorized (a key's
+    partials all land in its bucket).  A null key is one group, as in SQL.
+    Emits (key, mode_value, n_mode)."""
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.select([key_col, val_col]) \
             .group_by([key_col, val_col]).aggregate([([], "count_all")])
         return pa.table({key_col: g[key_col], val_col: g[val_col],
                          "pn": g["count_all"].cast(pa.int64())})
 
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby([key_col, val_col]).aggregate(Sum("pn", alias_name="n"))
-
     def pick(group: pd.DataFrame) -> pa.Table:
-        g = group.sort_values([key_col, "n", val_col],
-                              ascending=[True, False, True],
-                              kind="mergesort") \
-            .groupby(key_col, sort=False).head(1)
-        out = g.rename(columns={val_col: "mode_value", "n": "n_mode"})
+        n = group.groupby([key_col, val_col], sort=False, dropna=False)[
+            "pn"].sum().rename("n_mode").reset_index()
+        g = n.sort_values([key_col, "n_mode", val_col],
+                          ascending=[True, False, True], kind="mergesort") \
+            .groupby(key_col, sort=False, dropna=False).head(1)
         return pa.Table.from_pandas(
-            out[[key_col, "mode_value", "n_mode"]], preserve_index=False)
+            g.rename(columns={val_col: "mode_value"})[
+                [key_col, "mode_value", "n_mode"]], preserve_index=False)
 
-    return bucket_shuffle(counts, key_col, pick, num_buckets)
+    return bucket_shuffle(ds, key_col, pick, num_buckets, prepare=partial)
 
 
 def hash_split(ds, key_col: str, splits: dict, seed: int = 1):

@@ -116,11 +116,10 @@ def test_two_sided_shuffle_joins_go_through_cogroup():
 # ``length_bucket_batches`` and ``checkpoint.write_clustered``, hash no key
 # and are not matched)
 BUCKET_SHUFFLE_EXCEPTIONS = {
-    # sort on a bucket of the url hash (pandas' hash_array, or _h1 of the
-    # (_h1, _h2) pair) and dedup once per sorted block; perfbench's
+    # sort on a bucket of _h1 of the (_h1, _h2) url-hash pair (through
+    # ``sort_buckets``) and dedup once per sorted block; perfbench's
     # per-layer trace wraps duplicate_url_map by module attribute and
     # matches these operators by name (MapBatches(fused), (partial))
-    ("pipelines/flagship.py", "dedup_latest_by_url"),
     ("pipelines/flagship.py", "duplicate_url_map"),
     ("pipelines/flagship.py", "flagship_region_counts_streaming"),
     # second shuffle on a pair bucket hashed from two columns (a, b)
@@ -134,11 +133,13 @@ BUCKET_SHUFFLE_EXCEPTIONS = {
 
 
 def _hash_bucket_shuffles(tree):
-    """``(owner, column)`` for every top-level definition that builds a
-    column from a key hash (``stable_bucket``, ``hash_array``,
+    """``(owner, column, how)`` for every top-level definition that builds
+    a column from a key hash (``stable_bucket``, ``hash_array``,
     ``hash_pandas_object`` or a ``%``, directly or through a local name)
-    and runs ``groupby(<that column>).map_groups`` or shuffles on it with
-    ``sort(<that column>)``."""
+    and runs ``groupby(<that column>).map_groups`` (``how`` is
+    ``"map_groups"``) or shuffles on it with ``sort(<that column>)``
+    (``"sort"``) or ``relational.sort_buckets(ds, <that column>, n)``
+    (``"sort_buckets"``)."""
     hashes = {"stable_bucket", "hash_array", "hash_pandas_object"}
 
     def hashed(expr, names):
@@ -162,10 +163,10 @@ def _hash_bucket_shuffles(tree):
             if isinstance(node, ast.Assign) and hashed(node.value, names):
                 names |= {t.id for t in node.targets
                           if isinstance(t, ast.Name)}
-        made, grouped = set(), set()
+        made, grouped = set(), {}
         for node in nodes:
             if isinstance(node, ast.Call):
-                fn = getattr(node.func, "attr", "")
+                fn = getattr(node.func, "attr", getattr(node.func, "id", ""))
                 if fn == "append_column" and len(node.args) == 2 \
                         and isinstance(node.args[0], ast.Constant) \
                         and hashed(node.args[1], names):
@@ -177,10 +178,13 @@ def _hash_bucket_shuffles(tree):
                         and node.func.value.args
                         and isinstance(node.func.value.args[0],
                                        ast.Constant)):
-                    grouped.add(node.func.value.args[0].value)
+                    grouped[node.func.value.args[0].value] = "map_groups"
                 if (fn == "sort" and node.args
                         and isinstance(node.args[0], ast.Constant)):
-                    grouped.add(node.args[0].value)
+                    grouped[node.args[0].value] = "sort"
+                if (fn == "sort_buckets" and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)):
+                    grouped[node.args[1].value] = "sort_buckets"
             elif isinstance(node, ast.Dict):
                 made |= {k.value for k, v in zip(node.keys, node.values)
                          if isinstance(k, ast.Constant)
@@ -190,7 +194,7 @@ def _hash_bucket_shuffles(tree):
                          if isinstance(t, ast.Subscript)
                          and isinstance(t.slice, ast.Constant)
                          and hashed(node.value, names)}
-        out += [(top.name, c) for c in sorted(made & grouped)]
+        out += [(top.name, c, grouped[c]) for c in sorted(made & set(grouped))]
     return out
 
 
@@ -204,7 +208,8 @@ def test_one_sided_keyed_shuffles_go_through_bucket_shuffle():
     hits, used = [], set()
     for path in sorted(PKG.rglob("*.py")):
         rel = path.relative_to(PKG).as_posix()
-        for owner, col in _hash_bucket_shuffles(ast.parse(path.read_text())):
+        for owner, col, _ in _hash_bucket_shuffles(
+                ast.parse(path.read_text())):
             if owner == "bucket_shuffle":
                 continue
             if (rel, owner) in BUCKET_SHUFFLE_EXCEPTIONS:
@@ -216,21 +221,42 @@ def test_one_sided_keyed_shuffles_go_through_bucket_shuffle():
         BUCKET_SHUFFLE_EXCEPTIONS - used
 
 
+def test_no_sampled_sort_on_a_hash_bucket():
+    """A hashed bucket column is bounded, so its exchange knows its ranges:
+    no definition sorts one with a plain ``sort(<column>)`` (Ray's sampled
+    sort, one reducer per input block); ``relational.sort_buckets`` is the
+    only sort of a hash bucket.  The listed exceptions are no exception
+    here."""
+    hits = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        hits += [(rel, owner, col) for owner, col, how
+                 in _hash_bucket_shuffles(ast.parse(path.read_text()))
+                 if how == "sort"]
+    assert not hits, hits
+
+
 def test_shuffle_helpers_call_their_kernel_once_per_block():
-    """``cogroup``, ``bucket_shuffle`` and the flagship sort on their key
-    and call the kernel once per sorted block
+    """``cogroup``, ``bucket_shuffle``, the flagship and the resumable
+    write sort on their key and call the kernel once per sorted block
     (``map_batches(batch_size=None)``): none of them runs Ray's per-group
     loop, ``map_groups``, which calls the kernel once per distinct key."""
     def map_groups_calls(node):
         return [n.lineno for n in ast.walk(node)
                 if isinstance(n, ast.Attribute) and n.attr == "map_groups"]
 
-    rel = ast.parse((PKG / "stages" / "relational.py").read_text())
-    tops = {t.name: t for t in rel.body if isinstance(t, ast.FunctionDef)}
-    hits = {name: map_groups_calls(tops[name])
+    def tops(rel):
+        tree = ast.parse((PKG / rel).read_text())
+        return {t.name: t for t in tree.body
+                if isinstance(t, ast.FunctionDef)}
+
+    rel = tops("stages/relational.py")
+    hits = {name: map_groups_calls(rel[name])
             for name in ("cogroup", "bucket_shuffle")}
     hits["pipelines/flagship.py"] = map_groups_calls(
         ast.parse((PKG / "pipelines" / "flagship.py").read_text()))
+    hits["write_partitioned_resumable"] = map_groups_calls(
+        tops("runtime/checkpoint.py")["write_partitioned_resumable"])
     assert not any(hits.values()), hits
 
 

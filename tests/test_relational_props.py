@@ -1766,7 +1766,7 @@ def test_budget_zero_and_default_give_same_rows(name, monkeypatch):
 
 def _per_key_cogroup(real):
     def cogroup(left, right, key, key_type, tag_left, tag_right, per_block,
-                lschema, rschema):
+                lschema, rschema, num_buckets=None):
         def one_key_at_a_time(lp: pa.Table, rp: pa.Table) -> pa.Table:
             keys = np.unique(np.concatenate([lp[key].to_numpy(),
                                              rp[key].to_numpy()]))
@@ -1775,7 +1775,7 @@ def _per_key_cogroup(real):
                            rp.filter(pa.array(rp[key].to_numpy() == k)))
                  for k in keys], promote_options="default")
         return real(left, right, key, key_type, tag_left, tag_right,
-                    one_key_at_a_time, lschema, rschema)
+                    one_key_at_a_time, lschema, rschema, num_buckets)
     return cogroup
 
 
@@ -1791,10 +1791,18 @@ def _per_key_bucket_shuffle(real):
                     for _, g in df.groupby(key, dropna=False, sort=False)]
             if all(isinstance(o, pd.DataFrame) for o in outs):
                 return pd.concat(outs, ignore_index=True)
-            return pa.concat_tables(
-                [o if isinstance(o, pa.Table)
-                 else pa.Table.from_pandas(o, preserve_index=False)
-                 for o in outs], promote_options="permissive")
+            outs = [o if isinstance(o, pa.Table)
+                    else pa.Table.from_pandas(o, preserve_index=False)
+                    for o in outs]
+            # the null key's own output holds its key column all null,
+            # typed as pandas saw it (float); give it the others' type
+            typed = {f.name: f.type for o in outs for f in o.schema
+                     if o[f.name].null_count < o.num_rows}
+            outs = [o.cast(pa.schema([
+                pa.field(f.name, typed.get(f.name, f.type))
+                if o[f.name].null_count == o.num_rows else f
+                for f in o.schema])) for o in outs]
+            return pa.concat_tables(outs, promote_options="permissive")
         return real(ds, key, one_key_at_a_time, num_buckets, prepare,
                     batch_format)
     return bucket_shuffle
