@@ -234,10 +234,11 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     also those whose rows an input filter (``filter_uncommitted``) removed
     before they reached the write.
 
-    ``relational.bucket_shuffle`` on ``key_col`` is the one shuffle: R =
-    min(64, max(2, CPUs)) reducers over known bucket ranges, each merging
-    about 1/R of the rows into one block.  The kernel walks the whole keys
-    of its block, and each key writes + commits itself on the worker
+    One sort on ``key_col`` is the one shuffle.  Its ranges are sampled
+    (the key is not a bounded hash), so it has one reducer per input
+    block and each reducer merges about one input block's rows, whatever
+    the cluster's size.  The kernel runs once per sorted block and walks
+    its whole keys, and each key writes + commits itself on the worker
     (null keys are one partition, ``"None"``), so a kill between keys
     loses only in-flight partitions.
 
@@ -257,8 +258,6 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
     """
     import pandas as pd
     import ray
-
-    from ..stages.relational import bucket_shuffle
 
     os.makedirs(out_dir, exist_ok=True)
     check_fingerprint(out_dir, fingerprint)
@@ -281,11 +280,19 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
                                                      vc.field("counts"))
         return pa.table(out)
 
+    def sort_cols(t: pa.Table) -> pa.Table:
+        # Ray's sampled sort compares a null with a string and raises, so
+        # it sorts on (is null, key with "" for null): each key is one run
+        k = t[key_col]
+        nulls = pc.is_null(k)
+        if pa.types.is_string(k.type) or pa.types.is_large_string(k.type):
+            k = pc.fill_null(k, "")
+        return t.append_column("_wnull", nulls).append_column("_wkey", k)
+
     def write_block(block: pa.Table) -> pa.Table:
         # sorted on the key, a block's keys are runs; value_counts lists
         # them (null as one value) in that order
-        block = block.take(pc.sort_indices(
-            block, [(key_col, "ascending")], null_placement="at_end"))
+        block = block.drop_columns(["_wnull", "_wkey"])
         ends = np.cumsum(pc.value_counts(block[key_col])
                          .field("counts").to_numpy())
         if len(ends):
@@ -299,8 +306,10 @@ def write_partitioned_resumable(ds, out_dir: str, key_col: str,
             out["counts"] = pa.list_(pa.int64())
         return pa.schema(out).empty_table()
 
-    res = bucket_shuffle(ds, key_col, write_block,
-                         batch_format="pyarrow").to_pandas()
+    res = ds.map_batches(sort_cols, batch_format="pyarrow") \
+        .sort(["_wnull", "_wkey"]) \
+        .map_batches(write_block, batch_format="pyarrow",
+                     batch_size=None).to_pandas()
     ran = not res.empty  # empty input: no group ran
     summary = {"written": int((~res.skipped).sum()) if ran else 0,
                "skipped": len(done),

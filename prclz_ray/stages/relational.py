@@ -224,13 +224,11 @@ def sort_buckets(ds, col: str, num_buckets: int):
     cluster, not the input's block count, and there is no sampling pass.
     Each reducer merges about 1/R of the (uniformly hashed) input into
     one block, so a bigger input needs more CPUs, not more buckets.
-    There are always at least 2 reducers: a one-bucket key gets
-    ``boundaries=[num_buckets]`` (Ray samples when given an empty list),
-    whose second range is empty."""
-    r = min(num_buckets, max(2, _cluster_cpus()))
-    bounds = [num_buckets * i // r for i in range(1, r)] if r >= 2 \
-        else [num_buckets]
-    return ds.sort(col, boundaries=bounds)
+    There are always at least 2 reducers (Ray samples when given an
+    empty list): a one-bucket key's first range is empty."""
+    r = max(2, min(num_buckets, _cluster_cpus()))
+    return ds.sort(col, boundaries=[num_buckets * i // r
+                                    for i in range(1, r)])
 
 
 def _restore_types(out, schema: pa.Schema) -> pa.Table:
@@ -269,7 +267,9 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
     ``sort_buckets`` exchange follows: R = min(num_buckets, max(2, CPUs))
     reducers over known bucket ranges, each merging about 1/R of the
     tagged input into one block (the memory bound: grow the cluster, not
-    ``num_buckets``, for a bigger input).  ``per_bucket`` runs once per
+    ``num_buckets``, for a bigger input; over wide rows far larger than
+    CPUs x block size a reducer holds many input blocks, so ``prepare``
+    should narrow them).  ``per_bucket`` runs once per
     sorted block (``map_batches(batch_size=None)``; every row of a bucket
     is in one block), with the block in ``batch_format`` and the bucket
     column dropped; its name stays the Ray operator's name.  Its output
@@ -1538,7 +1538,12 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
 
     The left row's sub-bucket is its position hash — any assignment
     works, the replicated right side meets it everywhere; output is
-    independent of the assignment."""
+    independent of the assignment.  A non-hot key's bucket is its hash
+    in ``[0, num_buckets * salt)``; a hot key's ``salt`` sub-buckets sit
+    ``num_buckets`` apart, ``base + j * num_buckets``, so the equal
+    bucket ranges of ``sort_buckets`` part them over min(salt, R)
+    reducers (adjacent sub-buckets would share one reducer whenever
+    R <= num_buckets)."""
     if how not in ("inner", "left"):
         # replicated hot right rows would duplicate unmatched right
         # output under right/full outer — route those to the plain join
@@ -1547,25 +1552,29 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
             "use bucketed_hash_join for right/full outer")
     hot = pa.array(sorted(set(hot_keys)))
 
-    def hot_base(batch: pa.Table):
-        base = stable_bucket(batch[on], num_buckets).astype(np.int64)
+    def hot_bucket(batch: pa.Table):
+        # h % (num_buckets * salt) ≡ h % num_buckets: its remainder is the
+        # key's base bucket
+        b = stable_bucket(batch[on], num_buckets * salt).astype(np.int64)
         ishot = pc.is_in(batch[on], value_set=hot).to_numpy(
             zero_copy_only=False)
-        return base, ishot
+        return b, ishot
 
     def tag_left(batch: pa.Table) -> pa.Table:
-        base, ishot = hot_base(batch)
+        b, ishot = hot_bucket(batch)
         # per-row deterministic spread for hot keys (row content hash)
         spread = pd.util.hash_array(
             np.arange(batch.num_rows, dtype=np.int64)) % salt
-        b = base * salt + np.where(ishot, spread.astype(np.int64), 0)
+        b = np.where(ishot, b % num_buckets
+                     + spread.astype(np.int64) * num_buckets, b)
         return batch.append_column("_bucket", pa.array(b.astype(np.int32)))
 
     def tag_right(batch: pa.Table) -> pa.Table:
-        base, ishot = hot_base(batch)
+        b, ishot = hot_bucket(batch)
         reps = np.where(ishot, salt, 1).astype(np.int64)
         idx = np.repeat(np.arange(batch.num_rows), reps)
-        b = base[idx] * salt + _ragged_arange(reps)
+        b = np.where(ishot[idx], b[idx] % num_buckets
+                     + _ragged_arange(reps) * num_buckets, b[idx])
         return batch.take(pa.array(idx)).append_column(
             "_bucket", pa.array(b.astype(np.int32)))
 

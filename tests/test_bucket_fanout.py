@@ -3,7 +3,8 @@ input's block count: ``relational.sort_buckets`` splits a bucket space of
 ``n`` into R = min(n, max(2, CPUs)) known ranges.  Every routed helper
 must give the same rows and schema at either end of that range (R = 2 and
 R = n, forced through the CPU read) over 1 and 4 input blocks, and none
-may run Ray's boundary-sampling pass."""
+may run Ray's boundary-sampling pass.  The resumable write, keyed on a raw
+key, keeps a sampled sort and is checked over 1 and 4 blocks as well."""
 import collections
 import os
 import warnings
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -151,7 +153,11 @@ def _write(tmp_path, kind: str, blocks: int, tag: str) -> tuple:
 @pytest.mark.parametrize("kind", KINDS)
 def test_resumable_write_same_at_either_fanout(kind, tmp_path, monkeypatch):
     """One commit per key (null keys are one partition, ``"None"``), and
-    the same summary, histogram and committed rows at either fan-out."""
+    the same summary, histogram and committed rows over 1 and 4 input
+    blocks.  The write's sort samples its ranges on the raw key (one
+    reducer per input block), so the forced CPU count must not matter
+    either; a string key holding nulls in several blocks is the case
+    Ray's sampled sort cannot compare."""
     got = []
     for cpus in (1, 1_000):
         _cpus(monkeypatch, cpus)
@@ -170,17 +176,18 @@ def test_resumable_write_same_at_either_fanout(kind, tmp_path, monkeypatch):
         assert r == rows
 
 
-def test_resumable_write_of_empty_reducer_keeps_schema(tmp_path, monkeypatch):
-    """Two keys in 64 reducers leave most reducer blocks empty; the
-    histogram's list columns still concatenate."""
-    _cpus(monkeypatch, 1_000)
-    ds = rd.from_arrow(pa.table({"k": ["a", "b", "a"],
-                                 "cell": pa.array([1, 2, 2], pa.uint64())}))
+def test_resumable_write_of_empty_reducer_keeps_schema(tmp_path):
+    """Two keys over 4 input blocks, so 4 sampled ranges, leave some
+    reducer blocks empty; the histogram's list columns still
+    concatenate."""
+    t = pa.table({"k": ["a", "b", "a", "a"],
+                  "cell": pa.array([1, 2, 2, 2], pa.uint64())})
+    ds = rd.from_arrow([t.slice(i, 1) for i in range(4)])
     res = checkpoint.write_partitioned_resumable(
         ds, str(tmp_path / "out"), "k", "", count_col="cell")
     hist = res.pop("counts")
-    assert res == {"written": 2, "skipped": 0, "rows": 3}
-    assert dict(zip(hist["cell"], hist["count()"])) == {1: 1, 2: 2}
+    assert res == {"written": 2, "skipped": 0, "rows": 4}
+    assert dict(zip(hist["cell"], hist["count()"])) == {1: 1, 2: 3}
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +209,7 @@ def test_flagship_counts_same_at_either_fanout(pages, monkeypatch):
     assert all(g == got[0] for g in got[1:])
 
 
-def test_routed_helpers_run_no_sampling_pass(pages, tmp_path, monkeypatch):
+def test_routed_helpers_run_no_sampling_pass(pages, monkeypatch):
     """Every exchange keyed by a bounded hash bucket passes its ranges:
     with Ray's boundary sampling made to raise, each still runs, while a
     sampled sort (a band join's unbounded key) does not."""
@@ -215,7 +222,6 @@ def test_routed_helpers_run_no_sampling_pass(pages, tmp_path, monkeypatch):
     monkeypatch.setattr(SortTaskSpec, "sample_boundaries", boom)
     left, right = _left_right("int")
     l, r = rd.from_arrow(left), rd.from_arrow(right)
-    keys = pa.table({"k": left["k"], "cell": left["lid"]})
     runs = [
         lambda: relational.grouped_mode(rd.from_arrow(_events("int")),
                                         "k", "v"),
@@ -232,8 +238,6 @@ def test_routed_helpers_run_no_sampling_pass(pages, tmp_path, monkeypatch):
         if not isinstance(out, pd.DataFrame):
             out.materialize()
     flagship.duplicate_url_map(rd.from_arrow(pages))
-    checkpoint.write_partitioned_resumable(
-        rd.from_arrow(keys), str(tmp_path / "w"), "k", "", count_col="cell")
     with pytest.raises(Exception, match="sampled the sort boundaries"):
         relational.band_join(l, r, on="t", radius=5).materialize()
 
@@ -262,8 +266,35 @@ def test_sort_buckets_fanout(monkeypatch):
                         lambda self, col, boundaries=None: seen.append(
                             (col, boundaries)))
     for cpus, n, want in ((1, 64, [32]), (4, 64, [16, 32, 48]),
-                          (1_000, 4, [1, 2, 3]), (1, 1, [1]),
+                          (1_000, 4, [1, 2, 3]), (1, 1, [0]),
                           (3, 2, [1])):
         _cpus(monkeypatch, cpus)
         relational.sort_buckets(rd.range(1), "_bucket", n)
         assert seen.pop() == ("_bucket", want), (cpus, n)
+
+
+@pytest.mark.parametrize("cpus", [2, 16])
+def test_salted_hot_key_spreads_over_reducers(cpus, monkeypatch):
+    """A hot key's sub-buckets sit ``num_buckets`` apart, so the equal
+    bucket ranges part them: at fan-out 2 and at the bucket count
+    (4 x 4) its rows reach min(salt, R) kernel calls, not one."""
+    _cpus(monkeypatch, cpus)
+    real = relational.cogroup
+
+    def tagged_calls(*a, **kw):
+        per_block = a[6]
+
+        def call(lp: pa.Table, rp: pa.Table) -> pa.Table:
+            out = per_block(lp, rp)
+            return out.append_column(
+                "_call", pa.array([os.urandom(8).hex()] * out.num_rows))
+        return real(*a[:6], call, *a[7:], **kw)
+
+    monkeypatch.setattr(relational, "cogroup", tagged_calls)
+    left, right = _left_right("int")
+    hot = _hot(left)
+    out = relational.ds_to_table(relational.salted_join(
+        _blocks(left, 4), _blocks(right, 4), on="k", hot_keys=[hot],
+        num_buckets=4, salt=4))
+    calls = set(out.filter(pc.equal(out["k"], hot))["_call"].to_pylist())
+    assert len(calls) == min(4, cpus)

@@ -620,6 +620,8 @@ def test_grouped_ntile_tile_sizes():
 
 
 def test_salted_join_equals_plain_join_and_spreads_hot_key():
+    # the hot key's spread over reducers at a forced fan-out is checked in
+    # tests/test_bucket_fanout.py::test_salted_hot_key_spreads_over_reducers
     import numpy as np
     import pandas as pd
     import ray.data as rd
