@@ -70,24 +70,25 @@ class PageParser:
         return out
 
 
-def dedup_latest_by_url(ds, num_buckets: int = 64):
+def dedup_latest_by_url(ds):
     """Exact url dedup, latest ``warc_ts`` wins (SURVEY §2.7 D6; the
     ``warc_ts`` tie-break rule of §2.10). Hash-partitioned shuffle on the
     narrow post-extraction table.
 
     Scale note: sorting on raw ``url`` would shuffle strings; instead
-    ``relational.bucket_shuffle`` hashes urls into ``num_buckets`` coarse
-    buckets (all rows of a url land in one bucket, and every row of a
-    bucket in one block), and each shuffled block dedups vectorized
-    (stable sort + drop_duplicates) in one call, whatever number of
-    buckets it holds.  The exchange has min(num_buckets, max(2, CPUs))
-    reducers, each merging about 1/R of the rows into one block."""
+    ``relational.bucket_shuffle`` hashes urls into
+    ``relational.NUM_BUCKETS`` coarse buckets (all rows of a url land in
+    one bucket, and every row of a bucket in one block), and each
+    shuffled block dedups vectorized (stable sort + drop_duplicates) in
+    one call, whatever number of buckets it holds.  The exchange has
+    min(NUM_BUCKETS, max(2, CPUs)) reducers, each merging about 1/R of
+    the rows into one block."""
     def dedup_bucket(df):
         df = df.sort_values(["url", "warc_ts"], ascending=[True, False],
                             kind="stable")
         return df.drop_duplicates("url", keep="first")
 
-    return relational.bucket_shuffle(ds, "url", dedup_bucket, num_buckets)
+    return relational.bucket_shuffle(ds, "url", dedup_bucket)
 
 
 _HASH_KEY_1 = "0123456789abcdef"
@@ -105,7 +106,7 @@ def _url_hash_cols(batch: pa.Table, url_col: str = "url") -> pa.Table:
     return out.append_column("_h2", pa.array(h2))
 
 
-def duplicate_url_map(pages_ds, num_buckets: int = 64):
+def duplicate_url_map(pages_ds):
     """Narrow pre-pass for dedup: over (url, warc_ts) ONLY — column-pruned
     at the parquet read — find urls appearing more than once and their max
     warc_ts. Returns (dup_map: dict[(h1, h2), max_ts], ties: bool).
@@ -113,13 +114,13 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
     Scale rationale: exact dedup needs one shuffle keyed by url, but it only
     ever needs the KEY columns — and not even the strings: urls become a
     128-bit hash pair, so the shuffle moves fixed-width ints. The sort
-    key is a COARSE bucket (all rows of a url share a bucket, and the
-    sort puts every row of a bucket in one block); per shuffled block one
-    vectorized pandas groupby finds dup urls, their max warc_ts and
-    whether that max is tied. The bucket sort (``relational.sort_buckets``)
-    has R = min(num_buckets, max(2, CPUs)) reducers, each merging about
-    1/R of the hashed rows into one block. The dup map (dup_rate × n
-    rows) is broadcast via ray.put.
+    key is a COARSE bucket, ``_h1 % relational.NUM_BUCKETS`` (all rows of
+    a url share a bucket, and the sort puts every row of a bucket in one
+    block); per shuffled block one vectorized pandas groupby finds dup
+    urls, their max warc_ts and whether that max is tied. The bucket sort
+    (``relational.sort_buckets``) has R = min(NUM_BUCKETS, max(2, CPUs))
+    reducers, each merging about 1/R of the hashed rows into one block.
+    The dup map (dup_rate × n rows) is broadcast via ray.put.
 
     ``util.BROADCAST_LIMIT_BYTES`` guards the DRIVER-side dict: the grouped
     dup table is counted distributed (object-store materialize, spillable)
@@ -129,6 +130,7 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
     tens-of-% duplication the dup map is billions of entries; without the
     guard the driver OOMs."""
     import pandas as pd
+    nb = relational.NUM_BUCKETS
 
     def partial(batch: pa.Table) -> pa.Table:
         t = _url_hash_cols(batch.select(["url", "warc_ts"]))
@@ -138,7 +140,7 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
         t = t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts",
                          t["warc_ts"].cast(pa.timestamp("us")).cast(pa.int64()))
         bucket = (t["_h1"].to_numpy(zero_copy_only=False) %
-                  np.uint64(num_buckets)).astype(np.int32)
+                  np.uint64(nb)).astype(np.int32)
         return t.append_column("_bucket", pa.array(bucket))
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
@@ -158,7 +160,7 @@ def duplicate_url_map(pages_ds, num_buckets: int = 64):
 
     hashed = pages_ds.select_columns(["url", "warc_ts"]) \
         .map_batches(partial, batch_format="pyarrow")
-    grouped = relational.sort_buckets(hashed, "_bucket", num_buckets) \
+    grouped = relational.sort_buckets(hashed, "_bucket", nb) \
         .map_batches(combine, batch_format="pandas", batch_size=None)
     grouped = grouped.materialize()   # dup-key-sized, spillable
     # ~200 B per python dict entry (tuple key of two u64 + int value)
@@ -206,15 +208,15 @@ def _filter_latest(batch: pa.Table, dmap: dict,
 
 
 def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
-                                     level: int = s2.DEFAULT_LEVEL,
-                                     num_buckets: int = 64):
+                                     level: int = s2.DEFAULT_LEVEL):
     """Single-execution flagship: ONE fused read→parse→tile→PIP operator
     emitting only narrow columns (url-hash pair, warc_ts, cell, gadm_code),
     then url dedup + counting per block of a url-bucket sort over that
-    narrow stream.  The sort (``relational.sort_buckets``) has R =
-    min(num_buckets, max(2, CPUs)) reducers over known bucket ranges, each
-    merging about 1/R of the narrow rows into one block: the fan-out
-    follows the cluster, not the html read's block count.
+    narrow stream, bucketed by ``_h1 % relational.NUM_BUCKETS``.  The
+    sort (``relational.sort_buckets``) has R = min(NUM_BUCKETS, max(2,
+    CPUs)) reducers over known bucket ranges, each merging about 1/R of
+    the narrow rows into one block: the fan-out follows the cluster, not
+    the html read's block count.
 
     Dedup AFTER the join is exact for latest-wins semantics: every row
     carries its own join result, so keeping the max-warc_ts row per url
@@ -228,6 +230,7 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     from ..stages.joins import PIPJoiner, _polygon_pack
 
     ref = ray.put(_polygon_pack(regions_tbl, "gadm_code"))
+    nb = relational.NUM_BUCKETS
 
     def fused(batch: pa.Table) -> pa.Table:
         out = worker_cached("page_parser", PageParser)(batch)
@@ -241,8 +244,7 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
         return pa.table({
             "_h1": out["_h1"], "_h2": out["_h2"], "_ts": ts,
             "cell": out["cell"], "gadm_code": out["gadm_code"],
-            "_bucket": pa.array((h1 % np.uint64(num_buckets))
-                                .astype(np.int32)),
+            "_bucket": pa.array((h1 % np.uint64(nb)).astype(np.int32)),
         })
 
     narrow = pages_ds.map_batches(fused, batch_format="pyarrow",
@@ -269,7 +271,7 @@ def flagship_region_counts_streaming(pages_ds, regions_tbl: pa.Table,
     # block, and each block emits ≤ |regions| rows, so the driver sums
     # ≤ R × |regions| rows — bounded by construction, NOT by input size:
     # O(regions) at any corpus scale
-    parts = relational.sort_buckets(narrow, "_bucket", num_buckets) \
+    parts = relational.sort_buckets(narrow, "_bucket", nb) \
         .map_batches(dedup_count, batch_format="pandas",
                      batch_size=None).to_pandas()
     out = parts.groupby("gadm_code", dropna=False, as_index=False)[

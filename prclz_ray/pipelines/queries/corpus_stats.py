@@ -113,7 +113,7 @@ def q_degree_histogram_links(sf_dir: str):
 
     degs = relational.bucket_shuffle(docs, "dst", deg_per_dst,
                                      prepare=edges)
-    return relational.bucket_shuffle(degs, "deg", hist, 16)
+    return relational.bucket_shuffle(degs, "deg", hist)
 
 
 def q_within_doc_line_dedup(sf_dir: str):
@@ -177,7 +177,8 @@ def q_graph_reciprocity(sf_dir: str):
     edges (u→v) whose reverse (v→u) also exists — the standard
     social-vs-web graph diagnostic.  Each edge maps to its unordered
     pair key with a direction flag; distinct (pair, dir) partials
-    reduce through ONE pair-bucket shuffle where a vectorized groupby
+    reduce through ONE ``bucket_shuffle`` keyed on the pair's ``lo``
+    (both directions of a pair share it), where a vectorized groupby
     counts pairs carrying both directions.  Exact ints; the ratio is a
     single mirrored division."""
     docs = _read(sf_dir, "documents", ["doc_id"])
@@ -193,11 +194,8 @@ def q_graph_reciprocity(sf_dir: str):
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
         fwd = (src < dst).astype(np.int64)      # dir bit within the pair
-        g = pd.DataFrame({"lo": lo, "hi": hi, "fwd": fwd}) \
+        return pd.DataFrame({"lo": lo, "hi": hi, "fwd": fwd}) \
             .drop_duplicates()
-        g["_pb"] = ((g["lo"].to_numpy(np.int64) * 2654435761
-                     + g["hi"].to_numpy(np.int64)) % 64)
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     def per_bucket(df: pd.DataFrame) -> pa.Table:
         d = df.drop_duplicates(["lo", "hi", "fwd"])
@@ -208,10 +206,9 @@ def q_graph_reciprocity(sf_dir: str):
         return pa.table({"m": pa.array([m], type=pa.int64()),
                          "recip": pa.array([recip], type=pa.int64())})
 
-    agg = relational.ds_to_table(
-        docs.map_batches(edges, batch_format="pyarrow")
-        .groupby("_pb").map_groups(per_bucket, batch_format="pandas")
-    ).to_pandas()                   # ≤ 64 one-row bucket partials
+    agg = relational.ds_to_table(relational.bucket_shuffle(
+        docs, "lo", per_bucket, prepare=edges)
+    ).to_pandas()                   # one-row partial per shuffled block
     m = int(agg["m"].sum())
     recip = int(agg["recip"].sum())
     return pd.DataFrame({
@@ -3928,7 +3925,7 @@ def q_adamic_adar_links(sf_dir: str):
     import ray
 
     from ...stages.graph_ops import _normalize_undirected
-    from ...stages.relational import _pair_index, stable_bucket
+    from ...stages.relational import _pair_index
     edges, n = _synthetic_links(sf_dir)
     und = _normalize_undirected(edges, "src", "dst").materialize()
 
@@ -3976,9 +3973,6 @@ def q_adamic_adar_links(sf_dir: str):
         dp = _dv[np.searchsorted(_ids, piv[off[key_rep]])]
         g = pd.DataFrame({"a": a, "b": b, "dp": dp, "pn": 1}) \
             .groupby(["a", "b", "dp"], sort=False).sum().reset_index()
-        g["_pb"] = (stable_bucket(pa.array(g["a"]), 64)
-                    .astype(np.int64) * 31
-                    + stable_bucket(pa.array(g["b"]), 64)) % 64
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def merge(df: pd.DataFrame) -> pa.Table:
@@ -4006,10 +4000,10 @@ def q_adamic_adar_links(sf_dir: str):
         return out.sort_by([("aa", "descending"), ("a", "ascending"),
                             ("b", "ascending")]).slice(0, 25)
 
+    pairs = relational.bucket_shuffle(und, "pivot", explode,
+                                      prepare=pivot_leaves)
     pruned = relational.ds_to_table(
-        relational.bucket_shuffle(und, "pivot", explode,
-                                  prepare=pivot_leaves)
-        .groupby("_pb").map_groups(merge, batch_format="pandas")
+        relational.bucket_shuffle(pairs, "a", merge)
         .map_batches(drop_edges, batch_format="pyarrow"))
     top = pruned.sort_by([("aa", "descending"), ("a", "ascending"),
                           ("b", "ascending")]).slice(0, 25).to_pandas()
@@ -6729,8 +6723,8 @@ def q_quantile_normalize_lengths(sf_dir: str):
         g["rnk"] = g.groupby("source", sort=False).cumcount() + 1
         return g
 
-    ranked = relational.bucket_shuffle(docs, "source", rank_in_source,
-                                       16).materialize()
+    ranked = relational.bucket_shuffle(docs, "source",
+                                       rank_in_source).materialize()
     per_rank = relational.ds_to_table(
         ranked.map_batches(lambda t: pa.table({
             "rnk": t["rnk"],
@@ -7347,7 +7341,7 @@ def q_resource_allocation_links(sf_dir: str):
     non-edge-filter machinery as the CN and AA ops."""
     from ray.data.aggregate import Sum
     from ...stages.graph_ops import _normalize_undirected
-    from ...stages.relational import _pair_index, stable_bucket
+    from ...stages.relational import _pair_index
     edges, n = _synthetic_links(sf_dir)
     und = _normalize_undirected(edges, "src", "dst").materialize()
 
@@ -7400,9 +7394,6 @@ def q_resource_allocation_links(sf_dir: str):
         g = pd.DataFrame({"a": a, "b": b, "cn": 1,
                           "ra9": 1_000_000_000 // dp}) \
             .groupby(["a", "b"], sort=False).sum().reset_index()
-        g["_pb"] = (stable_bucket(pa.array(g["a"]), 64)
-                    .astype(np.int64) * 31
-                    + stable_bucket(pa.array(g["b"]), 64)) % 64
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def merge(df: pd.DataFrame) -> pa.Table:
@@ -7422,10 +7413,10 @@ def q_resource_allocation_links(sf_dir: str):
                             ("a", "ascending"),
                             ("b", "ascending")]).slice(0, 25)
 
+    pairs = relational.bucket_shuffle(und, "pivot", explode,
+                                      prepare=pivot_leaves)
     pruned = relational.ds_to_table(
-        relational.bucket_shuffle(und, "pivot", explode,
-                                  prepare=pivot_leaves)
-        .groupby("_pb").map_groups(merge, batch_format="pandas")
+        relational.bucket_shuffle(pairs, "a", merge)
         .map_batches(drop_edges, batch_format="pyarrow"))
     top = pruned.sort_by([("ra9", "descending"), ("a", "ascending"),
                           ("b", "ascending")]).slice(0, 25) \

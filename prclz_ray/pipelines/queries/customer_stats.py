@@ -4614,7 +4614,7 @@ def q_qn_scale_by_nation(sf_dir: str):
         return pd.DataFrame(out, columns=["nk", "n", "qn_raw"])
 
     agg = relational.ds_to_table(
-        relational.bucket_shuffle(cu, "c_nationkey", per_bucket, 32)
+        relational.bucket_shuffle(cu, "c_nationkey", per_bucket)
         .groupby("nk").aggregate(Max("n", alias_name="n"),
                                  Max("qn_raw", alias_name="qn_raw"))
     ).to_pandas().sort_values("nk").reset_index(drop=True)
@@ -4674,7 +4674,7 @@ def q_hodges_lehmann_acctbal(sf_dir: str):
         return pd.DataFrame(out, columns=["nk", "n", "hl2"])
 
     agg = relational.ds_to_table(
-        relational.bucket_shuffle(cu, "c_nationkey", per_bucket, 32)
+        relational.bucket_shuffle(cu, "c_nationkey", per_bucket)
         .groupby("nk").aggregate(Max("n", alias_name="n"),
                                  Max("hl2", alias_name="hl2"))
     ).to_pandas().sort_values("nk").reset_index(drop=True)
@@ -5510,7 +5510,7 @@ def q_atkinson_index_nation(sf_dir: str):
 
     agg = relational.ds_to_table(
         relational.bucketed_hash_join(rev, cust, on="o_custkey",
-                                      num_buckets=16, combine=combine)
+                                      combine=combine)
         .groupby("nat").aggregate(Sum("pn", alias_name="n"),
                                   Sum("sv", alias_name="sv"),
                                   Sum("sq", alias_name="sq"))

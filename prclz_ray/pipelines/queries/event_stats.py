@@ -2090,8 +2090,7 @@ def q_asof_forward_click_purchase(sf_dir: str):
 
     purchases = ev.filter(expr="event_type == 'purchase'") \
         .map_batches(prep_right, batch_format="pyarrow")
-    out = relational.asof_join(clicks, purchases, on="ts",
-                               by="user_id", num_buckets=16,
+    out = relational.asof_join(clicks, purchases, on="ts", by="user_id",
                                direction="forward")
     return out.select_columns(["event_id", "user_id",
                                "purchase_ts_us", "purchase_value"])
@@ -7723,7 +7722,7 @@ def q_littles_law_sessions(sf_dir: str):
         return g.reset_index(drop=True)
 
     sess = relational.ds_to_table(
-        relational.bucket_shuffle(ev, "u", sess_bucket, 32,
+        relational.bucket_shuffle(ev, "u", sess_bucket,
                                   prepare=user_seconds)
     ).to_pandas()
     n_s = len(sess)

@@ -135,7 +135,7 @@ def q_nation_order_totals(sf_dir: str):
                          "p_total": agg["o_totalprice_sum"]})
 
     joined = relational.bucketed_hash_join(orders, cust_keyed, on="o_custkey",
-                                           num_buckets=16, combine=partial)
+                                           combine=partial)
 
     from ray.data.aggregate import Sum
     out = joined.groupby("n_name").aggregate(
@@ -160,8 +160,7 @@ def q_bucketed_join_segment_totals(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
         .map_batches(lambda t: t.rename_columns(["o_custkey", "c_mktsegment"]),
                      batch_format="pyarrow")
-    joined = relational.bucketed_hash_join(orders, cust, on="o_custkey",
-                                           num_buckets=16)
+    joined = relational.bucketed_hash_join(orders, cust, on="o_custkey")
     from ray.data.aggregate import Count, Sum
     out = joined.groupby("c_mktsegment").aggregate(
         Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))
@@ -194,8 +193,7 @@ def q_bucketed_join_string_key(sf_dir: str):
         .map_batches(add_skey("o_custkey"), batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
         .map_batches(add_skey("c_custkey"), batch_format="pyarrow")
-    joined = relational.bucketed_hash_join(orders, cust, on="skey",
-                                           num_buckets=16)
+    joined = relational.bucketed_hash_join(orders, cust, on="skey")
     from ray.data.aggregate import Count, Sum
     out = joined.groupby("c_mktsegment").aggregate(
         Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))
@@ -321,8 +319,7 @@ def q_asof_last_purchase(sf_dir: str):
 
     purchases = ev.filter(expr="event_type == 'purchase'") \
         .map_batches(prep_right, batch_format="pyarrow")
-    out = relational.asof_join(clicks, purchases, on="ts", by="user_id",
-                               num_buckets=16)
+    out = relational.asof_join(clicks, purchases, on="ts", by="user_id")
     return out.select_columns(["event_id", "user_id", "purchase_ts_us",
                                "purchase_value"])
 

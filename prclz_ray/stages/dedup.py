@@ -49,8 +49,7 @@ def _stable_u64(texts) -> np.ndarray:
              for t in texts], dtype=np.uint64)
 
 
-def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id",
-                num_buckets: int = 64):
+def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id"):
     """Exact dedup: keep the row with the smallest ``key_col`` per distinct
     text (hash-partitioned; reference analogue D1/D6 SURVEY §2.7).
 
@@ -72,12 +71,11 @@ def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id",
         # arrow out: downstream ops on pandas blocks hit a slow path
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return bucket_shuffle(ds, "_h", first, num_buckets, prepare=add_hash)
+    return bucket_shuffle(ds, "_h", first, prepare=add_hash)
 
 
 def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
-                          sep: str = "\n\n", min_count: int = 2,
-                          num_buckets: int = 32):
+                          sep: str = "\n\n", min_count: int = 2):
     """CCNet-style paragraph-duplication profile: split each doc into
     paragraphs on ``sep``, find paragraphs repeated >= ``min_count`` times
     corpus-wide, and report per doc the paragraph count, the number of
@@ -118,12 +116,11 @@ def paragraph_dedup_stats(ds, key_col: str = "doc_id", text_col: str = "text",
 
     paras = ds.map_batches(explode, batch_format="pyarrow")
     return _dup_profile(paras, key_col, n_col="n_paras",
-                        dup_alias="n_dup_paras", min_count=min_count,
-                        num_buckets=num_buckets)
+                        dup_alias="n_dup_paras", min_count=min_count)
 
 
 def _dup_profile(rows, key_col: str, n_col: str, dup_alias: str,
-                 min_count: int, num_buckets: int):
+                 min_count: int):
     """Shared dup-profile tail over narrow (key, _h, n_col) rows: partial
     hash counts → tiny per-hash groupby → duplicate-hash set flags the
     rows (size-guarded ``ray.put`` broadcast + ``pc.is_in``, bucketed left
@@ -140,12 +137,10 @@ def _dup_profile(rows, key_col: str, n_col: str, dup_alias: str,
         .groupby("_h").aggregate(Sum("pcnt", alias_name="cnt"))
     dup_hashes = counts.filter(expr=f"cnt >= {int(min_count)}") \
         .materialize()  # distinct-dup-hash-sized: needed twice below
-    return _flag_profile(rows, dup_hashes, key_col, n_col, dup_alias,
-                         num_buckets)
+    return _flag_profile(rows, dup_hashes, key_col, n_col, dup_alias)
 
 
 def _flag_profile(rows, flag_keys, key_col: str, n_col: str, dup_alias: str,
-                  num_buckets: int,
                   frac_alias: str = "dup_frac"):
     """Flag-and-profile tail shared by the dup profiles and
     decontamination: ``flag_keys`` is a MATERIALIZED narrow Dataset whose
@@ -179,7 +174,7 @@ def _flag_profile(rows, flag_keys, key_col: str, n_col: str, dup_alias: str,
                                     "_dup": pa.array(
                                         np.ones(t.num_rows, dtype=np.int64))}),
                 batch_format="pyarrow"),
-            on="_h", num_buckets=num_buckets, how="left")
+            on="_h", how="left")
 
         def fill(batch: pa.Table) -> pa.Table:
             d = batch["_dup"].to_numpy(zero_copy_only=False)
@@ -244,8 +239,7 @@ def _ngram_hash_rows(ds, key_col: str, text_col: str, n: int):
 def domain_boilerplate_stats(ds, key_col: str = "doc_id",
                              domain_col: str = "source",
                              text_col: str = "text", sep: str = "\n\n",
-                             min_frac: float = 0.3, min_docs: int = 2,
-                             num_buckets: int = 32):
+                             min_frac: float = 0.3, min_docs: int = 2):
     """Domain-scoped boilerplate detection (the per-site complement of
     corpus-wide ``paragraph_dedup_stats``): a paragraph is boilerplate
     within a domain when it appears in >= ``min_docs`` docs AND in
@@ -314,8 +308,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
         joined = cnt.map_batches(attach, batch_format="pyarrow")
     else:
         from .relational import bucketed_hash_join
-        joined = bucketed_hash_join(cnt, totals, on=domain_col,
-                                    num_buckets=num_buckets, how="left")
+        joined = bucketed_hash_join(cnt, totals, on=domain_col, how="left")
 
     def flag(batch: pa.Table) -> pa.Table:
         nd = batch["nd"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -332,8 +325,7 @@ def domain_boilerplate_stats(ds, key_col: str = "doc_id",
 
 
 def decontaminate_ngrams(train_ds, bench_ds, key_col: str = "doc_id",
-                         text_col: str = "text", n: int = 5,
-                         num_buckets: int = 32):
+                         text_col: str = "text", n: int = 5):
     """Benchmark decontamination (the GPT-3 appendix-C / Dodge et al.
     C4-contamination procedure): flag every training document sharing at
     least one word ``n``-gram with the benchmark/eval corpus, reporting
@@ -369,14 +361,12 @@ def decontaminate_ngrams(train_ds, bench_ds, key_col: str = "doc_id",
     train_rows = _ngram_hash_rows(train_ds, key_col, text_col, n)
     return _flag_profile(train_rows, bench_hashes, key_col,
                          n_col="n_ngrams", dup_alias="n_contam",
-                         num_buckets=num_buckets,
                          frac_alias="contam_frac")
 
 
 def duplicate_span_stats(ds, key_col: str = "doc_id",
                          text_col: str = "text", k: int = 32,
-                         stride: int = 8, min_count: int = 2,
-                         num_buckets: int = 32):
+                         stride: int = 8, min_count: int = 2):
     """Exact substring-duplication profile (Lee et al. 2022,
     arXiv:2107.06499 'Deduplicating Training Data Makes Language Models
     Better'): slide a ``k``-char window at ``stride`` over every doc and
@@ -448,8 +438,7 @@ def duplicate_span_stats(ds, key_col: str = "doc_id",
 
     rows = ds.map_batches(explode, batch_format="pyarrow")
     return _dup_profile(rows, key_col, n_col="n_spans",
-                        dup_alias="n_dup_spans", min_count=min_count,
-                        num_buckets=num_buckets)
+                        dup_alias="n_dup_spans", min_count=min_count)
 
 
 # ------------------------------------------------------------------ minhash
@@ -557,7 +546,7 @@ def _dedupe_pairs(cand):
         return pa.Table.from_pandas(g.drop_duplicates(["a", "b"]),
                                     preserve_index=False)
 
-    return bucket_shuffle(cand, "a", drop, 16)
+    return bucket_shuffle(cand, "a", drop)
 
 
 def _dedupe_pairs_minbound(cand):
@@ -579,21 +568,23 @@ def _dedupe_pairs_minbound(cand):
         keep = agg.loc[agg["ub"] >= agg["need"], ["a", "b"]]
         return pa.Table.from_pandas(keep, preserve_index=False)
 
-    return bucket_shuffle(cand, "a", drop, 16, prepare=combine)
+    return bucket_shuffle(cand, "a", drop, prepare=combine)
 
 
 def _sharded_multi_groups(ds, group_cols: list, key_col: str, fn,
-                          empty_fn, num_shards: int = 64):
+                          empty_fn):
     """``groupby(group_cols).map_groups(fn)`` restricted to groups with
-    ≥ 2 distinct keys, at ONE python task per shard instead of one per
-    group: LSH banding makes most (band, bucket) groups singletons, and a
-    per-group task is pure scheduler overhead (measured 49k groups → 7 s
-    for 425k pair rows).  Groups hash into ``num_shards`` shards; inside a
-    shard the singleton prefilter is a vectorized ``transform('size')``
-    and ``fn`` runs only on the surviving multi-key groups."""
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[group_cols], index=False)
-        df["_shard"] = (h % num_shards).astype("int32")
+    ≥ 2 distinct keys, at ONE python call per shuffled block instead of
+    one per group: LSH banding makes most (band, bucket) groups
+    singletons, and a per-group task is pure scheduler overhead (measured
+    49k groups → 7 s for 425k pair rows).  ``prepare`` appends the hash
+    of ``group_cols`` as the ``bucket_shuffle`` key ``_g``, so a block
+    holds whole groups; inside it the singleton prefilter is a vectorized
+    ``transform('nunique')`` and ``fn`` runs only on the surviving
+    multi-key groups."""
+    def add_hash(batch: pa.Table) -> pd.DataFrame:
+        df = batch.to_pandas()
+        df["_g"] = pd.util.hash_pandas_object(df[group_cols], index=False)
         return df
 
     def shard(df: pd.DataFrame) -> pa.Table:
@@ -607,13 +598,12 @@ def _sharded_multi_groups(ds, group_cols: list, key_col: str, fn,
         return pa.concat_tables(outs, promote_options="default") if outs \
             else empty_fn()
 
-    return ds.map_batches(add_shard, batch_format="pandas") \
-        .groupby("_shard").map_groups(shard, batch_format="pandas")
+    return bucket_shuffle(ds, "_g", shard, prepare=add_hash)
 
 
 def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
                          jaccard_threshold=0.8, shingle_k=5,
-                         num_buckets=16, emit_score: bool = False):
+                         emit_score: bool = False):
     """Distributed candidate verification: NO whole-corpus driver map.
     Texts are first restricted to candidate docs (semi-join on the pairs'
     key set).  When that candidate-text table fits
@@ -731,10 +721,8 @@ def jaccard_verify_pairs(cands, texts_ds, key_col="doc_id", text_col="text",
         lambda t: t.rename_columns(["a", "_text_a"]), batch_format="pyarrow")
     texts_b = cand_texts.map_batches(
         lambda t: t.rename_columns(["b", "_text_b"]), batch_format="pyarrow")
-    joined = bucketed_hash_join(cands, texts_a, on="a",
-                                num_buckets=num_buckets)
-    joined = bucketed_hash_join(joined, texts_b, on="b",
-                                num_buckets=num_buckets)
+    joined = bucketed_hash_join(cands, texts_a, on="a")
+    joined = bucketed_hash_join(joined, texts_b, on="b")
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         keep, scores = [], []
@@ -1236,7 +1224,7 @@ def _doc_shingles(txt: str, shingle_k: int) -> np.ndarray:
 def prefix_filter_candidates(ds, key_col: str = "doc_id",
                              text_col: str = "text",
                              jaccard_threshold: float = 0.8,
-                             shingle_k: int = 5, num_shards: int = 64):
+                             shingle_k: int = 5):
     """AllPairs/PPJoin-style prefix filtering: recall-COMPLETE candidate
     pairs for an EXACT-Jaccard threshold self-join (no LSH false
     negatives).  A doc with m distinct shingles emits its first
@@ -1298,7 +1286,7 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
     # consumed twice (size probe, then broadcast-or-join) — without this
     # pin each consumer would re-run the corpus-wide shingle explode that
     # feeds it (ADVICE r3)
-    df2 = bucket_shuffle(rows3, "g", final_count, num_shards,
+    df2 = bucket_shuffle(rows3, "g", final_count,
                          prepare=partial_count).materialize()
 
     p_frac = jaccard_threshold
@@ -1349,15 +1337,14 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
         prefix_rows = rows3.map_batches(emit_prefix, batch_format="pyarrow")
     else:
         # join fallback: attach df per row, regroup by doc bucket
-        joined = bucketed_hash_join(rows3, df2, on="g",
-                                    num_buckets=num_shards, how="left")
+        joined = bucketed_hash_join(rows3, df2, on="g", how="left")
 
         def per_bucket(df: pd.DataFrame) -> pa.Table:
             df["df"] = df["df"].fillna(1).astype(np.int64)
             df["g"] = df["g"].astype(np.uint64)
             return select_prefix(df)
 
-        prefix_rows = bucket_shuffle(joined, key_col, per_bucket, num_shards)
+        prefix_rows = bucket_shuffle(joined, key_col, per_bucket)
 
     schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                         ("ub", pa.int64()), ("need", pa.int64())])
@@ -1411,7 +1398,7 @@ def prefix_filter_candidates(ds, key_col: str = "doc_id",
                          "need": pa.array(need[ok])})
 
     cands = _sharded_multi_groups(prefix_rows, ["g"], key_col, pairs_fn,
-                                  empty, num_shards=num_shards)
+                                  empty)
     return _dedupe_pairs_minbound(cands)
 
 

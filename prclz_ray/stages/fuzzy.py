@@ -9,8 +9,8 @@ and the verified pairs feed the existing connected-components kernel
 
 Scale design: blocking is the contract — candidate volume is governed by
 the user-supplied block length, never all-pairs.  Each (block) group is
-verified independently inside sharded group tasks (one Python task per
-shard, not per block, via ``_sharded_multi_groups``), so the shuffle
+verified independently inside one ``bucket_shuffle`` keyed on the block
+(one Python call per shuffled block, not per blocking key), so the shuffle
 moves only (block_key, id, name) rows and the DP runs on C-speed numpy
 arrays vectorized ACROSS candidate pairs.
 """
@@ -143,7 +143,7 @@ def _variant_rows(side: int, id_col: str, text_col: str):
 
 def blocked_fuzzy_pairs(left_ds, right_ds, id_col: str = "id",
                         text_col: str = "nm", max_dist: int = 1,
-                        block_len: int = 6, num_shards: int = 64):
+                        block_len: int = 6):
     """Blocked fuzzy join left x right -> Dataset(a, b, dist).
 
     ``a`` is the left id, ``b`` the right id (caller guarantees the id
@@ -242,7 +242,7 @@ def blocked_fuzzy_pairs(left_ds, right_ds, id_col: str = "id",
         mk(0, id_col, text_col), batch_format="pyarrow"
     ).union(right_ds.map_batches(
         mk(1, id_col, text_col), batch_format="pyarrow"))
-    return _dedupe_pairs(bucket_shuffle(rows, "block", shard_fn, num_shards))
+    return _dedupe_pairs(bucket_shuffle(rows, "block", shard_fn))
 
 
 def batch_damerau_levenshtein(a_list, b_list) -> np.ndarray:

@@ -31,8 +31,7 @@ from .relational import bucket_shuffle
 
 def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
              dst_col: str = "dst", iters: int = 3, damping: float = 0.85,
-             round_dp: int = 9, num_buckets: int = 32,
-             teleport_fn=None):
+             round_dp: int = 9, teleport_fn=None):
     """PageRank over an edge-list Dataset.  Returns a Dataset of
     (node_col, pagerank) after ``iters`` power-iteration rounds from the
     uniform vector.  Out-degrees are computed once and attached to the
@@ -62,8 +61,7 @@ def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
                                    teleport, teleport_fn)
 
     outdeg = edges_ds.groupby(src_col).aggregate(Count(alias_name="outdeg"))
-    edges_w = bucketed_hash_join(edges_ds, outdeg, on=src_col,
-                                 num_buckets=num_buckets).materialize()
+    edges_w = bucketed_hash_join(edges_ds, outdeg, on=src_col).materialize()
 
     r0 = np.round(1.0 / n, round_dp)
 
@@ -90,7 +88,7 @@ def pagerank(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
 
         joined = bucketed_hash_join(
             edges_w, ranks.map_batches(to_src, batch_format="pyarrow"),
-            on=src_col, num_buckets=num_buckets)
+            on=src_col)
 
         def contrib(batch: pa.Table) -> pa.Table:
             r = batch["r"].to_numpy(zero_copy_only=False)
@@ -322,8 +320,7 @@ def triangle_count(edges_ds, src_col: str = "src",
 
 
 def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
-         dst_col: str = "dst", iters: int = 2, round_dp: int = 9,
-         num_buckets: int = 32):
+         dst_col: str = "dst", iters: int = 2, round_dp: int = 9):
     """HITS hubs/authorities power iteration over an edge-list Dataset.
     Per round: a(v) = Σ_{u→v} h(u), max-normalized; h(u) = Σ_{u→v} a(v),
     max-normalized.  MAX normalization (not L1/L2) keeps the reference
@@ -372,8 +369,7 @@ def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
         keyed = scores.map_batches(
             lambda t: pa.table({from_col: t[node_col], "s": t["s"]}),
             batch_format="pyarrow")
-        j = bucketed_hash_join(edges_ds, keyed, on=from_col,
-                               num_buckets=num_buckets)
+        j = bucketed_hash_join(edges_ds, keyed, on=from_col)
         sums = j.map_batches(
             lambda t: pa.table({node_col: t[to_col], "c": t["s"]}),
             batch_format="pyarrow") \
@@ -399,7 +395,7 @@ def hits(edges_ds, nodes_ds, node_col: str = "v", src_col: str = "src",
         a.map_batches(lambda t: pa.table({node_col: t[node_col],
                                           "authority": t["s"]}),
                       batch_format="pyarrow"),
-        on=node_col, num_buckets=num_buckets)
+        on=node_col)
     return hj.map_batches(
         lambda t: t.select([node_col, "hub", "authority"]),
         batch_format="pyarrow")
@@ -460,7 +456,7 @@ def _hits_broadcast(edges_ds, nodes_ds, node_col, src_col, dst_col,
 
 def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
                       src_col: str = "src", dst_col: str = "dst",
-                      iters: int = 2, num_buckets: int = 32):
+                      iters: int = 2):
     """Synchronous community label propagation, fully DETERMINISTIC
     (unlike classic async LPA): labels start as node ids; each round
     every node adopts the most frequent label among its (undirected)
@@ -491,16 +487,14 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
 
     n = nodes_ds.count()
     if n * 16 <= util.BROADCAST_LIMIT_BYTES:
-        return _label_prop_broadcast(edges, nodes_ds, node_col, iters,
-                                     num_buckets)
+        return _label_prop_broadcast(edges, nodes_ds, node_col, iters)
 
     labels = nodes_ds.map_batches(
         lambda b: pa.table({"nbr": b[node_col], "lbl": b[node_col]}),
         batch_format="pyarrow").materialize()
 
     for _ in range(iters):
-        j = bucketed_hash_join(edges, labels, on="nbr",
-                               num_buckets=num_buckets)
+        j = bucketed_hash_join(edges, labels, on="nbr")
 
         def count_partial(t: pa.Table) -> pa.Table:
             g = t.select(["node", "lbl"]).group_by(["node", "lbl"]) \
@@ -521,7 +515,7 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
                 "nbr": pa.array(df["node"].to_numpy(dtype=np.int64)),
                 "lbl": pa.array(df["lbl"].to_numpy(dtype=np.int64))})
 
-        new = bucket_shuffle(j, "node", argmax, num_buckets,
+        new = bucket_shuffle(j, "node", argmax,
                              prepare=count_partial, batch_format="pyarrow")
         # isolated nodes keep their own label: left-anti union
         from .relational import bucketed_semi_join
@@ -535,8 +529,7 @@ def label_propagation(edges_ds, nodes_ds, node_col: str = "v",
         batch_format="pyarrow")
 
 
-def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
-                          num_buckets):
+def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters):
     import ray
     import ray.data as rd
 
@@ -576,7 +569,7 @@ def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
                 "l": pa.array(df["l"].to_numpy(dtype=np.int64))})
 
         top = ds_to_table(bucket_shuffle(
-            sym_edges, "i", argmax, num_buckets, prepare=partial,
+            sym_edges, "i", argmax, prepare=partial,
             batch_format="pyarrow"))
         new = lbl.copy()                 # isolated nodes keep their own
         new[top["i"].to_numpy(zero_copy_only=False)] = \
@@ -588,7 +581,7 @@ def _label_prop_broadcast(sym_edges, nodes_ds, node_col, iters,
 
 
 def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
-             dst_col: str = "dst", rounds: int = 3, num_buckets: int = 32,
+             dst_col: str = "dst", rounds: int = 3,
              approx_num_nodes: int | None = None):
     """Multi-source BFS hop distance over a directed edge-list Dataset:
     every node reachable from the seed set within ``rounds`` hops gets
@@ -633,7 +626,6 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
         j = bucketed_hash_join(
             edges.map_batches(to_key, batch_format="pyarrow"),
             frontier.select_columns(["_bk"]), on="_bk",
-            num_buckets=num_buckets,
             # bucket is on src, so this distinct is bucket-local — it
             # shrinks the next exchange, the dst-bucket pass finishes it
             combine=lambda t: pa.table(
@@ -644,10 +636,9 @@ def bfs_hops(edges_ds, seeds_ds, node_col: str = "v", src_col: str = "src",
 
         cand = bucket_shuffle(
             j, "_bk", lambda t: pa.table({"_bk": pc.unique(t["_bk"])}),
-            num_buckets, prepare=distinct_dst, batch_format="pyarrow")
+            prepare=distinct_dst, batch_format="pyarrow")
         new = bucketed_semi_join(cand, dist.select_columns(["_bk"]),
-                                 on="_bk", anti=True,
-                                 num_buckets=num_buckets) \
+                                 on="_bk", anti=True) \
             .map_batches(
                 lambda b, _r=r: pa.table(
                     {"_bk": b["_bk"],
@@ -709,7 +700,6 @@ def _bfs_broadcast(edges_ds, seeds_ds, node_col, src_col, dst_col, rounds):
 def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
                 src_col: str = "src", dst_col: str = "dst",
                 weight_col: str = "w", rounds: int = 3,
-                num_buckets: int = 32,
                 approx_num_nodes: int | None = None):
     """Bounded-hop single/multi-source shortest path (min-plus
     Bellman-Ford): after ``rounds`` relaxations every node reachable
@@ -762,7 +752,7 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
             break
         j = bucketed_hash_join(
             edges.map_batches(to_key, batch_format="pyarrow"),
-            changed, on="_bk", num_buckets=num_buckets, combine=relax)
+            changed, on="_bk", combine=relax)
 
         def cand_rows(b: pa.Table) -> pa.Table:
             return pa.table({
@@ -782,7 +772,7 @@ def sssp_rounds(edges_ds, seeds_ds, node_col: str = "v",
         u = bucket_shuffle(
             j.map_batches(cand_rows, batch_format="pyarrow")
             .union(dist.map_batches(old_rows, batch_format="pyarrow")),
-            "_bk", min_merge, num_buckets,
+            "_bk", min_merge,
             batch_format="pyarrow").materialize()
         dist = u.select_columns(["_bk", "d"]).materialize()
         changed = u.map_batches(
@@ -868,8 +858,7 @@ def _sssp_broadcast(edges_ds, seeds_ds, node_col, src_col, dst_col,
 
 
 def k_core(edges_ds, k: int = 2, rounds: int = 3,
-           src_col: str = "src", dst_col: str = "dst",
-           num_buckets: int = 32):
+           src_col: str = "src", dst_col: str = "dst"):
     """Bounded k-core peeling over an undirected graph given as a
     directed edge list (symmetrized + self-loop-dropped + deduped
     internally).  Each peel round recomputes every surviving node's
@@ -973,12 +962,12 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
             edges.map_batches(
                 lambda t: pa.table({"v": t["a"], "b": t["b"]}),
                 batch_format="pyarrow"),
-            surv_ds, on="v", num_buckets=num_buckets)
+            surv_ds, on="v")
         edges = bucketed_semi_join(
             e1.map_batches(
                 lambda t: pa.table({"a": t["v"], "v": t["b"]}),
                 batch_format="pyarrow"),
-            surv_ds, on="v", num_buckets=num_buckets) \
+            surv_ds, on="v") \
             .map_batches(lambda t: pa.table({"a": t["a"], "v": t["v"]}),
                          batch_format="pyarrow") \
             .map_batches(lambda t: pa.table({"a": t["a"], "b": t["v"]}),
@@ -987,8 +976,7 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
 
     # final degrees LEFT-joined onto the survivor set (deg 0 kept)
     from .relational import bucketed_hash_join
-    j = bucketed_hash_join(surv_ds, deg, on="v", how="left",
-                           num_buckets=num_buckets)
+    j = bucketed_hash_join(surv_ds, deg, on="v", how="left")
 
     def fin(t: pa.Table) -> pa.Table:
         d = t["deg"].fill_null(0) if "deg" in t.column_names \
@@ -998,8 +986,7 @@ def k_core(edges_ds, k: int = 2, rounds: int = 3,
     return j.map_batches(fin, batch_format="pyarrow")
 
 
-def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
-                     num_buckets: int = 32):
+def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst"):
     """Per-node triangle count + local clustering coefficient, built on
     the same degree-ordered orientation as ``triangle_count`` (wedges
     enumerated only at the (deg, id)-minimum vertex, O(m^1.5) total
@@ -1112,7 +1099,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
             "b": pa.array(vals[off[rep] + j])})
 
     wedges = bucket_shuffle(
-        oriented, "lo", explode, num_buckets,
+        oriented, "lo", explode,
         prepare=lambda t: t.group_by(["lo", "hi"]).aggregate([])) \
         .materialize()
 
@@ -1150,8 +1137,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
         return pa.table({"v": pa.array(uniq),
                          "pt": pa.array(cnt.astype(np.int64))})
 
-    tri = bucketed_hash_join(w, e, on="_pk", combine=comb,
-                             num_buckets=num_buckets)
+    tri = bucketed_hash_join(w, e, on="_pk", combine=comb)
     if tri.count() == 0:
         return zero_out()
     tri = tri.groupby("v").aggregate(Sum("pt", alias_name="tri"))
@@ -1185,8 +1171,7 @@ def local_clustering(edges_ds, src_col: str = "src", dst_col: str = "dst",
             "deg": pa.array(dd_), "cc_nano": pa.array(out)}))
 
     # LEFT-attach onto the full node set so tri-free nodes emit 0
-    j = bucketed_hash_join(deg, tri, on="v", how="left",
-                           num_buckets=num_buckets)
+    j = bucketed_hash_join(deg, tri, on="v", how="left")
 
     def fin(t: pa.Table) -> pa.Table:
         tr = t["tri"].fill_null(0).to_numpy(zero_copy_only=False) \
@@ -1560,7 +1545,7 @@ def _hb_estimates(regs: np.ndarray) -> np.ndarray:
 
 def hyperball_nf(edges_ds, nodes_ds, node_col: str = "v",
                  src_col: str = "src", dst_col: str = "dst",
-                 rounds: int = 4, num_buckets: int = 32):
+                 rounds: int = 4):
     """Approximate neighborhood function N(h) = Σ_v |ball(v, h)| for
     h = 0..rounds via HyperBall: every node carries a 256-register HLL
     of the set it can reach ALONG IN-EDGES REVERSED (i.e. ball(v, h) =
@@ -1625,12 +1610,10 @@ def hyperball_nf(edges_ds, nodes_ds, node_col: str = "v",
                              type=pa.binary())})
 
     for _ in range(rounds):
-        contrib = bucketed_hash_join(ekey, state, on="v",
-                                     num_buckets=num_buckets) \
+        contrib = bucketed_hash_join(ekey, state, on="v") \
             .map_batches(lambda b: pa.table({"v": b["dst"],
                                              "regs": b["regs"]}),
                          batch_format="pyarrow")
-        state = bucket_shuffle(state.union(contrib), "v", merge,
-                               num_buckets).materialize()
+        state = bucket_shuffle(state.union(contrib), "v", merge).materialize()
         totals.append(nf_total(state))
     return totals

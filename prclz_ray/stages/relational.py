@@ -29,6 +29,15 @@ from ray.data.block import BlockAccessor
 from . import util
 from .util import worker_cached
 
+# The hash-bucket count of every bucket-keyed exchange in the engine
+# (``bucket_shuffle``, the bucket-keyed ``cogroup`` joins, the flagship's
+# url-bucket sorts), and the range count of ``_global_prefix_scan``.
+# Every caller reads it when called, never at import, so one
+# ``monkeypatch.setattr(relational, "NUM_BUCKETS", n)`` reaches every
+# shuffle.  A kernel runs once per sorted block whatever the count, so it
+# only caps the fan-out: R = min(NUM_BUCKETS, max(2, CPUs)) reducers.
+NUM_BUCKETS = 64
+
 
 def ds_to_table(ds) -> pa.Table:
     """Materialize a (small!) Dataset into one Arrow table WITHOUT the
@@ -114,8 +123,8 @@ def cogroup(left, right, key: str, key_type: pa.DataType, tag_left,
     the sort range-partitions on ``key`` and each reducer merges its
     input into one block, so a block holds one or more WHOLE keys.  A
     ``key`` that is a bounded hash bucket in ``[0, num_buckets)`` (the
-    hash, semi and as-of joins pass their bucket count, the salted join
-    ``num_buckets * salt``) shuffles through ``sort_buckets``: R =
+    hash, semi and as-of joins pass ``NUM_BUCKETS``, the salted join
+    ``NUM_BUCKETS * salt``) shuffles through ``sort_buckets``: R =
     min(num_buckets, max(2, CPUs)) reducers over known bucket ranges,
     each merging about 1/R of the tagged input into one block.  With
     ``num_buckets=None`` (S2 cells, band buckets: unbounded keys) Ray
@@ -251,31 +260,34 @@ def _restore_types(out, schema: pa.Schema) -> pa.Table:
     return out
 
 
-def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
-                   prepare=None, batch_format: str = "pandas"):
-    """Hash-partition ``ds`` on ``key`` into ``num_buckets`` coarse buckets
+def bucket_shuffle(ds, key: str, per_bucket, prepare=None,
+                   batch_format: str = "pandas"):
+    """Hash-partition ``ds`` on ``key`` into ``NUM_BUCKETS`` coarse buckets
     and run ``per_bucket(part)`` once per shuffled block: the one shape
     behind every one-sided keyed operator.  A bucket holds every row of
     each key hashed into it, and a block one or more whole buckets, so a
-    per-key kernel sees whole keys; ``num_buckets`` caps the distinct
-    sort keys, so the shuffle sorts small ints instead of raw keys.
+    per-key kernel sees whole keys (a null key is one key); the bucket
+    count caps the distinct sort keys, so the shuffle sorts small ints
+    instead of raw keys.
 
     One map tags each Arrow batch: the optional ``prepare(batch)`` runs
     first (column pruning with ``select``, a filter, a per-batch partial
     aggregate; it may return a pandas DataFrame), then
     ``stable_bucket(key)`` is appended as ``_bucket``.  One
-    ``sort_buckets`` exchange follows: R = min(num_buckets, max(2, CPUs))
+    ``sort_buckets`` exchange follows: R = min(NUM_BUCKETS, max(2, CPUs))
     reducers over known bucket ranges, each merging about 1/R of the
-    tagged input into one block (the memory bound: grow the cluster, not
-    ``num_buckets``, for a bigger input; over wide rows far larger than
-    CPUs x block size a reducer holds many input blocks, so ``prepare``
-    should narrow them).  ``per_bucket`` runs once per
-    sorted block (``map_batches(batch_size=None)``; every row of a bucket
-    is in one block), with the block in ``batch_format`` and the bucket
-    column dropped; its name stays the Ray operator's name.  Its output
+    tagged input into one block (the memory bound: grow the cluster for
+    a bigger input; over wide rows far larger than CPUs x block size a
+    reducer holds many input blocks, so ``prepare`` should narrow them).
+    ``per_bucket`` runs once per sorted block
+    (``map_batches(batch_size=None)``; every row of a bucket is in one
+    block), with the block in ``batch_format`` and the bucket column
+    dropped; its name stays the Ray operator's name.  Its output
     comes back as Arrow, each input-named column at its input type
     (``_restore_types``), so a column's type does not depend on the
     block."""
+    nb = NUM_BUCKETS
+
     def tag(batch: pa.Table) -> pa.Table:
         t = batch if prepare is None else prepare(batch)
         if isinstance(t, pd.DataFrame):
@@ -283,7 +295,7 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
         # schema metadata (pandas') is an unhashable dict: Ray's shuffle
         # then unifies every block's schema and logs a warning per merge
         return t.replace_schema_metadata(None).append_column(
-            "_bucket", pa.array(stable_bucket(t[key], num_buckets)))
+            "_bucket", pa.array(stable_bucket(t[key], nb)))
 
     @functools.wraps(per_bucket)
     def run(part: pa.Table) -> pa.Table:
@@ -293,7 +305,7 @@ def bucket_shuffle(ds, key: str, per_bucket, num_buckets: int = 64,
         return _restore_types(out, part.schema)
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return sort_buckets(tagged, "_bucket", num_buckets).map_batches(
+    return sort_buckets(tagged, "_bucket", nb).map_batches(
         run, batch_format="pyarrow", batch_size=None)
 
 
@@ -365,8 +377,7 @@ def semi_join(big_ds, keys, on: str, anti: bool = False):
     return big_ds.map_batches(f, batch_format="pyarrow")
 
 
-def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
-                       num_buckets: int = 32):
+def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False):
     """Shuffle semi/anti join for a key side too large to broadcast: both
     sides bucket on a stable key hash and co-group, then one vectorized
     isin per shuffled block of whole buckets.  One all-to-all exchange on
@@ -385,10 +396,7 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
     keys_only, keys_sch = with_schema(keys_only)
     if keys_sch is None:
         return big_ds if anti else big_ds.limit(0)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
+    tag = _bucket_tagger(on)
 
     out_sch = _arrow_schema(big_sch)
 
@@ -403,7 +411,21 @@ def bucketed_semi_join(big_ds, keys_ds, on: str, anti: bool = False,
 
     return cogroup(big_ds, keys_only, "_bucket", pa.int32(), tag, tag, probe,
                    *_unify_keys(big_sch, keys_sch, [on]),
-                   num_buckets=num_buckets)
+                   num_buckets=NUM_BUCKETS)
+
+
+def _bucket_tagger(col: str, drop_null: bool = False):
+    """A bucket-keyed ``cogroup``'s tagger: ``stable_bucket(batch[col],
+    NUM_BUCKETS)`` appended as ``_bucket``.  With ``drop_null`` a row
+    whose ``col`` is null leaves first: it can match nothing."""
+    nb = NUM_BUCKETS
+
+    def tag(batch: pa.Table) -> pa.Table:
+        if drop_null and batch[col].null_count:
+            batch = batch.filter(pc.is_valid(batch[col]))
+        return batch.append_column(
+            "_bucket", pa.array(stable_bucket(batch[col], nb)))
+    return tag
 
 
 _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
@@ -453,8 +475,8 @@ def _bucket_join(left_ds, right_ds, on: str, how: str, tag_left, tag_right,
                    num_buckets=num_buckets)
 
 
-def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
-                       how: str = "inner", combine=None):
+def bucketed_hash_join(left_ds, right_ds, on: str, how: str = "inner",
+                       combine=None):
     """Large×large partitioned hash join: both sides get
     bucket = hash(key) % B, co-grouped by bucket, one Arrow (Acero) hash
     join per shuffled block of whole buckets (guide's portable pattern;
@@ -470,53 +492,42 @@ def bucketed_hash_join(left_ds, right_ds, on: str, num_buckets: int = 32,
     shrink the next exchange to ≤ blocks × |groups| rows.  At 100 TB this is the
     difference between re-shuffling every joined row and moving a few
     thousand aggregate rows."""
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(stable_bucket(batch[on], num_buckets)))
-
-    return _bucket_join(left_ds, right_ds, on, how, tag, tag, num_buckets,
+    tag = _bucket_tagger(on)
+    return _bucket_join(left_ds, right_ds, on, how, tag, tag, NUM_BUCKETS,
                         combine)
 
 
 def set_op(left_ds, right_ds, on: str, op: str = "intersect"):
     """Distinct set operation over a key column — SQL's INTERSECT /
     EXCEPT (both DISTINCT by definition).  Scale shape: each side
-    collapses to per-batch distinct keys tagged with a side flag (hot
-    keys dedupe inside the batch first), the union shuffles ONCE on the
-    key with two tiny Max aggregates, and a row-wise filter picks the
-    membership pattern — no driver-side sets, no second exchange."""
-    from ray.data.aggregate import Max
-
+    collapses to per-batch distinct keys tagged with its side (hot keys
+    dedupe inside the batch first), the union goes through ONE
+    ``bucket_shuffle`` on the key, and per shuffled block one Arrow
+    group_by finds each key's sides — no driver-side sets, no second
+    exchange.  A null key is one key, as in SQL's set operations."""
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be intersect|except, got {op!r}")
 
-    def tag(is_left: bool):
+    def tag(right: int):
         def f(batch: pa.Table) -> pa.Table:
             t = batch.select([on]).group_by(on).aggregate([])
-            n = t.num_rows
-            one = np.ones(n, dtype=np.int64)
-            zero = np.zeros(n, dtype=np.int64)
-            return pa.table({on: t[on],
-                             "_l": pa.array(one if is_left else zero),
-                             "_r": pa.array(zero if is_left else one)})
+            return t.append_column("_right", pa.array(
+                np.full(t.num_rows, right, dtype=np.int8)))
         return f
 
-    tagged = left_ds.map_batches(tag(True), batch_format="pyarrow") \
-        .union(right_ds.map_batches(tag(False), batch_format="pyarrow"))
-    agg = tagged.groupby(on).aggregate(Max("_l", alias_name="_l"),
-                                       Max("_r", alias_name="_r"))
+    def pick(t: pa.Table) -> pa.Table:
+        g = t.group_by(on).aggregate([("_right", "min"), ("_right", "max")])
+        lo = g["_right_min"].to_numpy(zero_copy_only=False)
+        hi = g["_right_max"].to_numpy(zero_copy_only=False)
+        keep = (lo == 0) & (hi == 1) if op == "intersect" else hi == 0
+        return filter_rows(g.select([on]), keep)
 
-    def pick(batch: pa.Table) -> pa.Table:
-        l = batch["_l"].to_numpy(zero_copy_only=False)
-        r = batch["_r"].to_numpy(zero_copy_only=False)
-        keep = (l == 1) & (r == 1) if op == "intersect" else \
-               (l == 1) & (r == 0)
-        return pa.table({on: batch[on].filter(pa.array(keep))})
-
-    return agg.map_batches(pick, batch_format="pyarrow")
+    tagged = left_ds.map_batches(tag(0), batch_format="pyarrow") \
+        .union(right_ds.map_batches(tag(1), batch_format="pyarrow"))
+    return bucket_shuffle(tagged, on, pick, batch_format="pyarrow")
 
 
-def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
+def asof_join(left_ds, right_ds, on: str, by: str,
               direction: str = "backward", suffix: str = "_r",
               tolerance=None, right_order_cols: list[str] | None = None):
     """Distributed as-of join: each left row matches the nearest right row
@@ -538,7 +549,9 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     Partitioning assumption: a `by` key's full history fits one task — at
     100 TB salt the time axis instead (bucket by (key, time-range) and
     replicate right-side boundary rows one range forward).  Unmatched left
-    rows are dropped (inner semantics, mirrors DuckDB ASOF JOIN).
+    rows are dropped (inner semantics, mirrors DuckDB ASOF JOIN), and so
+    is a row with a null `by`: SQL's equality never holds on NULL, so the
+    tagger drops those rows before the exchange.
     """
     left_ds, lsch = with_schema(left_ds)
     right_ds, rsch = with_schema(right_ds)
@@ -551,10 +564,7 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     out_schema = pa.schema(list(lsch) + [
         pa.field(out_rcols[f.name], f.type) for f in rsch
         if f.name in out_rcols])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(stable_bucket(batch[by], num_buckets)))
+    tag = _bucket_tagger(by, drop_null=True)
 
     def join_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
         if not lg.num_rows or not rg.num_rows:
@@ -574,7 +584,7 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
 
     return cogroup(left_ds, right_ds, "_bucket", pa.int32(), tag, tag,
                    join_bucket, *_unify_keys(lsch, rsch, [on, by]),
-                   num_buckets=num_buckets)
+                   num_buckets=NUM_BUCKETS)
 
 
 def _band_buckets(batch: pa.Table, on: str,
@@ -591,7 +601,7 @@ def _band_buckets(batch: pa.Table, on: str,
 
 
 def band_join(left_ds, right_ds, on: str, radius: int | float,
-              suffix: str = "_r", num_shards: int = 0):
+              suffix: str = "_r"):
     """Distributed range (band) join: every (l, r) pair with
     |l.on - r.on| <= radius — the non-equi join Ray Data has no primitive
     for (sessionization windows, price bands, sensor alignment).
@@ -648,16 +658,16 @@ _TS_UNIT_FACTOR = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
 
 def windowed_aggregate(events_ds, key_col: str, ts_col: str, value_col: str,
-                       window_sec: int, num_buckets: int = 64):
+                       window_sec: int):
     """Tumbling-window aggregate: window id computed arrow-native per batch
     (epoch // window), pre-aggregated per (key, window) inside the batch
     with ``pa.TableGroupBy``, then merged in a coarse-bucket groupby (hash
-    of key → ``num_buckets`` groups, one vectorized arrow combine per
+    of key → ``NUM_BUCKETS`` groups, one vectorized arrow combine per
     bucket).  The shuffle moves batch-level partials, and the per-group
     machinery runs per BUCKET, not per (key, window) pair — Ray's
     full-sort aggregate over millions of fine-grained groups is ~2× slower
     (measured 3.0 s vs 1.4 s at sf0.1/32 cpus).  The exchange is
-    ``bucket_shuffle``'s: min(num_buckets, max(2, CPUs)) reducers, each
+    ``bucket_shuffle``'s: min(NUM_BUCKETS, max(2, CPUs)) reducers, each
     merging about 1/R of the partials."""
     def partial(batch: pa.Table) -> pa.Table:
         arr = batch[ts_col]
@@ -682,7 +692,7 @@ def windowed_aggregate(events_ds, key_col: str, ts_col: str, value_col: str,
             "max_value": g["part_max_max"],
         })
 
-    return bucket_shuffle(events_ds, key_col, combine, num_buckets,
+    return bucket_shuffle(events_ds, key_col, combine,
                           prepare=partial, batch_format="pyarrow")
 
 
@@ -962,8 +972,7 @@ def grouped_regression(ds, key_col: str, x_col: str, y_col: str,
     return out.sort_values(key_col).reset_index(drop=True)
 
 
-def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
-               num_buckets: int = 64):
+def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int):
     """Gap-based sessionization: consecutive events of a user belong to
     one session while the inter-event gap stays ≤ ``gap_sec``; a larger
     gap starts a new session.  Emits one row per session with
@@ -971,13 +980,13 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
     ``SUM(new_session) OVER (PARTITION BY user ORDER BY ts)`` convention),
     event count, start/end timestamps and duration in seconds.
 
-    Scale shape: ONE shuffle — users hash into ``num_buckets`` coarse
+    Scale shape: ONE shuffle — users hash into ``NUM_BUCKETS`` coarse
     buckets, and each bucket does a vectorized sort + diff + cumsum pass
     that both assigns sessions and aggregates them (a user's rows are
     fully contained in its bucket, so no second exchange).  Equal
     timestamps within a user are order-independent (gap 0 either way), so
     results are deterministic under any shuffle order.  A null user is
-    one user.  The exchange is ``bucket_shuffle``'s: min(num_buckets,
+    one user.  The exchange is ``bucket_shuffle``'s: min(NUM_BUCKETS,
     max(2, CPUs)) reducers, each merging about 1/R of the events; salt
     only if one user dominates a bucket (that user's rows still fit the
     sort)."""
@@ -1012,13 +1021,12 @@ def sessionize(events_ds, user_col: str, ts_col: str, gap_sec: int,
                 (ts_i[ends] - ts_i[starts]) // 1_000_000),
         })
 
-    return bucket_shuffle(events_ds, user_col, per_bucket, num_buckets,
+    return bucket_shuffle(events_ds, user_col, per_bucket,
                           prepare=lambda t: t.select([user_col, ts_col]))
 
 
 def sliding_window_aggregate(events_ds, key_col: str, ts_col: str,
-                             value_col: str, window_sec: int, slide_sec: int,
-                             num_buckets: int = 64):
+                             value_col: str, window_sec: int, slide_sec: int):
     """SLIDING-window aggregate (window W, slide S, W a multiple of S):
     an event at t belongs to every window starting in
     (t - W, t] on the slide grid — exactly W/S windows.  Per batch the
@@ -1062,7 +1070,7 @@ def sliding_window_aggregate(events_ds, key_col: str, ts_col: str,
             "n_events": g["part_n_sum"].cast(pa.int64()),
         })
 
-    return bucket_shuffle(events_ds, key_col, combine, num_buckets,
+    return bucket_shuffle(events_ds, key_col, combine,
                           prepare=partial, batch_format="pyarrow")
 
 
@@ -1092,7 +1100,7 @@ def deterministic_sample(ds, key_col: str, rate_ppm: int, seed: int = 1):
     return ds.map_batches(f, batch_format="pyarrow")
 
 def running_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
-                      value_col: str, num_buckets: int = 64):
+                      value_col: str):
     """Cumulative (running) window: for every event, the running count and
     running sum of ``value_col`` over the key's events ordered by
     (ts, order_col) — ``SUM(v) OVER (PARTITION BY key ORDER BY ts, id
@@ -1117,12 +1125,11 @@ def running_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
         return pa.Table.from_pandas(df, preserve_index=False)
 
     return bucket_shuffle(
-        events_ds, key_col, per_bucket, num_buckets,
+        events_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
-def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
-                 num_buckets: int = 16):
+def pivot_counts(ds, row_col: str, col_col: str, col_values: list):
     """Pivot / wide conditional aggregation: one output row per ``row_col``
     value with a count column per entry of ``col_values`` plus ``n_total``
     (unlisted column values count toward the total only).
@@ -1148,12 +1155,12 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
         out["n_total"] = total
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return bucket_shuffle(ds, row_col, widen, num_buckets, prepare=partial)
+    return bucket_shuffle(ds, row_col, widen, prepare=partial)
 
 
 def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
-                lag_cols: list[str], num_buckets: int = 64,
-                lead: bool = False, carry_cols: list[str] | None = None):
+                lag_cols: list[str], lead: bool = False,
+                carry_cols: list[str] | None = None):
     """LAG / LEAD window: for every row, the PREVIOUS (or, with
     ``lead=True``, the NEXT) row's values per key in (ts, order_col)
     order — ``LAG/LEAD(col) OVER (PARTITION BY key ORDER BY ts, id)``.
@@ -1173,10 +1180,10 @@ def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         ts_i = df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
         nbr_ts = pd.Series(ts_i, index=df.index).groupby(
-            df[key_col], sort=False).shift(shift_n)
+            df[key_col], sort=False, dropna=False).shift(shift_n)
         out = df.copy()
         for c in lag_cols:
             out[f"{prefix}{c}"] = g[c].shift(shift_n).convert_dtypes()
@@ -1184,12 +1191,11 @@ def grouped_lag(events_ds, key_col: str, ts_col: str, order_col: str,
         out["gap_us"] = pd.array(gap, dtype="Int64")
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
-                          prepare=prune)
+    return bucket_shuffle(events_ds, key_col, per_bucket, prepare=prune)
 
 
 def scd2_intervals(events_ds, key_col: str, ts_col: str, order_col: str,
-                   state_col: str, num_buckets: int = 64):
+                   state_col: str):
     """SCD type-2 dimension build from an append-only event log: per
     key, collapse consecutive rows with the same ``state_col`` into one
     versioned row with a validity interval — the classic warehouse
@@ -1238,7 +1244,7 @@ def scd2_intervals(events_ds, key_col: str, ts_col: str, order_col: str,
                          "valid_to_us": pa.array(vt, mask=~same_next),
                          "version": pa.array(version)})
 
-    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
+    return bucket_shuffle(events_ds, key_col, per_bucket,
                           prepare=lambda t: t.select(keep))
 
 
@@ -1262,8 +1268,7 @@ def unpivot(ds, id_cols: list, value_cols: list,
     return ds.map_batches(per_batch, batch_format="pyarrow")
 
 
-def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str,
-                  num_buckets: int = 64):
+def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str):
     """Rank windows — per key in ``order_col`` order: ROW_NUMBER (id
     tie-break, so deterministic), RANK (min, gaps), DENSE_RANK, and
     PERCENT_RANK ((rank-1)/(n-1); 0 for singleton keys).  PERCENT_RANK is
@@ -1290,13 +1295,12 @@ def grouped_ranks(events_ds, key_col: str, order_col: str, id_col: str,
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return bucket_shuffle(
-        events_ds, key_col, per_bucket, num_buckets,
+        events_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, order_col, id_col]))
 
 
 def moving_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
-                     value_col: str, window_rows: int,
-                     num_buckets: int = 64):
+                     value_col: str, window_rows: int):
     """Bounded row window — ``SUM/COUNT(v) OVER (PARTITION BY key ORDER
     BY ts, id ROWS BETWEEN window_rows PRECEDING AND CURRENT ROW)``.
     Pass an integer value column for accumulation-order-exact sums.
@@ -1305,7 +1309,7 @@ def moving_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
     + per-key C rolling sum (pandas groupby.rolling)."""
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, ts_col, order_col])
-        r = df.groupby(key_col, sort=False)[value_col] \
+        r = df.groupby(key_col, sort=False, dropna=False)[value_col] \
             .rolling(window=window_rows + 1, min_periods=1)
         out = df.drop(columns=[value_col]).assign(
             mov_sum=r.sum().to_numpy().astype(np.int64),
@@ -1313,13 +1317,12 @@ def moving_aggregate(events_ds, key_col: str, ts_col: str, order_col: str,
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return bucket_shuffle(
-        events_ds, key_col, per_bucket, num_buckets,
+        events_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
 def ewma_bounded(events_ds, key_col: str, ts_col: str, order_col: str,
-                 value_col: str, window_rows: int = 24,
-                 num_buckets: int = 64):
+                 value_col: str, window_rows: int = 24):
     """Bounded-history normalized exponential moving average per key —
     ``SUM(v_i * 0.5^(n-i)) / SUM(0.5^(n-i))`` over the last
     ``window_rows`` rows ordered by (ts, order) within the key.  The
@@ -1363,7 +1366,7 @@ def ewma_bounded(events_ds, key_col: str, ts_col: str, order_col: str,
             .replace_schema_metadata(None)
 
     return bucket_shuffle(
-        events_ds, key_col, per_bucket, num_buckets,
+        events_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, ts_col, order_col, value_col]))
 
 
@@ -1496,7 +1499,7 @@ def windowed_distinct(events_ds, key_col: str, ts_col: str,
 
 
 def grouped_ntile(ds, key_col: str, order_col: str, tiebreak_col: str,
-                  n_tiles: int, num_buckets: int = 64):
+                  n_tiles: int):
     """NTILE window: rows of each key, ordered by (order_col, tiebreak),
     split into ``n_tiles`` near-equal tiles, larger tiles first —
     ``NTILE(k) OVER (PARTITION BY key ORDER BY v, id)`` exactly: with
@@ -1506,7 +1509,7 @@ def grouped_ntile(ds, key_col: str, order_col: str, tiebreak_col: str,
     one-coarse-bucket-shuffle shape as the other window operators."""
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, order_col, tiebreak_col])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         rank = g.cumcount().to_numpy()
         n = g[order_col].transform("size").to_numpy()
         base = n // n_tiles
@@ -1520,12 +1523,12 @@ def grouped_ntile(ds, key_col: str, order_col: str, tiebreak_col: str,
         return pa.Table.from_pandas(df, preserve_index=False)
 
     return bucket_shuffle(
-        ds, key_col, per_bucket, num_buckets,
+        ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, order_col, tiebreak_col]))
 
 
-def salted_join(left_ds, right_ds, on: str, hot_keys,
-                num_buckets: int = 32, salt: int = 8, how: str = "inner"):
+def salted_join(left_ds, right_ds, on: str, hot_keys, salt: int = 8,
+                how: str = "inner"):
     """Skew-safe large×large join: rows of HOT keys (a known/detected
     list — e.g. from ``top_k_words``-style heavy-hitter counts) spread
     across ``salt`` sub-buckets on the left, while the right side's hot
@@ -1539,11 +1542,11 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
     The left row's sub-bucket is its position hash — any assignment
     works, the replicated right side meets it everywhere; output is
     independent of the assignment.  A non-hot key's bucket is its hash
-    in ``[0, num_buckets * salt)``; a hot key's ``salt`` sub-buckets sit
-    ``num_buckets`` apart, ``base + j * num_buckets``, so the equal
+    in ``[0, NUM_BUCKETS * salt)``; a hot key's ``salt`` sub-buckets sit
+    ``NUM_BUCKETS`` apart, ``base + j * NUM_BUCKETS``, so the equal
     bucket ranges of ``sort_buckets`` part them over min(salt, R)
     reducers (adjacent sub-buckets would share one reducer whenever
-    R <= num_buckets)."""
+    R <= NUM_BUCKETS)."""
     if how not in ("inner", "left"):
         # replicated hot right rows would duplicate unmatched right
         # output under right/full outer — route those to the plain join
@@ -1551,11 +1554,11 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
             f"salted_join supports how='inner'|'left', got {how!r}; "
             "use bucketed_hash_join for right/full outer")
     hot = pa.array(sorted(set(hot_keys)))
+    nb = NUM_BUCKETS
 
     def hot_bucket(batch: pa.Table):
-        # h % (num_buckets * salt) ≡ h % num_buckets: its remainder is the
-        # key's base bucket
-        b = stable_bucket(batch[on], num_buckets * salt).astype(np.int64)
+        # h % (nb * salt) ≡ h % nb: its remainder is the key's base bucket
+        b = stable_bucket(batch[on], nb * salt).astype(np.int64)
         ishot = pc.is_in(batch[on], value_set=hot).to_numpy(
             zero_copy_only=False)
         return b, ishot
@@ -1565,26 +1568,25 @@ def salted_join(left_ds, right_ds, on: str, hot_keys,
         # per-row deterministic spread for hot keys (row content hash)
         spread = pd.util.hash_array(
             np.arange(batch.num_rows, dtype=np.int64)) % salt
-        b = np.where(ishot, b % num_buckets
-                     + spread.astype(np.int64) * num_buckets, b)
+        b = np.where(ishot, b % nb + spread.astype(np.int64) * nb, b)
         return batch.append_column("_bucket", pa.array(b.astype(np.int32)))
 
     def tag_right(batch: pa.Table) -> pa.Table:
         b, ishot = hot_bucket(batch)
         reps = np.where(ishot, salt, 1).astype(np.int64)
         idx = np.repeat(np.arange(batch.num_rows), reps)
-        b = np.where(ishot[idx], b[idx] % num_buckets
-                     + _ragged_arange(reps) * num_buckets, b[idx])
+        b = np.where(ishot[idx], b[idx] % nb + _ragged_arange(reps) * nb,
+                     b[idx])
         return batch.take(pa.array(idx)).append_column(
             "_bucket", pa.array(b.astype(np.int32)))
 
     return _bucket_join(left_ds, right_ds, on, how, tag_left, tag_right,
-                        num_buckets * salt)
+                        nb * salt)
 
 
 def funnel_conversion(events_ds, user_col: str, ts_col: str,
                       type_col: str, first_step: str, second_step: str,
-                      within_sec: int, num_buckets: int = 64):
+                      within_sec: int):
     """Two-step funnel analysis: per user, the first ``first_step``
     event and whether a ``second_step`` event follows within
     ``within_sec`` seconds (strictly after, inclusive bound) — the
@@ -1627,12 +1629,10 @@ def funnel_conversion(events_ds, user_col: str, ts_col: str,
                              f_ts.view("datetime64[us]")),
                          "converted": pa.array(conv)})
 
-    return bucket_shuffle(events_ds, user_col, per_bucket, num_buckets,
-                          prepare=steps)
+    return bucket_shuffle(events_ds, user_col, per_bucket, prepare=steps)
 
 
-def cohort_retention(events_ds, user_col: str, ts_col: str,
-                     num_buckets: int = 64):
+def cohort_retention(events_ds, user_col: str, ts_col: str):
     """Weekly cohort retention: users are cohorted by the epoch-week of
     their FIRST event; for every (cohort_week, week_offset) report the
     distinct active users — the standard retention triangle.
@@ -1676,8 +1676,7 @@ def cohort_retention(events_ds, user_col: str, ts_col: str,
 
         joined = weeks.map_batches(attach, batch_format="pyarrow")
     else:
-        joined = bucketed_hash_join(weeks, cohorts, on=user_col,
-                                    num_buckets=num_buckets, how="left")
+        joined = bucketed_hash_join(weeks, cohorts, on=user_col, how="left")
 
     # a user's rows may SPAN batches (unlike whole-doc rows), so per-batch
     # distinct is only a partial — dedupe globally with one triple-keyed
@@ -1710,7 +1709,7 @@ def cohort_retention(events_ds, user_col: str, ts_col: str,
 
 
 def grouped_zscore(ds, key_col: str, val_col: str, id_col: str,
-                   round_to: int = 4, num_buckets: int = 32):
+                   round_to: int = 4):
     """Per-group feature standardization: z = (x − mean_g) / stddev_g
     (sample stddev, SQL's STDDEV_SAMP; NULL when the group has < 2 rows
     or zero variance — both matching the SQL window twin).
@@ -1768,8 +1767,7 @@ def grouped_zscore(ds, key_col: str, val_col: str, id_col: str,
 
         return ds.map_batches(flag, batch_format="pyarrow")
 
-    joined = bucketed_hash_join(ds, stats, on=key_col,
-                                num_buckets=num_buckets, how="left")
+    joined = bucketed_hash_join(ds, stats, on=key_col, how="left")
 
     def from_joined(batch: pa.Table) -> pa.Table:
         st = pa.table({key_col: batch[key_col], "s": batch["s"],
@@ -1781,7 +1779,7 @@ def grouped_zscore(ds, key_col: str, val_col: str, id_col: str,
 
 
 def global_prefix_sum(ds, order_col: str, value_col: str,
-                      num_buckets: int = 64, out_col: str = "cum"):
+                      out_col: str = "cum"):
     """Globally-ordered running total — SUM(value) OVER (ORDER BY
     order_col ROWS UNBOUNDED PRECEDING) — without a single-node sort.
 
@@ -1790,19 +1788,19 @@ def global_prefix_sum(ds, order_col: str, value_col: str,
          split the key domain, so bucket i holds strictly smaller keys
          than bucket i+1); per-batch partial sums → one tiny
          groupby(bucket) gives each bucket's total;
-      2. the driver exclusive-scans the ≤ num_buckets totals (bounded,
+      2. the driver exclusive-scans the ≤ NUM_BUCKETS totals (bounded,
          independent of row count) and broadcasts the offsets; one
          groupby(bucket).map_groups sorts WITHIN each bucket and adds
          offset + intra-bucket cumsum.
     One narrow shuffle on the bucket key; nothing row-scaled on the
     driver.  Requires a unique integer ``order_col`` (ties would make
     the running total order-ambiguous)."""
-    return _global_prefix_scan(ds, order_col, value_col, num_buckets,
-                               out_col, kind="sum")
+    return _global_prefix_scan(ds, order_col, value_col, out_col,
+                               kind="sum")
 
 
 def global_prefix_max(ds, order_col: str, value_col: str,
-                      num_buckets: int = 64, out_col: str = "cummax"):
+                      out_col: str = "cummax"):
     """Globally-ordered running MAX — MAX(value) OVER (ORDER BY
     order_col ROWS UNBOUNDED PRECEDING) — the streaming WATERMARK
     primitive (the high-water event time as of each arrival), without a
@@ -1810,16 +1808,16 @@ def global_prefix_max(ds, order_col: str, value_col: str,
     ``global_prefix_sum`` with (max, ∨, int64-min) in place of
     (sum, +, 0).  Requires a unique integer ``order_col``; values are
     int64."""
-    return _global_prefix_scan(ds, order_col, value_col, num_buckets,
-                               out_col, kind="max")
+    return _global_prefix_scan(ds, order_col, value_col, out_col,
+                               kind="max")
 
 
-def _global_prefix_scan(ds, order_col: str, value_col: str,
-                        num_buckets: int, out_col: str, kind: str):
+def _global_prefix_scan(ds, order_col: str, value_col: str, out_col: str,
+                        kind: str):
     """Shared two-pass range-bucket prefix scan over any associative op
-    with an identity — rows map to an order-preserving RANGE bucket;
-    one pass reduces each bucket; the driver exclusive-scans the ≤
-    num_buckets reductions and broadcasts each bucket's incoming
+    with an identity — rows map to one of ``NUM_BUCKETS`` order-preserving
+    RANGE buckets; one pass reduces each bucket; the driver exclusive-scans
+    the ≤ NUM_BUCKETS reductions and broadcasts each bucket's incoming
     prefix; one bucket shuffle sorts within buckets and combines the
     intra-bucket scan with its prefix."""
     import ray
@@ -1834,7 +1832,8 @@ def _global_prefix_scan(ds, order_col: str, value_col: str,
         .aggregate(Min(order_col, alias_name="lo"),
                    Max(order_col, alias_name="hi"))
     lo, hi = lohi["lo"], lohi["hi"]
-    span = max(1, (int(hi) - int(lo) + num_buckets) // num_buckets)
+    nb = NUM_BUCKETS
+    span = max(1, (int(hi) - int(lo) + nb) // nb)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1975,15 +1974,16 @@ def interval_lookup_join(ds, val_col: str, ranges: pa.Table,
 
 
 def cooccurrence_pairs(ds, key_col: str, val_col: str,
-                       num_buckets: int = 64,
                        max_vals_per_key: int | None = 4096):
     """Market-basket co-occurrence: for every unordered pair of distinct
     ``val`` values appearing under the same key, the number of keys
     containing both (a < b).  Per-batch DISTINCT (key, val) partials →
     one key-bucket shuffle; per bucket the pair explosion is vectorized
     (sorted repeat/ragged-arange index arithmetic, no per-key Python
-    pair loop) → per-batch pair-count partials → one tiny (a, b)
-    groupby.  Output is |V|²-bounded, not corpus-scaled.
+    pair loop) → per-block pair-count partials → a second
+    ``bucket_shuffle`` keyed on ``a`` (every partial of a pair shares
+    its ``a``, so a pair is whole in one block) whose kernel sums them.
+    Output is |V|²-bounded, not corpus-scaled.
 
     The per-key explosion is k(k−1)/2: a single pathological key with
     10⁵ distinct values would emit 5·10⁹ pairs, so keys are CAPPED at
@@ -2011,16 +2011,6 @@ def cooccurrence_pairs(ds, key_col: str, val_col: str,
         b = vals[off[key_rep] + p[1]]
         g = pd.DataFrame({"a": a, "b": b}).groupby(["a", "b"]) \
             .size().rename("pn").reset_index()
-        # tag each partial with a PAIR bucket: the final merge groups by
-        # this small int instead of sort-aggregating the (a, b) composite
-        # key directly — a Ray groupby over |pairs| distinct 2-column
-        # keys pays a full-width sort (measured 16.6 s vs 2.0 s at sf0.1
-        # on 1.2M pairs); 64 bucket groups + a C-speed pandas groupby
-        # inside each does the identical reduction
-        pb = (stable_bucket(pa.array(g["a"]), num_buckets).astype(np.int64)
-              * 31 + stable_bucket(pa.array(g["b"]), num_buckets)) \
-            % num_buckets
-        g["_pb"] = pb
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def merge_pairs(df: pd.DataFrame) -> pa.Table:
@@ -2028,10 +2018,9 @@ def cooccurrence_pairs(ds, key_col: str, val_col: str,
             .rename("n_keys").reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    pairs = bucket_shuffle(ds, key_col, explode_pairs, num_buckets,
+    pairs = bucket_shuffle(ds, key_col, explode_pairs,
                            prepare=distinct_partial)
-    return pairs.groupby("_pb").map_groups(merge_pairs,
-                                           batch_format="pandas")
+    return bucket_shuffle(pairs, "a", merge_pairs)
 
 
 def _pair_index(n_pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -2159,7 +2148,7 @@ def mixture_sample(ds, key_col: str, strata_col: str, weights: dict,
                              rates_ppm=rates, default_ppm=0, seed=seed)
 
 
-def grouped_mode(ds, key_col: str, val_col: str, num_buckets: int = 64):
+def grouped_mode(ds, key_col: str, val_col: str):
     """Most frequent value per key (ties → smallest value) — the MODE()
     aggregate.  Per-batch arrow (key, val) count partials shrink the
     exchange → one coarse key-bucket shuffle, whose kernel sums the
@@ -2182,7 +2171,7 @@ def grouped_mode(ds, key_col: str, val_col: str, num_buckets: int = 64):
             g.rename(columns={val_col: "mode_value"})[
                 [key_col, "mode_value", "n_mode"]], preserve_index=False)
 
-    return bucket_shuffle(ds, key_col, pick, num_buckets, prepare=partial)
+    return bucket_shuffle(ds, key_col, pick, prepare=partial)
 
 
 def hash_split(ds, key_col: str, splits: dict, seed: int = 1):
@@ -2265,7 +2254,7 @@ def skyline(ds, max_col: str, min_col: str, keep_cols: list[str] | None = None):
 
 def grouped_ordered_concat(events_ds, key_col: str, order_cols: list[str],
                            val_col: str, sep: str = ">",
-                           out_col: str = "path", num_buckets: int = 64):
+                           out_col: str = "path"):
     """Ordered STRING_AGG per key — the event-path / clickstream shape
     (``STRING_AGG(v, sep ORDER BY ...) GROUP BY key``), also the
     anchor-text-aggregation shape for web graphs.  ONE coarse-bucket
@@ -2273,7 +2262,7 @@ def grouped_ordered_concat(events_ds, key_col: str, order_cols: list[str],
     Emits (key, out_col, n_events)."""
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values([key_col, *order_cols])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         agg = g[val_col].agg(sep.join)
         out = pd.DataFrame({
             key_col: agg.index.to_numpy(),
@@ -2282,7 +2271,7 @@ def grouped_ordered_concat(events_ds, key_col: str, order_cols: list[str],
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return bucket_shuffle(
-        events_ds, key_col, per_bucket, num_buckets,
+        events_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, *order_cols, val_col]))
 
 
@@ -2321,34 +2310,32 @@ def weighted_sample(ds, key_col: str, weight_col: str, n: int,
     return out.drop_columns(["_sc"])
 
 
-def longest_consecutive_run(events_ds, key_col: str, ts_col: str,
-                            num_buckets: int = 64):
+def longest_consecutive_run(events_ds, key_col: str, ts_col: str):
     """Gaps-and-islands: longest run of CONSECUTIVE active days per key
     (the activity-streak shape).  Per batch, (key, day) pairs dedupe
     BEFORE the one coarse-bucket shuffle; per bucket a vectorized sort +
     cumcount gives the classic day - row_number island id, then two C
     groupbys (island size, max per key).  Emits (key, longest_streak)."""
-    def key_days(batch: pa.Table) -> pd.DataFrame:
+    def key_days(batch: pa.Table) -> pa.Table:
         d = batch[ts_col].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
-        return pd.DataFrame({
-            key_col: batch[key_col].to_numpy(zero_copy_only=False),
-            "_day": d}).drop_duplicates()
+        return pa.table({key_col: batch[key_col], "_day": pa.array(d)}) \
+            .group_by([key_col, "_day"]).aggregate([])
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
         df = group.drop_duplicates([key_col, "_day"]) \
             .sort_values([key_col, "_day"])
-        g = df.groupby(key_col, sort=False)
+        g = df.groupby(key_col, sort=False, dropna=False)
         island = df["_day"].to_numpy() - g.cumcount().to_numpy()
         df = df.assign(_island=island)
-        runs = df.groupby([key_col, "_island"], sort=False).size()
-        best = runs.groupby(level=0).max()
+        runs = df.groupby([key_col, "_island"], sort=False,
+                          dropna=False).size()
+        best = runs.groupby(level=0, dropna=False).max()
         return pa.table({
-            key_col: pa.array(best.index.to_numpy()),
+            key_col: pa.array(best.index.to_numpy(), from_pandas=True),
             "longest_streak": pa.array(best.to_numpy(dtype=np.int64))})
 
-    return bucket_shuffle(events_ds, key_col, per_bucket, num_buckets,
-                          prepare=key_days)
+    return bucket_shuffle(events_ds, key_col, per_bucket, prepare=key_days)
 
 
 def detect_hot_keys(ds, on: str, capacity: int = 64,
@@ -2381,8 +2368,8 @@ def detect_hot_keys(ds, on: str, capacity: int = 64,
     return sorted(hot[on].tolist())
 
 
-def adaptive_join(left_ds, right_ds, on: str, num_buckets: int = 32,
-                  salt: int = 8, capacity: int = 64,
+def adaptive_join(left_ds, right_ds, on: str, salt: int = 8,
+                  capacity: int = 64,
                   hot_fraction: float = 0.02, how: str = "inner"):
     """Skew-ADAPTIVE large×large join: one streaming heavy-key pass
     over the (materialized) left side decides the physical plan —
@@ -2400,7 +2387,6 @@ def adaptive_join(left_ds, right_ds, on: str, num_buckets: int = 32,
     hot = detect_hot_keys(left, on, capacity=capacity,
                           hot_fraction=hot_fraction)
     if hot:
-        return salted_join(left, right_ds, on, hot_keys=hot,
-                           num_buckets=num_buckets, salt=salt, how=how)
-    return bucketed_hash_join(left, right_ds, on=on,
-                              num_buckets=num_buckets, how=how)
+        return salted_join(left, right_ds, on, hot_keys=hot, salt=salt,
+                           how=how)
+    return bucketed_hash_join(left, right_ds, on=on, how=how)

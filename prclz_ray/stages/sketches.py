@@ -117,8 +117,8 @@ def build_bloom(keys_ds, on: str, n_keys: int, bits_per_key: int = 10,
     return merged, m
 
 
-def bloom_semi_join(big_ds, keys_ds, on: str, num_buckets: int = 32,
-                    bits_per_key: int = 10, num_hashes: int = 7):
+def bloom_semi_join(big_ds, keys_ds, on: str, bits_per_key: int = 10,
+                    num_hashes: int = 7):
     """EXACT semi join with a Bloom pre-filter: the keys side folds to a
     fixed-size bitmap (no broadcast of the keys themselves), every big-
     side batch drops rows that can't match BEFORE the shuffle, and the
@@ -148,8 +148,7 @@ def bloom_semi_join(big_ds, keys_ds, on: str, num_buckets: int = 32,
         return batch.filter(pa.array(keep))
 
     survivors = big_ds.map_batches(prefilter, batch_format="pyarrow")
-    return bucketed_semi_join(survivors, keys_ds, on,
-                              num_buckets=num_buckets)
+    return bucketed_semi_join(survivors, keys_ds, on)
 
 
 def approx_distinct(ds, key_col: str, p: int = 14,

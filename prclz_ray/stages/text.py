@@ -165,7 +165,7 @@ def top_k_words(ds, text_col="text", k: int = 20):
 
 
 def rare_word_stats(ds, key_col: str = "doc_id", text_col: str = "text",
-                    max_df: int = 2, num_buckets: int = 32):
+                    max_df: int = 2):
     """Rare-word density per doc: the count and fraction of word TYPES
     whose corpus-wide document frequency is ≤ ``max_df`` (hapax-heavy
     docs are a classic spam/garbage signal; the inverse of stopword
@@ -240,7 +240,7 @@ def rare_word_stats(ds, key_col: str = "doc_id", text_col: str = "text",
                                     "_com": pa.array(np.ones(t.num_rows,
                                                              dtype=np.int64))}),
                 batch_format="pyarrow"),
-            on="_h", num_buckets=num_buckets, how="left")
+            on="_h", how="left")
 
         def fill(batch: pa.Table) -> pa.Table:
             c = batch["_com"].to_numpy(zero_copy_only=False)
@@ -569,7 +569,7 @@ def top_k_ngrams(ds, text_col: str = "text", n: int = 2, k: int = 20):
 
 
 def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
-                    top_n: int = 3, num_buckets: int = 32):
+                    top_n: int = 3):
     """Per-document top-N TF-IDF terms (keyword extraction):
     score = tf × ln(N / df), rank per doc by (score DESC, word ASC).
 
@@ -623,8 +623,7 @@ def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
     if vocab_bytes <= util.BROADCAST_LIMIT_BYTES:
         joined = broadcast_join(tf, ds_to_table(df), on="word")
     else:
-        joined = bucketed_hash_join(tf, df, on="word",
-                                    num_buckets=num_buckets)
+        joined = bucketed_hash_join(tf, df, on="word")
 
     def score(batch: pa.Table) -> pa.Table:
         s = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64) \
@@ -649,13 +648,11 @@ def tfidf_top_terms(ds, key_col: str = "doc_id", text_col: str = "text",
         g["score"] = g["score"].round(4)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return bucket_shuffle(joined, key_col, final, num_buckets,
-                          prepare=score)
+    return bucket_shuffle(joined, key_col, final, prepare=score)
 
 
 def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
-                  min_df: int = 2, max_df: int = 10**9,
-                  num_buckets: int = 32):
+                  min_df: int = 2, max_df: int = 10**9):
     """Inverted index: one row per word with its document frequency and
     the comma-joined SORTED posting list of doc ids.
 
@@ -692,8 +689,7 @@ def posting_lists(ds, key_col: str = "doc_id", text_col: str = "text",
         })
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return bucket_shuffle(ds, "word", per_bucket, num_buckets,
-                          prepare=explode)
+    return bucket_shuffle(ds, "word", per_bucket, prepare=explode)
 
 
 def extract_regex_field(ds, col: str, pattern: str, out_col: str,
@@ -792,7 +788,7 @@ def filter_decision_batch(t: pa.Table, min_tokens: int = 20,
     return out.append_column("reason", pa.array(reason))
 
 def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
-                     round_to: int = 4, num_buckets: int = 32):
+                     round_to: int = 4):
     """CCNet-style n-gram LM scoring: train an add-1-smoothed bigram
     model on the corpus, then score every doc by its mean negative
     log-likelihood — the perplexity filter that keeps fluent text and
@@ -916,9 +912,8 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
         bc.map_batches(lambda t: pa.table({
             "_pair": pc.binary_join_element_wise(t["w1"], t["w2"], SEP),
             "c12": t["c12"]}), batch_format="pyarrow"),
-        on="_pair", num_buckets=num_buckets, how="left")
-    j = bucketed_hash_join(j, ctx_ds, on="w1",
-                           num_buckets=num_buckets, how="left")
+        on="_pair", how="left")
+    j = bucketed_hash_join(j, ctx_ds, on="w1", how="left")
 
     def term_partial(batch: pa.Table) -> pa.Table:
         c12v = batch["c12"].to_pandas().fillna(0) \
@@ -937,8 +932,7 @@ def bigram_lm_scores(ds, key_col: str = "doc_id", text_col: str = "text",
         return pa.Table.from_pandas(
             g[[key_col, "n_bigrams", "nll"]], preserve_index=False)
 
-    scored = bucket_shuffle(j, key_col, per_doc, num_buckets,
-                            prepare=term_partial)
+    scored = bucket_shuffle(j, key_col, per_doc, prepare=term_partial)
     # docs with <2 tokens never produced a bigram row: union them back
     def short_docs(batch: pa.Table) -> pa.Table:
         parts = pc.split_pattern(batch[text_col], pattern=" ")
@@ -1027,8 +1021,7 @@ def chunk_documents(ds, key_col: str = "doc_id", text_col: str = "text",
 
 def reassemble_chunks(chunks_ds, key_col: str = "doc_id",
                       idx_col: str = "chunk_idx",
-                      text_col: str = "chunk_text",
-                      num_buckets: int = 64):
+                      text_col: str = "chunk_text"):
     """Ordered grouped concatenation — STRING_AGG(text, ' ' ORDER BY
     idx) per key: the inverse of zero-overlap ``chunk_documents`` (the
     roundtrip is pytest-pinned).  ONE coarse-bucket shuffle; per bucket a
@@ -1041,7 +1034,7 @@ def reassemble_chunks(chunks_ds, key_col: str = "doc_id",
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return bucket_shuffle(
-        chunks_ds, key_col, per_bucket, num_buckets,
+        chunks_ds, key_col, per_bucket,
         prepare=lambda t: t.select([key_col, idx_col, text_col]))
 
 def top_pmi_collocations(ds, text_col: str = "text", k: int = 20,
@@ -1328,7 +1321,7 @@ def clean_lines(ds, key_col: str = "doc_id", text_col: str = "text",
 
 
 def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
-                     k: int = 20, num_buckets: int = 32):
+                     k: int = 20):
     """Top-k PMI collocations: pointwise mutual information
     ln(p(ab) / (p(a)·p(b))) over space-split bigrams, the classic
     collocation-extraction statistic (Church & Hanks 1990).
@@ -1407,9 +1400,8 @@ def pmi_collocations(ds, text_col: str = "text", min_count: int = 5,
     else:
         import ray.data as rd
         joined = bucketed_hash_join(
-            bucketed_hash_join(cand, rd.from_arrow(u1), on="w1",
-                               num_buckets=num_buckets),
-            rd.from_arrow(u2), on="w2", num_buckets=num_buckets)
+            bucketed_hash_join(cand, rd.from_arrow(u1), on="w1"),
+            rd.from_arrow(u2), on="w2")
 
     def score(t: pa.Table) -> pa.Table:
         c_ab = t["c_ab"].to_numpy(zero_copy_only=False) \

@@ -1,9 +1,10 @@
 """Hash-bucket shuffles take their fan-out from the cluster, not from the
 input's block count: ``relational.sort_buckets`` splits a bucket space of
-``n`` into R = min(n, max(2, CPUs)) known ranges.  Every routed helper
-must give the same rows and schema at either end of that range (R = 2 and
-R = n, forced through the CPU read) over 1 and 4 input blocks, and none
-may run Ray's boundary-sampling pass.  The resumable write, keyed on a raw
+``n`` (``relational.NUM_BUCKETS``, here set to ``NB``) into R = min(n,
+max(2, CPUs)) known ranges.  Every routed helper must give the same rows
+and schema at either end of that range (R = 2 and R = n, forced through
+the CPU read) over 1 and 4 input blocks, and none may run Ray's
+boundary-sampling pass.  The resumable write, keyed on a raw
 key, keeps a sampled sort and is checked over 1 and 4 blocks as well."""
 import collections
 import os
@@ -22,7 +23,7 @@ from prclz_ray.pipelines import flagship
 from prclz_ray.runtime import checkpoint
 from prclz_ray.stages import relational
 
-NB = 8          # bucket count of the one-sided cases
+NB = 8          # relational.NUM_BUCKETS in the fan-out cases
 KINDS = ["int", "float", "str"]
 
 
@@ -79,28 +80,26 @@ def _hot(left: pa.Table):
 # each case: builder(kind, blocks) -> Dataset keyed on ``k``
 CASES = {
     "sessionize": lambda kind, b: relational.sessionize(
-        _blocks(_events(kind), b), "k", "ts", gap_sec=3600,
-        num_buckets=NB),
+        _blocks(_events(kind), b), "k", "ts", gap_sec=3600),
     "grouped_ranks": lambda kind, b: relational.grouped_ranks(
-        _blocks(_events(kind), b), "k", "ts", "id", num_buckets=NB),
+        _blocks(_events(kind), b), "k", "ts", "id"),
     "running_aggregate": lambda kind, b: relational.running_aggregate(
-        _blocks(_events(kind), b), "k", "ts", "id", "v",
-        num_buckets=NB),
+        _blocks(_events(kind), b), "k", "ts", "id", "v"),
     "grouped_mode": lambda kind, b: relational.grouped_mode(
-        _blocks(_events(kind), b), "k", "v", num_buckets=NB),
+        _blocks(_events(kind), b), "k", "v"),
     "semi_join": lambda kind, b: relational.bucketed_semi_join(
         _blocks(_left_right(kind)[0], b), _blocks(_left_right(kind)[1], b),
-        on="k", num_buckets=NB),
+        on="k"),
     "hash_join": lambda kind, b: relational.bucketed_hash_join(
         _blocks(_left_right(kind)[0], b), _blocks(_left_right(kind)[1], b),
-        on="k", num_buckets=NB, how="left"),
+        on="k", how="left"),
     "salted_join": lambda kind, b: relational.salted_join(
         _blocks(_left_right(kind)[0], b), _blocks(_left_right(kind)[1], b),
-        on="k", hot_keys=[_hot(_left_right(kind)[0])], num_buckets=4,
-        salt=4, how="left"),
+        on="k", hot_keys=[_hot(_left_right(kind)[0])], salt=4,
+        how="left"),
     "asof_join": lambda kind, b: relational.asof_join(
         _blocks(_left_right(kind)[0], b), _blocks(_left_right(kind)[1], b),
-        on="t", by="k", num_buckets=NB, right_order_cols=["rid"]),
+        on="t", by="k", right_order_cols=["rid"]),
 }
 
 
@@ -115,6 +114,7 @@ def test_same_rows_at_either_fanout(case, kind, monkeypatch):
     row multisets and schemas, and the key keeps its input type (a pandas
     kernel sees an int key with nulls as float; ``bucket_shuffle`` casts
     it back, so every block agrees)."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", NB)
     build = CASES[case]
     want_key = _keyed(kind, 1, 0).type
     got = {}
@@ -196,13 +196,14 @@ def pages():
 
 
 def test_flagship_counts_same_at_either_fanout(pages, monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", NB)
     regions = synth.regions_table()
     got = []
     for cpus in (1, 1_000):
         _cpus(monkeypatch, cpus)
         for blocks in (1, 4):
             df = flagship.flagship_region_counts_streaming(
-                _blocks(pages, blocks), regions, num_buckets=NB)
+                _blocks(pages, blocks), regions)
             got.append(_rows(pa.Table.from_pandas(
                 df, preserve_index=False).replace_schema_metadata(None)))
     assert sum(got[0].values()) > 0
@@ -229,6 +230,7 @@ def test_routed_helpers_run_no_sampling_pass(pages, monkeypatch):
         lambda: relational.bucketed_hash_join(l, r, on="k"),
         lambda: relational.salted_join(l, r, on="k", hot_keys=[_hot(left)]),
         lambda: relational.asof_join(l, r, on="t", by="k"),
+        lambda: relational.set_op(l, r, on="k"),
         lambda: flagship.dedup_latest_by_url(rd.from_arrow(pages)),
         lambda: flagship.flagship_region_counts_streaming(
             rd.from_arrow(pages), synth.regions_table()),
@@ -275,10 +277,11 @@ def test_sort_buckets_fanout(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [2, 16])
 def test_salted_hot_key_spreads_over_reducers(cpus, monkeypatch):
-    """A hot key's sub-buckets sit ``num_buckets`` apart, so the equal
+    """A hot key's sub-buckets sit ``NUM_BUCKETS`` apart, so the equal
     bucket ranges part them: at fan-out 2 and at the bucket count
     (4 x 4) its rows reach min(salt, R) kernel calls, not one."""
     _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     real = relational.cogroup
 
     def tagged_calls(*a, **kw):
@@ -295,6 +298,6 @@ def test_salted_hot_key_spreads_over_reducers(cpus, monkeypatch):
     hot = _hot(left)
     out = relational.ds_to_table(relational.salted_join(
         _blocks(left, 4), _blocks(right, 4), on="k", hot_keys=[hot],
-        num_buckets=4, salt=4))
+        salt=4))
     calls = set(out.filter(pc.equal(out["k"], hot))["_call"].to_pylist())
     assert len(calls) == min(4, cpus)

@@ -7,6 +7,7 @@ import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prclz_ray.stages import relational
 from prclz_ray.stages.fuzzy import batch_edit_distance, blocked_fuzzy_pairs
 
 
@@ -37,9 +38,10 @@ def test_batch_edit_distance_matches_scalar_dp(pairs):
     assert got.tolist() == [_lev_ref(x, y) for x, y in pairs]
 
 
-def test_blocked_fuzzy_pairs_single_edit_recall_complete():
+def test_blocked_fuzzy_pairs_single_edit_recall_complete(monkeypatch):
     """Every single-edit corruption of a name >= 2*block_len chars must be
     found: one edit cannot change both the prefix and suffix window."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 8)
     rng = np.random.default_rng(7)
     base = ["".join(chr(97 + c) for c in rng.integers(0, 26, 16))
             for _ in range(40)]
@@ -54,22 +56,24 @@ def test_blocked_fuzzy_pairs_single_edit_recall_complete():
     right = rd.from_arrow(pa.table({
         "id": pa.array(range(1000, 1040), type=pa.int64()),
         "nm": pa.array(dirty)}))
-    out = blocked_fuzzy_pairs(left, right, max_dist=1, block_len=6,
-                              num_shards=8).to_pandas()
+    out = blocked_fuzzy_pairs(left, right, max_dist=1,
+                              block_len=6).to_pandas()
     got = set(zip(out["a"], out["b"]))
     assert {(i, 1000 + i) for i in range(40)} <= got
     assert (out["dist"] <= 1).all()
 
 
-def test_blocked_fuzzy_pairs_no_false_positives_past_threshold():
+def test_blocked_fuzzy_pairs_no_false_positives_past_threshold(
+        monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     left = rd.from_arrow(pa.table({
         "id": pa.array([0, 1], type=pa.int64()),
         "nm": pa.array(["aaaaaaaaaaaa", "bbbbbbbbbbbb"])}))
     right = rd.from_arrow(pa.table({
         "id": pa.array([10, 11], type=pa.int64()),
         "nm": pa.array(["aaaaaaaaaaab", "cccccccbbbbb"])}))
-    out = blocked_fuzzy_pairs(left, right, max_dist=1, block_len=6,
-                              num_shards=4).to_pandas()
+    out = blocked_fuzzy_pairs(left, right, max_dist=1,
+                              block_len=6).to_pandas()
     # (0,10): one substitution -> kept; (1,11): shares suffix block only
     # partially and is 7 edits away -> dropped
     assert set(zip(out["a"], out["b"])) == {(0, 10)}

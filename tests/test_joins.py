@@ -184,11 +184,12 @@ def test_zonal_and_raster():
     assert grid_total == 400
 
 
-def test_asof_join_semantics():
+def test_asof_join_semantics(monkeypatch):
     """Constructed as-of: exact-tie timestamps match (<=), unmatched left
     rows drop (inner), a legitimately-null right VALUE survives, keys land
     across buckets."""
     from prclz_ray.stages import relational
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     left = pa.table({
         "eid": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
         "k": pa.array([10, 10, 10, 20, 30], type=pa.int64()),
@@ -201,7 +202,7 @@ def test_asof_join_semantics():
     })
     out = relational.asof_join(rd.from_arrow(left).repartition(3),
                                rd.from_arrow(right).repartition(2),
-                               on="t", by="k", num_buckets=4).to_pandas()
+                               on="t", by="k").to_pandas()
     got = {int(r.eid): (None if pd.isna(r.val) else float(r.val))
            for r in out.itertuples()}
     # eid1: t=100 -> right t=90 val 1.0; eid2: exact tie t=205 -> null val
@@ -211,10 +212,11 @@ def test_asof_join_semantics():
     assert out["eid"].dtype == np.int64 and out["t"].dtype == np.int64
 
 
-def test_asof_join_mixed_key_widths():
+def test_asof_join_mixed_key_widths(monkeypatch):
     """int32 `on`/`by` columns on the left against int64 on the right
     match as equal widths do, and the output keeps the left's types."""
     from prclz_ray.stages import relational
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     left = pa.table({"eid": pa.array([1, 2, 3], type=pa.int64()),
                      "k": pa.array([10, 10, 20], type=pa.int32()),
                      "t": pa.array([100, 205, 150], type=pa.int32())})
@@ -222,7 +224,7 @@ def test_asof_join_mixed_key_widths():
                       "t": pa.array([90, 100], type=pa.int64()),
                       "val": pa.array([1.0, 3.0])})
     out = relational.asof_join(rd.from_arrow(left), rd.from_arrow(right),
-                               on="t", by="k", num_buckets=4).to_pandas()
+                               on="t", by="k").to_pandas()
     assert sorted(zip(out["eid"], out["val"])) == [(1, 1.0), (2, 1.0),
                                                    (3, 3.0)]
     assert out["k"].dtype == np.int32 and out["t"].dtype == np.int32

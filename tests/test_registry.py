@@ -85,7 +85,7 @@ def test_two_sided_shuffle_joins_go_through_cogroup():
     in ``relational.cogroup``: no other top-level definition there has an
     ``align`` padder, a Dataset ``union`` or a side-flag column.  The one
     other union is ``set_op``'s, which flags distinct keys and reduces them
-    with two ``Max`` aggregates, with no per-group split.
+    through one ``bucket_shuffle``, with no per-side split.
     ``blocks.extract_blocks`` and ``reblock`` keep their own unions: on a
     mapped input (reblock's left side is a PIP join) ``cogroup`` would
     need ``with_schema`` to materialize it, an execution they do not run
@@ -122,13 +122,6 @@ BUCKET_SHUFFLE_EXCEPTIONS = {
     # matches these operators by name (MapBatches(fused), (partial))
     ("pipelines/flagship.py", "duplicate_url_map"),
     ("pipelines/flagship.py", "flagship_region_counts_streaming"),
-    # second shuffle on a pair bucket hashed from two columns (a, b)
-    ("stages/relational.py", "cooccurrence_pairs"),
-    ("pipelines/queries/corpus_stats.py", "q_graph_reciprocity"),
-    ("pipelines/queries/corpus_stats.py", "q_adamic_adar_links"),
-    ("pipelines/queries/corpus_stats.py", "q_resource_allocation_links"),
-    # shards hash several group columns (LSH band, bucket)
-    ("stages/dedup.py", "_sharded_multi_groups"),
 }
 
 
@@ -364,3 +357,42 @@ def test_one_broadcast_budget():
     assert not hits, hits
     assert readers == BUDGET_READERS, (readers - BUDGET_READERS,
                                        BUDGET_READERS - readers)
+
+
+def test_bucket_shuffle_exceptions_are_the_flagship_sorts():
+    """Every hand-rolled hash exchange outside the flagship goes through
+    ``bucket_shuffle``; a pair or multi-column group keys it on one
+    column of the pair (or on a hash of the group columns) instead."""
+    assert BUCKET_SHUFFLE_EXCEPTIONS == {
+        ("pipelines/flagship.py", "duplicate_url_map"),
+        ("pipelines/flagship.py", "flagship_region_counts_streaming")}
+
+
+# the definitions that take a bucket count: each computes the range of a
+# key it builds itself (the salted join's ``NUM_BUCKETS * salt``, or
+# ``None`` for the unbounded S2 cell and band keys)
+BUCKET_BOUND_TAKERS = {"stable_bucket", "sort_buckets", "cogroup",
+                       "_bucket_join"}
+
+
+def test_one_bucket_count_for_the_engine():
+    """No definition takes a per-call hash-bucket count: every hash-bucket
+    shuffle reads ``relational.NUM_BUCKETS`` when called, so one
+    ``monkeypatch.setattr(relational, "NUM_BUCKETS", n)`` reaches all of
+    them.  A name import (``from .relational import NUM_BUCKETS``) would
+    copy the value at import and miss that, so there is none."""
+    takers, imports = set(), []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in
+                          a.posonlyargs + a.args + a.kwonlyargs}
+                if params & {"num_buckets", "num_shards"}:
+                    takers.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                imports += [(rel, node.lineno) for al in node.names
+                            if al.name == "NUM_BUCKETS"]
+    assert takers == BUCKET_BOUND_TAKERS, takers ^ BUCKET_BOUND_TAKERS
+    assert not imports, imports

@@ -167,12 +167,13 @@ def test_sliding_window_contains_each_event_r_times():
         assert cnt == inside
 
 
-def test_running_aggregate_matches_pandas_window():
+def test_running_aggregate_matches_pandas_window(monkeypatch):
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
     from prclz_ray.stages import relational
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
 
     rng = np.random.default_rng(11)
     n = 500
@@ -184,8 +185,8 @@ def test_running_aggregate_matches_pandas_window():
     })
     out = relational.running_aggregate(
         rd.from_pandas(df).repartition(6), key_col="user_id",
-        ts_col="ts", order_col="event_id", value_col="cents",
-        num_buckets=4).to_pandas().sort_values("event_id")
+        ts_col="ts", order_col="event_id",
+        value_col="cents").to_pandas().sort_values("event_id")
     ref = df.sort_values(["user_id", "ts", "event_id"]).copy()
     g = ref.groupby("user_id", sort=False)
     ref["running_n"] = g.cumcount() + 1
@@ -221,12 +222,13 @@ def test_pivot_counts_matches_crosstab():
         assert r["n_total"] == ct.loc[r["prio"]].sum()
 
 
-def test_grouped_lag_first_row_null_and_gaps():
+def test_grouped_lag_first_row_null_and_gaps(monkeypatch):
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
     from prclz_ray.stages import relational
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 2)
 
     df = pd.DataFrame({
         "event_id": [1, 2, 3, 4, 5, 6],
@@ -235,8 +237,8 @@ def test_grouped_lag_first_row_null_and_gaps():
     })
     out = relational.grouped_lag(
         rd.from_pandas(df).repartition(3), key_col="user_id",
-        ts_col="ts", order_col="event_id", lag_cols=["event_id"],
-        num_buckets=2).to_pandas().sort_values("event_id")
+        ts_col="ts", order_col="event_id",
+        lag_cols=["event_id"]).to_pandas().sort_values("event_id")
     # each user's first event has no predecessor
     assert out["prev_event_id"].isna().tolist() == [True, False, False,
                                                     True, False, False]
@@ -246,16 +248,17 @@ def test_grouped_lag_first_row_null_and_gaps():
     assert out.loc[out.event_id == 6, "gap_us"].iloc[0] == 94_000_000
 
 
-def test_bucketed_hash_join_outer_keeps_unmatched_sides():
+def test_bucketed_hash_join_outer_keeps_unmatched_sides(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
     from prclz_ray.stages import relational
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
 
     left = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3], "a": [10, 20, 30]}))
     right = rd.from_pandas(pd.DataFrame({"k": [2, 3, 4], "b": [200, 300, 400]}))
-    out = relational.bucketed_hash_join(left, right, on="k", how="outer",
-                                        num_buckets=4).to_pandas() \
+    out = relational.bucketed_hash_join(left, right, on="k",
+                                        how="outer").to_pandas() \
         .sort_values("k").reset_index(drop=True)
     assert out["k"].tolist() == [1, 2, 3, 4]  # key coalesced across sides
     assert out["a"].isna().tolist() == [False, False, False, True]
@@ -377,7 +380,7 @@ def test_grouped_zscore_both_paths(monkeypatch):
         assert np.allclose(out.zscore[:5], want[:5], atol=0)
 
 
-def test_global_prefix_sum_matches_ordered_cumsum():
+def test_global_prefix_sum_matches_ordered_cumsum(monkeypatch):
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -390,9 +393,10 @@ def test_global_prefix_sum_matches_ordered_cumsum():
     df = pd.DataFrame({"k": ids, "v": vals})
     want = df.sort_values("k").v.cumsum().to_numpy()
     for parts, nb in ((2, 4), (8, 64)):
+        monkeypatch.setattr(relational, "NUM_BUCKETS", nb)
         out = relational.global_prefix_sum(
-            rd.from_pandas(df).repartition(parts), "k", "v",
-            num_buckets=nb).to_pandas().sort_values("k")
+            rd.from_pandas(df).repartition(parts), "k",
+            "v").to_pandas().sort_values("k")
         assert list(out.cum) == list(want)
     # sparse/negative key domain still ordered correctly
     df2 = pd.DataFrame({"k": [-100, 5, 7_000_000, 9], "v": [1, 2, 3, 4]})
@@ -1077,30 +1081,32 @@ def test_label_propagation_two_cliques_paths_agree(monkeypatch):
     assert set(bc["label"]).issubset(set(range(6)))
 
 
-def test_bucketed_join_null_keys_never_match():
+def test_bucketed_join_null_keys_never_match(monkeypatch):
     """SQL semantics pin for the Acero per-bucket merge: null join keys
     match NOTHING (a pandas merge would pair NaN with NaN) — inner drops
     them, left keeps them unmatched."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     left = pa.table({"k": pa.array([1, 2, None, None], type=pa.int64()),
                      "a": pa.array([10, 20, 30, 40])})
     right = pa.table({"k": pa.array([1, None], type=pa.int64()),
                       "b": pa.array([100, 200])})
     inner = relational.bucketed_hash_join(
         rd.from_arrow(left).repartition(2),
-        rd.from_arrow(right).repartition(2), on="k",
-        num_buckets=4).to_pandas()
+        rd.from_arrow(right).repartition(2), on="k").to_pandas()
     assert sorted(inner["a"]) == [10]
     lo = relational.bucketed_hash_join(
         rd.from_arrow(left).repartition(2),
-        rd.from_arrow(right).repartition(2), on="k", num_buckets=4,
+        rd.from_arrow(right).repartition(2), on="k",
         how="left").to_pandas().sort_values("a")
     assert list(lo["a"]) == [10, 20, 30, 40]
     assert lo["b"].notna().tolist() == [True, False, False, False]
 
 
-def test_bucketed_join_combine_hook_full_aggregate_on_join_key():
+def test_bucketed_join_combine_hook_full_aggregate_on_join_key(
+        monkeypatch):
     """combine= runs inside the bucket task; a groupby on the JOIN key
     there is a full aggregate (every key occurrence is in one bucket)."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     import pyarrow.compute as pc
     left = pa.table({"k": pa.array([1, 1, 2, 2, 3], type=pa.int64()),
                      "v": pa.array([1, 2, 3, 4, 5], type=pa.int64())})
@@ -1115,7 +1121,7 @@ def test_bucketed_join_combine_hook_full_aggregate_on_join_key():
     out = relational.bucketed_hash_join(
         rd.from_arrow(left).repartition(3),
         rd.from_arrow(right).repartition(2), on="k",
-        num_buckets=4, combine=comb).to_pandas().sort_values("k")
+        combine=comb).to_pandas().sort_values("k")
     assert list(out["k"]) == [1, 2, 3]
     assert list(out["sv"]) == [3, 7, 5]
     assert list(out["mw"]) == [10, 20, 30]
@@ -1164,11 +1170,13 @@ def test_worker_cached_builds_once_and_evicts_stale_kind():
     assert Stage.built == [ref1, ref2, ref1]
 
 
-def test_bucketed_join_randomized_parity_with_duckdb():
+def test_bucketed_join_randomized_parity_with_duckdb(monkeypatch):
     """Core-infra pin: the Acero bucketed join must match DuckDB on
     random data with NULL keys, duplicate keys, and int32-vs-int64 key
     dtype promotion, for inner/left/outer."""
     import duckdb
+
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 8)
 
     rng = np.random.default_rng(43)
     n = 2000
@@ -1193,7 +1201,7 @@ def test_bucketed_join_randomized_parity_with_duckdb():
         got = relational.bucketed_hash_join(
             rd.from_arrow(left).repartition(5),
             rd.from_arrow(right).repartition(3), on="k",
-            num_buckets=8, how=how).to_pandas()
+            how=how).to_pandas()
         want = con.execute(
             f"SELECT l.a AS a, r.b AS b FROM l {sql_join} r "
             "ON l.k = r.k").fetchdf()
@@ -1515,6 +1523,7 @@ def test_joins_over_mapped_inputs_run_no_limit_probe(monkeypatch):
         Limit
     from ray.data._internal.plan import ExecutionPlan
 
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     probes = []
     for name in ("execute", "execute_to_iterator"):
         orig = getattr(ExecutionPlan, name)
@@ -1534,10 +1543,9 @@ def test_joins_over_mapped_inputs_run_no_limit_probe(monkeypatch):
     right = pd.DataFrame({"k": np.arange(7), "t": np.arange(7) * 5,
                           "b": np.arange(7) * 100})
     inner = relational.ds_to_table(relational.bucketed_hash_join(
-        mapped(left), mapped(right), on="k", num_buckets=4)).to_pandas()
+        mapped(left), mapped(right), on="k")).to_pandas()
     semi = relational.ds_to_table(relational.bucketed_semi_join(
-        mapped(left), mapped(right[right.k < 3]), on="k",
-        num_buckets=4)).to_pandas()
+        mapped(left), mapped(right[right.k < 3]), on="k")).to_pandas()
     band = relational.ds_to_table(relational.band_join(
         mapped(left), mapped(right), on="t", radius=2)).to_pandas()
     assert probes == []
@@ -1587,12 +1595,13 @@ def test_embedding_queries_run_no_limit_plan(monkeypatch, tmp_path):
     assert len(iso) == 1
 
 
-def test_bucketed_semi_join_across_key_types():
+def test_bucketed_semi_join_across_key_types(monkeypatch):
     """The shuffle semi/anti join buckets and probes both sides at the
     permissive union of their key types, so it returns what the
     broadcast ``semi_join`` returns when the key types differ (int64
     against float64 used to meet in the wrong buckets: 1 row of 20), and
     the output keeps the big side's key type."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 8)
     keys = np.arange(20)
     for big_t, key_t in ((pa.int32(), pa.int64()),
                          (pa.int64(), pa.float64())):
@@ -1601,8 +1610,8 @@ def test_bucketed_semi_join_across_key_types():
         kt = pa.table({"k": pa.array(keys[::2], type=key_t)})
         for anti in (False, True):
             got = relational.ds_to_table(relational.bucketed_semi_join(
-                rd.from_arrow(big), rd.from_arrow(kt), on="k", anti=anti,
-                num_buckets=8))
+                rd.from_arrow(big), rd.from_arrow(kt), on="k",
+                anti=anti))
             want = relational.ds_to_table(relational.semi_join(
                 rd.from_arrow(big), kt, on="k", anti=anti))
             assert got.schema.field("k").type == big_t
@@ -1782,7 +1791,7 @@ def _per_key_cogroup(real):
 
 
 def _per_key_bucket_shuffle(real):
-    def bucket_shuffle(ds, key, per_bucket, num_buckets=64, prepare=None,
+    def bucket_shuffle(ds, key, per_bucket, prepare=None,
                        batch_format="pandas"):
         def one_key_at_a_time(part):
             df = part if isinstance(part, pd.DataFrame) else part.to_pandas()
@@ -1805,8 +1814,7 @@ def _per_key_bucket_shuffle(real):
                 if o[f.name].null_count == o.num_rows else f
                 for f in o.schema])) for o in outs]
             return pa.concat_tables(outs, promote_options="permissive")
-        return real(ds, key, one_key_at_a_time, num_buckets, prepare,
-                    batch_format)
+        return real(ds, key, one_key_at_a_time, prepare, batch_format)
     return bucket_shuffle
 
 
@@ -1856,6 +1864,7 @@ def _one_block(**cols) -> "rd.Dataset":
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_bucket_shuffle_several_keys_per_call(kind, monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     n = 300
     rng = np.random.default_rng(5)
     base = np.datetime64("2024-03-01T00:00:00", "us")
@@ -1871,38 +1880,39 @@ def test_bucket_shuffle_several_keys_per_call(kind, monkeypatch):
 
     for run in (
             lambda: relational.sessionize(events(), "k", "ts",
-                                          gap_sec=3600, num_buckets=4),
-            lambda: relational.grouped_ranks(events(), "k", "ts", "id",
-                                             num_buckets=4),
+                                          gap_sec=3600),
+            lambda: relational.grouped_ranks(events(), "k", "ts", "id"),
             lambda: relational.running_aggregate(events(), "k", "ts", "id",
-                                                 "v", num_buckets=4),
-            lambda: relational.grouped_mode(events(), "k", "v",
-                                            num_buckets=4)):
+                                                 "v"),
+            lambda: relational.grouped_mode(events(), "k", "v")):
         _same_rows_per_block_and_per_key(run, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("how", ["inner", "left"])
 def test_bucketed_hash_join_several_keys_per_call(kind, how, monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
+
     def run():
         return relational.bucketed_hash_join(
             _one_block(k=_keyed(kind, 200, 2),
                        lid=pa.array(np.arange(200, dtype=np.int64))),
             _one_block(k=_keyed(kind, 40, 3),
                        rid=pa.array(np.arange(40, dtype=np.int64))),
-            on="k", num_buckets=4, how=how)
+            on="k", how=how)
     _same_rows_per_block_and_per_key(run, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("anti", [False, True])
 def test_bucketed_semi_join_several_keys_per_call(kind, anti, monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
+
     def run():
         return relational.bucketed_semi_join(
             _one_block(k=_keyed(kind, 200, 2),
                        lid=pa.array(np.arange(200, dtype=np.int64))),
-            _one_block(k=_keyed(kind, 6, 4)), on="k", anti=anti,
-            num_buckets=4)
+            _one_block(k=_keyed(kind, 6, 4)), on="k", anti=anti)
     _same_rows_per_block_and_per_key(run, monkeypatch)
 
 
@@ -1911,6 +1921,7 @@ def test_bucketed_semi_join_several_keys_per_call(kind, anti, monkeypatch):
 def test_salted_join_several_keys_per_call(kind, how, monkeypatch):
     """A hot key's right rows replicate into every salt sub-bucket, and
     one block holds them all: each left row still meets one replica."""
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     keys = _keyed(kind, 200, 2)
     hot = keys.drop_null()[0].as_py()
 
@@ -1919,12 +1930,13 @@ def test_salted_join_several_keys_per_call(kind, how, monkeypatch):
             _one_block(k=keys, lid=pa.array(np.arange(200, dtype=np.int64))),
             _one_block(k=_keyed(kind, 40, 3),
                        rid=pa.array(np.arange(40, dtype=np.int64))),
-            on="k", hot_keys=[hot], num_buckets=4, salt=4, how=how)
+            on="k", hot_keys=[hot], salt=4, how=how)
     _same_rows_per_block_and_per_key(run, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_asof_join_several_keys_per_call(kind, monkeypatch):
+    monkeypatch.setattr(relational, "NUM_BUCKETS", 4)
     rng = np.random.default_rng(6)
     lt, rt = rng.integers(0, 1000, 150), rng.integers(0, 1000, 60)
 
@@ -1934,7 +1946,7 @@ def test_asof_join_several_keys_per_call(kind, monkeypatch):
                        lid=pa.array(np.arange(150, dtype=np.int64))),
             _one_block(k=_keyed(kind, 60, 3, nulls=False), t=pa.array(rt),
                        rid=pa.array(np.arange(60, dtype=np.int64))),
-            on="t", by="k", num_buckets=4, right_order_cols=["rid"])
+            on="t", by="k", right_order_cols=["rid"])
     _same_rows_per_block_and_per_key(run, monkeypatch)
 
 
